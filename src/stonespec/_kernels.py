@@ -1,155 +1,111 @@
-"""Hot order-theoretic inner loops, in two interchangeable backends.
+"""Hot order-theoretic kernels, vectorized with numpy and shaped for BLAS.
 
-The numba backend compiles the plain nested loops; the numpy backend
-vectorizes row-by-row using the counting identity |down(c)| == |down(a)
-cap down(b)| for the meet candidate c.  Both compute identical tables.
+Counting identities over an order matrix run as float32 matrix products,
+which numpy hands to BLAS (integer products it computes itself).  Every
+count is at most n, so the products are exact while n < 2**24.
 
-Backend selection: numba is the default whenever it imports; set
-``STONESPEC_DISABLE_NUMBA=1`` to force the numpy path.  Every dispatcher
-also takes an explicit ``backend=`` argument so the benchmark can time
-both in one process.
+Meet and join tables come from bit rows: the meet candidate of (a, b) is
+the common lower bound with the largest down-set, found as the first bit
+set in both packed rows when columns are sorted by down-set size.  In a
+partial order it is the meet exactly when its down-set is as large as the
+number of common lower bounds, which one BLAS product counts for all pairs
+at once (dually for joins).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _flag_disabled() -> bool:
-    return os.environ.get("STONESPEC_DISABLE_NUMBA", "0").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-    )
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-DEFAULT_BACKEND = "numba" if (HAVE_NUMBA and not _flag_disabled()) else "numpy"
-
-
-def active_backend() -> str:
-    return DEFAULT_BACKEND
-
-
-def _resolve(backend: str | None) -> str:
-    b = DEFAULT_BACKEND if backend is None else backend
-    if b not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {b!r}")
-    if b == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return b
-
-
-# ---------------------------------------------------------------------------
-# meet/join tables
 
 STATUS_OK = 0
 STATUS_NO_MEET = 1
 STATUS_NO_JOIN = 2
 
-
-@njit(cache=True)
-def _bound_tables_nb(leq):  # pragma: no cover - exercised via dispatcher
-    n = leq.shape[0]
-    meet = np.full((n, n), -1, np.int64)
-    join = np.full((n, n), -1, np.int64)
-    for a in range(n):
-        for b in range(a + 1):
-            best = -1
-            for c in range(n):
-                if leq[c, a] and leq[c, b] and (best < 0 or leq[best, c]):
-                    best = c
-            if best < 0:
-                return meet, join, STATUS_NO_MEET, a, b
-            for c in range(n):
-                if leq[c, a] and leq[c, b] and not leq[c, best]:
-                    return meet, join, STATUS_NO_MEET, a, b
-            meet[a, b] = best
-            meet[b, a] = best
-            best = -1
-            for c in range(n):
-                if leq[a, c] and leq[b, c] and (best < 0 or leq[c, best]):
-                    best = c
-            if best < 0:
-                return meet, join, STATUS_NO_JOIN, a, b
-            for c in range(n):
-                if leq[a, c] and leq[b, c] and not leq[best, c]:
-                    return meet, join, STATUS_NO_JOIN, a, b
-            join[a, b] = best
-            join[b, a] = best
-    return meet, join, STATUS_OK, -1, -1
+# uint64 words of bit rows ANDed per block of bound_tables (2 MiB)
+_BLOCK_WORDS = 1 << 18
 
 
-def _bound_tables_np(leq):
-    n = leq.shape[0]
-    li = leq.astype(np.int64)
-    down = li.sum(axis=0)  # |{c : c <= j}| per column j
-    up = li.sum(axis=1)
-    common_low = li.T @ li  # [a, b] -> number of common lower bounds
-    common_up = li @ li.T
-    meet = np.full((n, n), -1, np.int64)
-    join = np.full((n, n), -1, np.int64)
-    for a in range(n):
-        lower = leq[:, a][:, None] & leq  # [c, b]: c <= a and c <= b
-        hits = lower & (down[:, None] == common_low[a][None, :])
-        cnt = hits.sum(axis=0)
-        bad = np.flatnonzero(cnt != 1)
-        if bad.size:
-            return meet, join, STATUS_NO_MEET, a, int(bad[0])
-        meet[a] = hits.argmax(axis=0)
-        upper = leq[a][:, None] & leq.T  # [c, b]: a <= c and b <= c
-        hits = upper & (up[:, None] == common_up[a][None, :])
-        cnt = hits.sum(axis=0)
-        bad = np.flatnonzero(cnt != 1)
-        if bad.size:
-            return meet, join, STATUS_NO_JOIN, a, int(bad[0])
-        join[a] = hits.argmax(axis=0)
-    return meet, join, STATUS_OK, -1, -1
+def _counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """out[i, j] = |{k : x[i, k] and y[k, j]}| as one float32 BLAS product."""
+    return x.astype(np.float32) @ y.astype(np.float32)
 
 
-def bound_tables(leq: np.ndarray, backend: str | None = None):
-    """All-pairs greatest lower / least upper bounds.
-
-    Returns (meet, join, status, a, b); status != STATUS_OK flags the first
-    pair (a, b) without a unique bound.
-    """
-    leq = np.ascontiguousarray(leq, dtype=bool)
-    if _resolve(backend) == "numba":
-        return _bound_tables_nb(leq)
-    return _bound_tables_np(leq)
+def bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Boolean product: out[i, j] iff x[i, k] and y[k, j] for some k."""
+    return _counts(x, y) > 0
 
 
 # ---------------------------------------------------------------------------
-# exhaustive law checks
+# meet/join tables
 
 
-@njit(cache=True)
-def _distributivity_witness_nb(meet, join):  # pragma: no cover
-    n = meet.shape[0]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
-                    return a, b, c
-    return -1, -1, -1
+def _packed_rows(bits: np.ndarray) -> np.ndarray:
+    """Each boolean row as native uint64 words, column 0 in the most
+    significant bit of word 0."""
+    packed = np.packbits(bits, axis=1)
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return np.ascontiguousarray(packed).view(">u8").astype(np.uint64)
 
 
-def _distributivity_witness_np(meet, join):
+def _first_common(words: np.ndarray, rows: slice) -> np.ndarray:
+    """[a, b] -> first column set in both rows a (of ``rows``) and b, else -1."""
+    both = words[rows][:, None, :] & words[None, :, :]
+    w = (both != 0).argmax(axis=2)
+    v = np.take_along_axis(both, w[..., None], axis=2)[..., 0]
+    del both
+    # bit length of v; each 32-bit half converts to float64 exactly
+    hi = np.frexp((v >> np.uint64(32)).astype(np.float64))[1]
+    lo = np.frexp((v & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    bits = np.where(hi > 0, 32 + hi, lo)
+    return np.where(v != 0, 64 * w + 64 - bits, -1)
+
+
+def _bounds_block(words, order, size, count, rows):
+    """Candidate bounds of the pairs in ``rows`` and whether each is one."""
+    k = _first_common(words, rows)
+    cand = order[k]
+    return cand, (k >= 0) & (size[cand] == count[rows])
+
+
+def bound_tables(leq: np.ndarray):
+    """All-pairs greatest lower / least upper bounds of a partial order.
+
+    Returns (meet, join, status, a, b); status != STATUS_OK flags the first
+    pair (a, b), in row-major order, without a unique bound (a missing meet
+    reported before a missing join in the same row); the tables are then
+    incomplete.  ``leq`` must be a partial order.
+    """
+    leq = np.ascontiguousarray(leq, dtype=bool)
+    n = leq.shape[0]
+    down = leq.sum(axis=0)  # |{c : c <= j}| per column j
+    up = leq.sum(axis=1)
+    common_low = _counts(leq.T, leq)  # [a, b] -> number of common lower bounds
+    common_up = _counts(leq, leq.T)
+    by_down = np.argsort(-down, kind="stable")
+    by_up = np.argsort(-up, kind="stable")
+    low_words = _packed_rows(leq[by_down].T)  # [a, k]: by_down[k] <= a
+    up_words = _packed_rows(leq[:, by_up])  # [a, k]: a <= by_up[k]
+    meet = np.full((n, n), -1, np.int64)
+    join = np.full((n, n), -1, np.int64)
+    step = max(1, _BLOCK_WORDS // max(1, n * low_words.shape[1]))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        meet[rows], meet_ok = _bounds_block(low_words, by_down, down, common_low, rows)
+        join[rows], join_ok = _bounds_block(up_words, by_up, up, common_up, rows)
+        bad = ~(meet_ok & join_ok).all(axis=1)
+        if bad.any():
+            r = int(np.argmax(bad))
+            if not meet_ok[r].all():
+                return meet, join, STATUS_NO_MEET, start + r, int(np.argmin(meet_ok[r]))
+            return meet, join, STATUS_NO_JOIN, start + r, int(np.argmin(join_ok[r]))
+    return meet, join, STATUS_OK, -1, -1
+
+
+# ---------------------------------------------------------------------------
+# law checks
+
+
+def distributivity_witness(meet, join):
+    """First triple violating a ^ (b v c) == (a ^ b) v (a ^ c), else (-1,)*3."""
     n = meet.shape[0]
     for a in range(n):
         lhs = meet[a][join]  # [b, c] -> a ^ (b v c)
@@ -161,37 +117,25 @@ def _distributivity_witness_np(meet, join):
     return -1, -1, -1
 
 
-def distributivity_witness(meet, join, backend: str | None = None):
-    """First triple violating a ^ (b v c) == (a ^ b) v (a ^ c), else (-1,)*3."""
-    if _resolve(backend) == "numba":
-        return _distributivity_witness_nb(meet, join)
-    return _distributivity_witness_np(meet, join)
+def all_commute(meet, join, ortho) -> bool:
+    """Whether a == (a ^ b) v (a ^ b') for every pair (a, b).
+
+    By Foulis-Holland theory (Kalmbach, *Orthomodular Lattices*, 1983) an
+    orthomodular lattice is Boolean, hence distributive, iff this holds.
+    """
+    ortho = np.asarray(ortho, np.int64)
+    rel = join[meet, meet[:, ortho]]  # [a, b] -> (a ^ b) v (a ^ b')
+    return bool((rel == np.arange(meet.shape[0])[:, None]).all())
 
 
-@njit(cache=True)
-def _orthomodularity_witness_nb(leq, meet, join, ortho):  # pragma: no cover
-    n = leq.shape[0]
-    for a in range(n):
-        for b in range(n):
-            if leq[a, b] and join[a, meet[b, ortho[a]]] != b:
-                return a, b
-    return -1, -1
-
-
-def _orthomodularity_witness_np(leq, meet, join, ortho):
+def orthomodularity_witness(leq, meet, join, ortho):
+    """First pair a <= b with b != a v (b ^ a'), else (-1, -1)."""
     n = leq.shape[0]
     # rel[a, b] = a v (b ^ a')
-    c = meet[:, ortho]  # [b, a] -> b ^ a'
+    c = meet[:, np.asarray(ortho, np.int64)]  # [b, a] -> b ^ a'
     rel = np.take_along_axis(join, c.T, axis=1)
     bad = leq & (rel != np.arange(n)[None, :])
     if bad.any():
         a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
         return int(a), int(b)
     return -1, -1
-
-
-def orthomodularity_witness(leq, meet, join, ortho, backend: str | None = None):
-    """First pair a <= b with b != a v (b ^ a'), else (-1, -1)."""
-    if _resolve(backend) == "numba":
-        return _orthomodularity_witness_nb(leq, meet, join, np.asarray(ortho, np.int64))
-    return _orthomodularity_witness_np(leq, meet, join, np.asarray(ortho, np.int64))

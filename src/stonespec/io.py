@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .errors import LatticeError, SchemaError
 from .lattice import FiniteOML
 from .spectral import ObservableTable, SpectralFamily, make_spectral_family, table_from_pairs
@@ -41,9 +42,10 @@ def _require(data: dict, key: str, path):
 
 
 def transitive_closure(leq: np.ndarray) -> np.ndarray:
+    """Transitive closure by repeated squaring of the boolean relation."""
     out = leq.copy()
     while True:
-        step = out | ((out.astype(np.int64) @ out.astype(np.int64)) > 0)
+        step = out | _kernels.bool_matmul(out, out)
         if (step == out).all():
             return out
         out = step

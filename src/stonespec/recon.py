@@ -31,17 +31,29 @@ def is_completely_increasing(
 
     For a finite lattice the pairwise law is equivalent to the law for
     arbitrary families (by induction on the family); the brute-force
-    equivalence is exercised separately in the suites.
+    equivalence is exercised separately in the suites.  The witness is the
+    first failing pair (a, b), a <= b as indices, in row-major order; max
+    is Python's, so a NaN wins only as its first argument.
     """
-    nz = [int(p) for p in L.nonzero()]
-    for a in nz:
-        for b in nz:
-            if b < a:
-                continue
-            j = L.join_table[a, b]
-            if float(r.values[j]) != max(float(r.values[a]), float(r.values[b])):
-                return False, (a, b)
+    v = np.asarray(r.values, dtype=np.float64)
+    # np.fmax(x, y) is max(x, y) unless x is NaN, where (x, x) fails anyway;
+    # bad is symmetric, so its first entry in row-major order has a <= b
+    bad = v[L.join_table] != np.fmax(v[:, None], v[None, :])
+    bad[L.bottom, :] = bad[:, L.bottom] = False
+    if bad.any():
+        a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return False, (int(a), int(b))
     return True, None
+
+
+def _filter_minima(L: FiniteOML, values: np.ndarray) -> np.ndarray:
+    """min of values over each principal filter {q : q >= p}, p nonzero.
+
+    A NaN anywhere in a filter makes its minimum NaN, as with np.min.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    mins = np.min(np.broadcast_to(v, (L.n, L.n)), axis=1, where=L.leq, initial=np.inf)
+    return mins[L.nonzero()]
 
 
 def family_law_holds(L: FiniteOML, r: ObservableTable) -> bool:
@@ -70,12 +82,10 @@ def f_from_r(L: FiniteOML, r: ObservableTable) -> ObservableTable:
         raise NotObservableError(
             f"not completely increasing at pair {witness}", witness
         )
-    vals = np.full(L.n, np.nan)
-    for p in L.nonzero():
-        members = L.upset(int(p))
-        vals[p] = np.min(r.values[members])
-    out = ObservableTable(L, vals)
     nz = L.nonzero()
+    vals = np.full(L.n, np.nan)
+    vals[nz] = _filter_minima(L, r.values)
+    out = ObservableTable(L, vals)
     if not (out.values[nz] == r.values[nz]).all():  # pragma: no cover
         raise LatticeError("min over a principal filter must reproduce r")
     return out
@@ -95,11 +105,10 @@ def is_abstract_observable(
     principal identity (an intersection of filters is the filter of the
     join).
     """
-    nz = [int(p) for p in L.nonzero()]
-    for g in nz:
-        members = L.upset(g)
-        if float(f.values[g]) != float(np.min(f.values[members])):
-            return False, ("min-formula", g)
+    nz = L.nonzero()
+    bad = np.asarray(f.values, dtype=np.float64)[nz] != _filter_minima(L, f.values)
+    if bad.any():
+        return False, ("min-formula", int(nz[np.argmax(bad)]))
     ok, witness = is_completely_increasing(L, f)
     if not ok:
         return False, ("intersection", *witness)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, gelfand, matrix, recon, spectral, stone
+from . import gelfand, matrix, recon, spectral, stone
 from .corpus import corpus
 from .errors import LatticeError
 from .lattice import FiniteOML, generated_sublattice, verify_structure
@@ -177,25 +177,6 @@ def suite_lattice(seed: int = 7) -> list[Check]:
     C3 = lattices["2^3"]
     sub, _ = generated_sublattice(C3, [1, 2, 4])
     checks.append(_check("lattice/generated/2^3-from-atoms", sub.n == 8))
-    # the numba and numpy backends build identical tables
-    if _kernels.HAVE_NUMBA:
-        agree = True
-        for name, L in lattices.items():
-            m1, j1, s1, _, _ = _kernels.bound_tables(L.leq, backend="numba")
-            m2, j2, s2, _, _ = _kernels.bound_tables(L.leq, backend="numpy")
-            if s1 != s2 or not ((m1 == m2).all() and (j1 == j2).all()):
-                agree = False
-            d1 = _kernels.distributivity_witness(m1, j1, backend="numba")
-            d2 = _kernels.distributivity_witness(m2, j2, backend="numpy")
-            if (d1[0] < 0) != (d2[0] < 0):
-                agree = False
-            o1 = _kernels.orthomodularity_witness(L.leq, m1, j1, L.ortho, backend="numba")
-            o2 = _kernels.orthomodularity_witness(L.leq, m2, j2, L.ortho, backend="numpy")
-            if (o1[0] < 0) != (o2[0] < 0):
-                agree = False
-        checks.append(_check("lattice/backend-agreement", agree))
-    else:  # pragma: no cover
-        checks.append(_check("lattice/backend-agreement", True, "numba unavailable"))
     return checks
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from stonespec.corpus import corpus
 from stonespec.spectral import make_spectral_family, observable_fn
 
 CORPUS = corpus()
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -234,6 +236,11 @@ class TestVerify:
         second = runner.invoke(main, args)
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
+
+    def test_all_suites_match_golden_text(self, runner):
+        result = runner.invoke(main, ["verify", "--suite", "all", "--seed", "7"])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == (GOLDEN / "verify-all-seed7.txt").read_bytes()
 
     def test_json_format(self, runner):
         result = runner.invoke(

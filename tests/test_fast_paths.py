@@ -1,0 +1,271 @@
+"""Each vectorized kernel against its slow definition.
+
+The oracles below are the straightforward loops the kernels replace: the
+row-scan meet/join search with integer counts, the full distributivity
+triple scan, the per-element atom join, the pairwise max-law loop, the
+filter-minimum loops and Warshall's closure.  Hypothesis draws random posets (with and without an
+added bottom and top), random relabelings of the corpus and of the
+products 2^m x MO2 and 2^m x O6, and tables with NaN and +-inf injected.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stonespec import _kernels, recon
+from stonespec.corpus import benzene, boolean_lattice, corpus, mo
+from stonespec.errors import NotObservableError
+from stonespec.io import transitive_closure
+from stonespec.lattice import FiniteOML, check_partial_order, verify_structure
+from stonespec.spectral import ObservableTable
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def warshall(rel):
+    out = np.array(rel, dtype=bool)
+    for k in range(out.shape[0]):
+        out |= out[:, k][:, None] & out[k][None, :]
+    return out
+
+
+def row_scan_bound_tables(leq):
+    """Per row a: the c <= a, b whose down-set is as large as the set of
+    common lower bounds must be unique (dually for joins)."""
+    n = leq.shape[0]
+    li = leq.astype(np.int64)
+    down = li.sum(axis=0)
+    up = li.sum(axis=1)
+    common_low = li.T @ li
+    common_up = li @ li.T
+    meet = np.full((n, n), -1, np.int64)
+    join = np.full((n, n), -1, np.int64)
+    for a in range(n):
+        lower = leq[:, a][:, None] & leq
+        hits = lower & (down[:, None] == common_low[a][None, :])
+        bad = np.flatnonzero(hits.sum(axis=0) != 1)
+        if bad.size:
+            return meet, join, _kernels.STATUS_NO_MEET, a, int(bad[0])
+        meet[a] = hits.argmax(axis=0)
+        upper = leq[a][:, None] & leq.T
+        hits = upper & (up[:, None] == common_up[a][None, :])
+        bad = np.flatnonzero(hits.sum(axis=0) != 1)
+        if bad.size:
+            return meet, join, _kernels.STATUS_NO_JOIN, a, int(bad[0])
+        join[a] = hits.argmax(axis=0)
+    return meet, join, _kernels.STATUS_OK, -1, -1
+
+
+def triple_scan(meet, join):
+    """First (a, b, c) with a ^ (b v c) != (a ^ b) v (a ^ c), else None."""
+    m, j = meet.tolist(), join.tolist()
+    n = len(m)
+    for a in range(n):
+        ma = m[a]
+        for b in range(n):
+            for c in range(n):
+                if ma[j[b][c]] != j[ma[b]][ma[c]]:
+                    return a, b, c
+    return None
+
+
+def atomistic_witness(L):
+    atoms = list(L.atoms())
+    for p in range(L.n):
+        if p != L.bottom and L.big_join([t for t in atoms if L.leq[t, p]]) != p:
+            return (p,)
+    return None
+
+
+def pairwise_increasing(L, r):
+    nz = [int(p) for p in L.nonzero()]
+    for a in nz:
+        for b in nz:
+            if b < a:
+                continue
+            j = L.join_table[a, b]
+            if float(r.values[j]) != max(float(r.values[a]), float(r.values[b])):
+                return False, (a, b)
+    return True, None
+
+
+def loop_f_from_r(L, r):
+    ok, witness = pairwise_increasing(L, r)
+    if not ok:
+        return witness
+    vals = np.full(L.n, np.nan)
+    for p in L.nonzero():
+        vals[p] = np.min(r.values[L.upset(int(p))])
+    return vals
+
+
+def loop_abstract_observable(L, f):
+    nz = [int(p) for p in L.nonzero()]
+    for g in nz:
+        if float(f.values[g]) != float(np.min(f.values[L.upset(g)])):
+            return False, ("min-formula", g)
+    ok, witness = pairwise_increasing(L, f)
+    if not ok:
+        return False, ("intersection", *witness)
+    return True, None
+
+
+def partial_order_problem(leq):
+    n = leq.shape[0]
+    for i in range(n):
+        if not leq[i, i]:
+            return "not reflexive", (i,)
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i, j] and leq[j, i]:
+                return "not antisymmetric", (i, j)
+    for i in range(n):
+        for j in range(n):
+            if not leq[i, j] and any(leq[i, k] and leq[k, j] for k in range(n)):
+                return "not transitive", (i, j)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def product(L1, L2):
+    """Componentwise order and complement on pairs, index i1 * n2 + i2."""
+    leq = np.kron(L1.leq.astype(np.int64), L2.leq.astype(np.int64)).astype(bool)
+    ortho = (L1.ortho[:, None] * L2.n + L2.ortho[None, :]).ravel()
+    names = [f"({a},{b})" for a in L1.names for b in L2.names]
+    return FiniteOML(names, leq, ortho)
+
+
+def relabel(L, perm):
+    perm = np.asarray(perm)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(L.n)
+    return FiniteOML(
+        [L.names[int(inv[i])] for i in range(L.n)],
+        L.leq[np.ix_(inv, inv)],
+        perm[L.ortho[inv]],
+    )
+
+
+BASES = dict(corpus())
+for _m in (1, 2, 3):
+    BASES[f"2^{_m}xMO2"] = product(boolean_lattice(_m), mo(2))
+    BASES[f"2^{_m}xO6"] = product(boolean_lattice(_m), benzene())
+BASES["MO3xO6"] = product(mo(3), benzene())
+
+
+@st.composite
+def posets(draw):
+    n = draw(st.integers(1, 9))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rel = np.triu(np.array(bits, dtype=bool).reshape(n, n)) | np.eye(n, dtype=bool)
+    if draw(st.booleans()):  # add a bottom and a top
+        n += 2
+        grown = np.eye(n, dtype=bool)
+        grown[1:-1, 1:-1] = rel
+        grown[0, :] = grown[:, -1] = True
+        rel = grown
+    perm = np.array(draw(st.permutations(range(n))))
+    return warshall(rel)[np.ix_(perm, perm)]
+
+
+@st.composite
+def relabeled(draw):
+    L = BASES[draw(st.sampled_from(sorted(BASES)))]
+    return relabel(L, draw(st.permutations(range(L.n))))
+
+
+SPECIALS = (np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def tables(draw):
+    """A lattice and a table on it: completely increasing (levels possibly
+    moved to -inf / +inf), then with some entries overwritten by NaN,
+    +-inf or a random level."""
+    L = draw(relabeled())
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    vals = recon.random_increasing_table(L, rng).values.copy()
+    nz = L.nonzero()
+    levels = np.unique(vals[nz])
+    if draw(st.booleans()):
+        vals[vals == levels[0]] = -np.inf
+    if draw(st.booleans()):
+        vals[vals == levels[-1]] = np.inf
+    hits = draw(st.lists(st.integers(0, len(nz) - 1), max_size=3))
+    for i in hits:
+        vals[nz[i]] = draw(st.sampled_from(SPECIALS + (float(rng.choice(levels)),)))
+    return L, ObservableTable(L, vals)
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@settings(max_examples=300, deadline=None)
+@given(posets())
+def test_bound_tables_match_row_scan(leq):
+    fast = _kernels.bound_tables(leq)
+    slow = row_scan_bound_tables(leq)
+    assert fast[2:] == slow[2:]
+    if fast[2] == _kernels.STATUS_OK:
+        assert (fast[0] == slow[0]).all() and (fast[1] == slow[1]).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_closure_and_order_check_match_loops(n, data):
+    bits = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rel = np.array(bits, dtype=bool).reshape(n, n)
+    assert (transitive_closure(rel) == warshall(rel)).all()
+    for m in (rel, rel | np.eye(n, dtype=bool), warshall(rel | np.eye(n, dtype=bool))):
+        assert check_partial_order(m) == partial_order_problem(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled())
+def test_structure_matches_triple_scan(L):
+    meet, join, status, *_ = row_scan_bound_tables(L.leq)
+    assert status == _kernels.STATUS_OK
+    assert (meet == L.meet_table).all() and (join == L.join_table).all()
+    rep = verify_structure(L)
+    witness = triple_scan(meet, join)
+    assert rep.is_distributive == (witness is None)
+    assert rep.witnesses.get("is_distributive") == witness
+    assert rep.witnesses.get("is_atomistic") == atomistic_witness(L)
+    lt = L.leq & ~np.eye(L.n, dtype=bool)
+    covers = [
+        (i, j)
+        for i in range(L.n)
+        for j in range(L.n)
+        if lt[i, j] and not any(lt[i, k] and lt[k, j] for k in range(L.n))
+    ]
+    assert L.cover_pairs() == covers
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_corpus_and_products_match_triple_scan(name):
+    L = BASES[name]
+    rep = verify_structure(L)
+    assert rep.witnesses.get("is_distributive") == triple_scan(L.meet_table, L.join_table)
+    assert rep.witnesses.get("is_atomistic") == atomistic_witness(L)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_table_laws_match_loops(case):
+    L, t = case
+    assert recon.is_completely_increasing(L, t) == pairwise_increasing(L, t)
+    assert recon.is_abstract_observable(L, t) == loop_abstract_observable(L, t)
+    want = loop_f_from_r(L, t)
+    if isinstance(want, tuple):
+        with pytest.raises(NotObservableError) as err:
+            recon.f_from_r(L, t)
+        assert err.value.witness == want
+    else:
+        np.testing.assert_array_equal(recon.f_from_r(L, t).values, want)

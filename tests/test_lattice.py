@@ -245,37 +245,11 @@ class TestSublattices:
             principal_ideal(CORPUS["B2"], CORPUS["B2"].bottom)
 
 
-class TestKernelBackends:
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-    @pytest.mark.parametrize("name", sorted(CORPUS))
-    def test_tables_agree(self, name):
-        L = CORPUS[name]
-        m1, j1, s1, *_ = _kernels.bound_tables(L.leq, backend="numba")
-        m2, j2, s2, *_ = _kernels.bound_tables(L.leq, backend="numpy")
-        assert s1 == s2 == _kernels.STATUS_OK
-        assert (m1 == m2).all() and (j1 == j2).all()
-
-    @pytest.mark.parametrize("backend", ["numba", "numpy"])
-    def test_missing_bound_detected(self, backend):
-        if backend == "numba" and not _kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        *_, status, a, b = _kernels.bound_tables(bowtie_order(), backend=backend)
+class TestKernels:
+    def test_missing_bound_detected(self):
+        *_, status, a, b = _kernels.bound_tables(bowtie_order())
         assert status != _kernels.STATUS_OK
         assert 0 <= a < 6 and 0 <= b < 6
-
-    @pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_witness_checks_agree(self):
-        for L in (CORPUS["MO2"], CORPUS["2^3"], CORPUS["benzene-O6"]):
-            d1 = _kernels.distributivity_witness(L.meet_table, L.join_table, "numba")
-            d2 = _kernels.distributivity_witness(L.meet_table, L.join_table, "numpy")
-            assert (d1[0] < 0) == (d2[0] < 0)
-            o1 = _kernels.orthomodularity_witness(
-                L.leq, L.meet_table, L.join_table, L.ortho, "numba"
-            )
-            o2 = _kernels.orthomodularity_witness(
-                L.leq, L.meet_table, L.join_table, L.ortho, "numpy"
-            )
-            assert (o1[0] < 0) == (o2[0] < 0)
 
     def test_random_relabelings_keep_verdicts(self):
         rng = np.random.default_rng(3)
