@@ -166,7 +166,7 @@ def _load_matrix(matrix_file):
     try:
         return matrix_mod.as_hermitian(A), A
     except ValueError:
-        return None, sio.load_matrix(matrix_file)
+        return None, A
 
 
 @matrix.command()

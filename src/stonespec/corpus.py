@@ -92,6 +92,3 @@ def corpus() -> dict[str, FiniteOML]:
         "MO3": mo(3),
         "benzene-O6": benzene(),
     }
-
-
-CORPUS_NAMES = ("chain-2", "B2", "2^3", "2^4", "MO2", "MO3", "benzene-O6")

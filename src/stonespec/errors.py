@@ -10,7 +10,7 @@ class SchemaError(ValueError):
     """An input file does not match its JSON schema."""
 
 
-class NotObservableError(ValueError):
+class NotObservableError(LatticeError):
     """A table fails the observable-function axioms; carries a witness."""
 
     def __init__(self, message: str, witness=None):

@@ -90,20 +90,10 @@ def orthogonal_representation(
 
 
 def gelfand_transform(alg: DiagonalAlgebra, entries) -> np.ndarray:
-    """Value of the transform at each quasipoint (one per basis atom).
-
-    Evaluated through the characteristic-function sum of the orthogonal
-    representation and asserted against the direct entry lookup.
-    """
-    vals = alg.check_entries(entries)
-    rep = orthogonal_representation(alg, vals)
-    out = np.zeros(alg.n, dtype=np.complex128)
-    for b, support in zip(rep.coefficients, rep.supports):
-        for i in support:
-            out[i] += b
-    if not (out == vals).all():  # pragma: no cover
-        raise LatticeError("characteristic sum disagrees with entry lookup")
-    return out
+    """Value of the transform at each quasipoint (one per basis atom): the
+    snapped entry at its basis index, as in the characteristic-function sum
+    the tests compare with; + 0.0 turns -0.0 into the sum's +0.0."""
+    return alg.check_entries(entries) + 0.0
 
 
 def diagonal_spectral_family(alg: DiagonalAlgebra, entries):

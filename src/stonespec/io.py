@@ -1,9 +1,10 @@
 """File schemas: lattices, spectral families, observable tables, quasipoint
 data, matrices and rays, plus the CSV emitters used by the CLI.
 
-Schema violations raise :class:`SchemaError`; mathematically broken but
-well-formed inputs raise :class:`LatticeError`.  Load -> save -> load is the
-identity for every schema.
+Schema violations, booleans and numbers outside the finite floats (NaN,
+Infinity, 1e400) among them, raise :class:`SchemaError`; mathematically
+broken but well-formed inputs raise :class:`LatticeError`.  Load -> save ->
+load is the identity for every schema.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,28 @@ def _require(data: dict, key: str, path):
     if key not in data:
         raise SchemaError(f"{path}: missing key {key!r}")
     return data[key]
+
+
+def _is_int(x) -> bool:
+    """A JSON integer; ``True`` is an int to Python but not an index."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A JSON number within the finite float range, booleans excluded."""
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+def _number_blocks(re, im, path, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary blocks of finite numbers; a missing one is zero."""
+    try:
+        re_arr = np.asarray(re, dtype=np.float64)
+        im_arr = np.zeros_like(re_arr) if im is None else np.asarray(im, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: {what} entries must be numbers") from exc
+    if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):
+        raise SchemaError(f"{path}: {what} entries must be finite")
+    return re_arr, im_arr
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +92,7 @@ def load_lattice(path) -> FiniteOML:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(x, int) for x in item)
+            or not all(_is_int(x) for x in item)
         ):
             raise SchemaError(f"{path}: bad 'leq' entry {item!r}")
         i, j = item
@@ -78,7 +102,7 @@ def load_lattice(path) -> FiniteOML:
     if (
         not isinstance(ortho, list)
         or len(ortho) != n
-        or not all(isinstance(x, int) and 0 <= x < n for x in ortho)
+        or not all(_is_int(x) and 0 <= x < n for x in ortho)
     ):
         raise SchemaError(f"{path}: 'ortho' must list one index per element")
     return FiniteOML(names, transitive_closure(leq), ortho)
@@ -110,7 +134,7 @@ def load_family(path, L: FiniteOML) -> SpectralFamily:
         if not isinstance(item, dict) or "lambda" not in item or "element" not in item:
             raise SchemaError(f"{path}: bad jump entry {item!r}")
         lam, el = item["lambda"], item["element"]
-        if not isinstance(lam, (int, float)) or not isinstance(el, int):
+        if not _is_number(lam) or not _is_int(el):
             raise SchemaError(f"{path}: bad jump types in {item!r}")
         if not 0 <= el < L.n:
             raise SchemaError(f"{path}: element index {el} out of range")
@@ -136,7 +160,7 @@ def load_table(path, L: FiniteOML) -> ObservableTable:
         if not isinstance(item, dict) or "element" not in item or "f" not in item:
             raise SchemaError(f"{path}: bad value entry {item!r}")
         el, f = item["element"], item["f"]
-        if not isinstance(el, int) or not isinstance(f, (int, float)):
+        if not _is_int(el) or not _is_number(f):
             raise SchemaError(f"{path}: bad value types in {item!r}")
         if not 0 <= el < L.n:
             raise SchemaError(f"{path}: element index {el} out of range")
@@ -167,7 +191,7 @@ def load_quasipoint_data(path, L: FiniteOML) -> dict[int, float]:
         if not isinstance(item, dict) or "atom" not in item or "f" not in item:
             raise SchemaError(f"{path}: bad value entry {item!r}")
         a, f = item["atom"], item["f"]
-        if not isinstance(a, int) or not isinstance(f, (int, float)):
+        if not _is_int(a) or not _is_number(f):
             raise SchemaError(f"{path}: bad value types in {item!r}")
         if a not in atoms:
             raise SchemaError(f"{path}: index {a} is not an atom")
@@ -185,16 +209,9 @@ def load_matrix(path) -> np.ndarray:
     data = _read_json(path)
     n = _require(data, "n", path)
     re = _require(data, "re", path)
-    im = data.get("im")
-    if not isinstance(n, int) or n <= 0:
+    if not _is_int(n) or n <= 0:
         raise SchemaError(f"{path}: 'n' must be a positive integer")
-    try:
-        re_arr = np.asarray(re, dtype=np.float64)
-        im_arr = (
-            np.zeros((n, n)) if im is None else np.asarray(im, dtype=np.float64)
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: matrix entries must be numbers") from exc
+    re_arr, im_arr = _number_blocks(re, data.get("im"), path, "matrix")
     if re_arr.shape != (n, n) or im_arr.shape != (n, n):
         raise SchemaError(f"{path}: matrix blocks must be {n} x {n}")
     return re_arr + 1j * im_arr
@@ -216,12 +233,7 @@ def save_matrix(a: np.ndarray, path) -> None:
 def load_ray(path) -> np.ndarray:
     data = _read_json(path)
     re = _require(data, "re", path)
-    im = data.get("im")
-    try:
-        re_arr = np.asarray(re, dtype=np.float64)
-        im_arr = np.zeros_like(re_arr) if im is None else np.asarray(im, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: ray entries must be numbers") from exc
+    re_arr, im_arr = _number_blocks(re, data.get("im"), path, "ray")
     if re_arr.ndim != 1 or re_arr.shape != im_arr.shape:
         raise SchemaError(f"{path}: ray blocks must be equal-length vectors")
     return re_arr + 1j * im_arr

@@ -204,9 +204,6 @@ class ObservableTable:
             raise LatticeError("ideal belongs to a different lattice")
         return float(self.values[J.generator])
 
-    def on_quasipoints(self) -> dict[int, float]:
-        return {t: float(self.values[t]) for t in self.lattice.atoms()}
-
     def image(self, over: str = "dual_ideals") -> np.ndarray:
         """Sorted distinct values over quasipoints or over all dual ideals."""
         if over == "quasipoints":
@@ -269,10 +266,6 @@ def mirrored_fn(E: SpectralFamily) -> ObservableTable:
     vals = E.thresholds[idx].astype(np.float64)
     vals[L.bottom] = np.nan
     return ObservableTable(L, vals)
-
-
-def image_of(table: ObservableTable, over: str = "dual_ideals") -> np.ndarray:
-    return table.image(over)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 In a finite lattice every dual ideal is the principal filter of its
 minimum, so ideals are keyed by a generator element; the set-of-subsets
-view survives only in the brute-force oracle used to cross-check the
-enumeration on small lattices.
+view survives only in the brute-force oracles that ``verify`` and the
+tests compare the enumerations with on small lattices.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class DualIdeal:
 
     def __contains__(self, a: int) -> bool:
         return bool(self.lattice.leq[self.generator, a])
-
-    def issubset(self, other: "DualIdeal") -> bool:
-        # H_a <= H_b as sets iff b <= a
-        return bool(self.lattice.leq[other.generator, self.generator])
 
     def __repr__(self) -> str:
         return f"H({self.lattice.names[self.generator]})"
@@ -102,34 +98,21 @@ def brute_force_dual_ideals(L: FiniteOML) -> list[frozenset[int]]:
     return found
 
 
-def enumerate_dual_ideals(L: FiniteOML) -> list[DualIdeal]:
-    """All dual ideals, canonically ordered by generator index.
+def brute_force_quasipoints(L: FiniteOML) -> list[frozenset[int]]:
+    """Oracle: the maximal members of the subset scan (small lattices only)."""
+    all_ideals = brute_force_dual_ideals(L)
+    return [s for s in all_ideals if not any(s < t for t in all_ideals)]
 
-    For lattices of at most 12 elements the principal enumeration is
-    cross-checked against the brute-force subset scan.
-    """
-    ideals = [DualIdeal(L, int(a)) for a in L.nonzero()]
-    if L.n <= BRUTE_FORCE_LIMIT:
-        oracle = set(brute_force_dual_ideals(L))
-        ours = {i.member_set() for i in ideals}
-        if oracle != ours:
-            raise LatticeError("principal enumeration disagrees with subset scan")
-    return ideals
+
+def enumerate_dual_ideals(L: FiniteOML) -> list[DualIdeal]:
+    """All dual ideals, canonically ordered by generator index: the
+    principal filters of the nonzero elements."""
+    return [DualIdeal(L, int(a)) for a in L.nonzero()]
 
 
 def quasipoints(L: FiniteOML) -> list[Quasipoint]:
-    """Maximal dual ideals = principal filters of atoms, cross-checked by a
-    maximality scan when the brute-force oracle is affordable."""
-    points = [Quasipoint(L, a) for a in L.atoms()]
-    if L.n <= BRUTE_FORCE_LIMIT:
-        all_ideals = brute_force_dual_ideals(L)
-        maximal = {
-            s for s in all_ideals
-            if not any(s < t for t in all_ideals)
-        }
-        if maximal != {p.member_set() for p in points}:
-            raise LatticeError("atom filters disagree with the maximality scan")
-    return points
+    """Maximal dual ideals = principal filters of atoms."""
+    return [Quasipoint(L, a) for a in L.atoms()]
 
 
 def quasipoints_containing(L: FiniteOML, a: int) -> list[Quasipoint]:

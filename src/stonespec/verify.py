@@ -219,11 +219,12 @@ def criterion_stone_structure(seed: int = 7) -> Check:
             if not (in_closure and not in_basis):
                 problems.append(f"closure witness fails on {name}")
         if L.n <= stone.BRUTE_FORCE_LIMIT:
-            try:
-                stone.enumerate_dual_ideals(L)  # cross-checks the subset scan
-                stone.quasipoints(L)            # cross-checks maximality
-            except LatticeError as exc:
-                problems.append(f"enumeration oracle fails on {name}: {exc}")
+            ideals = {i.member_set() for i in stone.enumerate_dual_ideals(L)}
+            if set(stone.brute_force_dual_ideals(L)) != ideals:
+                problems.append(f"principal enumeration disagrees with subset scan on {name}")
+            points = {q.member_set() for q in stone.quasipoints(L)}
+            if set(stone.brute_force_quasipoints(L)) != points:
+                problems.append(f"atom filters disagree with the maximality scan on {name}")
     return _check(
         "stone-structure",
         not problems,
@@ -784,13 +785,19 @@ def suite_recon(seed: int = 7) -> list[Check]:
             if not recon.verify_sublevel_ideals(L, r).passed:
                 sub_ok = False
     checks.append(_check("recon/sublevel-ideals-random", sub_ok))
-    # stepwise verification of the rebuild pipeline
+    # stepwise verification of the rebuild pipeline; the corpus numbers its
+    # elements along the order, so each lattice is also checked with its
+    # indices reversed, where a level set's join is its first index
     steps_ok = True
     for name, L in lattices.items():
-        for _ in range(5):
-            f = recon.random_increasing_table(L, rng)
-            if not recon.verify_reconstruction_steps(L, f).passed:
-                steps_ok = False
+        flipped = FiniteOML(L.names[::-1], L.leq[::-1, ::-1], L.n - 1 - L.ortho[::-1])
+        for M in (L, flipped):
+            for _ in range(5):
+                f = recon.random_increasing_table(M, rng)
+                try:
+                    steps_ok &= recon.verify_reconstruction_steps(M, f).passed
+                except LatticeError:
+                    steps_ok = False
     checks.append(_check("recon/pipeline-steps", steps_ok))
     # constant data reconstructs to the one-jump family
     const_ok = True

@@ -158,6 +158,8 @@ class TestObsfnAndReconstruct:
             main, ["reconstruct", "--lattice", str(mo2_file), "--fn", str(table)]
         )
         assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "not an observable function: ('intersection', 2, 3)" in result.output
 
 
 class TestMatrixCommands:
@@ -222,6 +224,27 @@ class TestMatrixCommands:
         sio.save_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]).astype(complex), path)
         result = runner.invoke(main, ["matrix", "spectral", "--matrix", str(path)])
         assert result.exit_code == 1
+
+    def test_non_hermitian_file_is_read_once(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "normal.json"
+        sio.save_matrix(np.diag([1j, 2.0]), path)
+        calls = []
+        load = sio.load_matrix
+        monkeypatch.setattr(sio, "load_matrix", lambda p: calls.append(p) or load(p))
+        result = runner.invoke(main, ["matrix", "gelfand", "--matrix", str(path)])
+        assert result.exit_code == 0
+        assert calls == [str(path)]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", ["spectral", "rays", "gelfand", "approx"])
+    def test_non_finite_entries_exit_2(self, runner, tmp_path, command, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "re": [[1.0, 0.0], [0.0, bad]]}))
+        extra = ["--eps", "0.1"] if command == "approx" else []
+        result = runner.invoke(main, ["matrix", command, "--matrix", str(path), *extra])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "schema error" in result.output
 
 
 class TestVerify:

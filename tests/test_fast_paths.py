@@ -3,9 +3,11 @@
 The oracles below are the straightforward loops the kernels replace: the
 row-scan meet/join search with integer counts, the full distributivity
 triple scan, the per-element atom join, the pairwise max-law loop, the
-filter-minimum loops and Warshall's closure.  Hypothesis draws random posets (with and without an
+filter-minimum loops, Warshall's closure and the literal minimal-ideal
+reconstruction.  Hypothesis draws random posets (with and without an
 added bottom and top), random relabelings of the corpus and of the
-products 2^m x MO2 and 2^m x O6, and tables with NaN and +-inf injected.
+products 2^m x MO2 and 2^m x O6, random spectral families on them, and
+tables with NaN and +-inf injected.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from stonespec.corpus import benzene, boolean_lattice, corpus, mo
 from stonespec.errors import NotObservableError
 from stonespec.io import transitive_closure
 from stonespec.lattice import FiniteOML, check_partial_order, verify_structure
-from stonespec.spectral import ObservableTable
+from stonespec.spectral import ObservableTable, observable_fn, random_spectral_family
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -110,6 +112,27 @@ def loop_abstract_observable(L, f):
     if not ok:
         return False, ("intersection", *witness)
     return True, None
+
+
+def literal_jumps(L, f):
+    """Per attained value, the intersection of the filters of its level set
+    (the minimal ideal), which must be the filter of its infimum."""
+    nz = [int(p) for p in L.nonzero()]
+    jumps = []
+    for lam in np.unique(f.values[nz]):
+        gens = [p for p in nz if f.values[p] == lam]
+        members = np.logical_and.reduce(L.leq[gens], axis=0)
+        low = L.big_meet(np.flatnonzero(members))
+        assert (members == L.leq[low]).all(), "level ideal is not principal"
+        jumps.append((float(lam), low))
+    return jumps
+
+
+def held_value(E, levels, lam):
+    """Extension rule off the image: the value at the last level below lam,
+    bottom before the first."""
+    below = levels[levels < lam]
+    return E.lattice.bottom if below.size == 0 else E.value_at(float(below.max()))
 
 
 def partial_order_problem(leq):
@@ -269,3 +292,16 @@ def test_table_laws_match_loops(case):
         assert err.value.witness == want
     else:
         np.testing.assert_array_equal(recon.f_from_r(L, t).values, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled(), st.integers(0, 2**32 - 1))
+def test_reconstruct_matches_minimal_ideals(L, seed):
+    E = random_spectral_family(L, np.random.default_rng(seed))
+    f = observable_fn(E)
+    back = recon.reconstruct(L, f)
+    assert back.jumps() == literal_jumps(L, f) == E.jumps()
+    levels = np.unique(f.values[L.nonzero()])
+    probes = np.concatenate([levels - 1.0, levels + 1.0, (levels[:-1] + levels[1:]) / 2])
+    for lam in probes[~np.isin(probes, levels)]:
+        assert back.value_at(float(lam)) == held_value(back, levels, lam)

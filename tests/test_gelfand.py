@@ -12,6 +12,17 @@ def alg3():
     return G.DiagonalAlgebra.of_dimension(3)
 
 
+def characteristic_sum(alg, entries):
+    """Oracle: the sum of each coefficient times the characteristic function
+    of its support, over the orthogonal representation."""
+    rep = G.orthogonal_representation(alg, entries)
+    out = np.zeros(alg.n, dtype=np.complex128)
+    for b, support in zip(rep.coefficients, rep.supports):
+        for i in support:
+            out[i] += b
+    return out
+
+
 class TestOrthogonalRepresentation:
     def test_grouping(self, alg3):
         rep = G.orthogonal_representation(alg3, [2.0, 2.0, 5.0])
@@ -38,6 +49,26 @@ class TestOrthogonalRepresentation:
 
 
 class TestTransform:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [0.0, -0.0, 1.0],
+            [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)],
+            [1e-13, -1e-13, 0.0, -0.0],
+            [1.0, 1.0 + 1e-13, 1.0 - 1e-13, 2.0],
+            [1 + 2j, -3j, complex(2.0, -0.0), complex(-0.0, 1.0), 1j + 1e-13],
+            np.random.default_rng(52).standard_normal(6)
+            + 1j * np.random.default_rng(53).standard_normal(6),
+        ],
+    )
+    def test_matches_characteristic_sum(self, entries):
+        alg = G.DiagonalAlgebra.of_dimension(len(entries))
+        got = G.gelfand_transform(alg, entries)
+        want = characteristic_sum(alg, entries)
+        assert (got == want).all()
+        assert (np.signbit(got.real) == np.signbit(want.real)).all()
+        assert (np.signbit(got.imag) == np.signbit(want.imag)).all()
+
     def test_values(self, alg3):
         out = G.gelfand_transform(alg3, [2.0, 2.0, 5.0])
         assert out.tolist() == [2.0 + 0j, 2.0 + 0j, 5.0 + 0j]

@@ -176,6 +176,75 @@ class TestMatrixFiles:
         assert sio.load_ray(path).tolist() == [1.0, 1j]
 
 
+OUTSIDE_FLOATS = (float("nan"), float("inf"), float("-inf"), 10**400)
+B2 = CORPUS["B2"]
+P = B2.index("p")
+
+
+class TestBooleansAndNonFiniteNumbers:
+    """JSON true/false is neither an index nor a number (Python's bool is an
+    int); NaN, +-Infinity and integers beyond the float range are not values."""
+
+    @pytest.mark.parametrize(
+        "leq, ortho",
+        [([[True, 2], [1, 2]], [2, 1, 0]), ([[0, 1], [1, 2]], [2, 1, False])],
+    )
+    def test_lattice(self, tmp_path, leq, ortho):
+        path = write(
+            tmp_path, "l.json", {"elements": ["0", "m", "1"], "leq": leq, "ortho": ortho}
+        )
+        with pytest.raises(SchemaError):
+            sio.load_lattice(path)
+
+    @pytest.mark.parametrize(
+        "jump",
+        [{"lambda": True, "element": B2.top}, {"lambda": 0.0, "element": True}]
+        + [{"lambda": x, "element": B2.top} for x in OUTSIDE_FLOATS],
+    )
+    def test_family(self, tmp_path, jump):
+        path = write(tmp_path, "fam.json", {"jumps": [jump]})
+        with pytest.raises(SchemaError, match="jump types"):
+            sio.load_family(path, B2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{"element": True, "f": 0.0}, {"element": P, "f": False}]
+        + [{"element": P, "f": x} for x in OUTSIDE_FLOATS],
+    )
+    def test_table(self, tmp_path, value):
+        path = write(tmp_path, "table.json", {"values": [value]})
+        with pytest.raises(SchemaError, match="value types"):
+            sio.load_table(path, B2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{"atom": True, "f": 0.0}, {"atom": P, "f": True}]
+        + [{"atom": P, "f": x} for x in OUTSIDE_FLOATS],
+    )
+    def test_quasipoint_data(self, tmp_path, value):
+        path = write(tmp_path, "qp.json", {"values": [value]})
+        with pytest.raises(SchemaError, match="value types"):
+            sio.load_quasipoint_data(path, B2)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"n": True, "re": [[1.0]]}]
+        + [{"n": 2, "re": [[1.0, 0.0], [0.0, x]]} for x in OUTSIDE_FLOATS]
+        + [{"n": 1, "re": [[1.0]], "im": [[x]]} for x in OUTSIDE_FLOATS],
+    )
+    def test_matrix(self, tmp_path, payload):
+        path = write(tmp_path, "m.json", payload)
+        with pytest.raises(SchemaError):
+            sio.load_matrix(path)
+
+    @pytest.mark.parametrize("x", OUTSIDE_FLOATS, ids=["nan", "inf", "-inf", "1e400"])
+    def test_ray(self, tmp_path, x):
+        for payload in ({"re": [1.0, x]}, {"re": [1.0, 0.0], "im": [x, 0.0]}):
+            path = write(tmp_path, "ray.json", payload)
+            with pytest.raises(SchemaError):
+                sio.load_ray(path)
+
+
 class TestCsv:
     def test_rays_csv_header(self):
         out = sio.rays_csv([("e1", 1.0, 0.5, 0.75)])

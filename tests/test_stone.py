@@ -1,11 +1,15 @@
 import pytest
 
 from stonespec import stone
-from stonespec.corpus import corpus
+from stonespec.corpus import boolean_lattice, corpus, mo
 from stonespec.errors import LatticeError
 from stonespec.lattice import verify_structure
+from test_fast_paths import product
 
 CORPUS = corpus()
+# every corpus lattice the subset scan affords, plus a 12-element product
+SMALL = {name: L for name, L in CORPUS.items() if L.n <= stone.BRUTE_FORCE_LIMIT}
+SMALL["2xMO2"] = product(boolean_lattice(1), mo(2))
 
 
 class TestPrincipalFilters:
@@ -54,9 +58,7 @@ class TestEnumeration:
         assert len(stone.enumerate_dual_ideals(CORPUS["chain-2"])) == 1
 
     def test_brute_force_agrees(self):
-        for name, L in CORPUS.items():
-            if L.n > stone.BRUTE_FORCE_LIMIT:
-                continue
+        for name, L in SMALL.items():
             scan = set(stone.brute_force_dual_ideals(L))
             quick = {i.member_set() for i in stone.enumerate_dual_ideals(L)}
             assert scan == quick, name
@@ -79,6 +81,18 @@ class TestQuasipoints:
             ideals = [i.member_set() for i in stone.enumerate_dual_ideals(L)]
             for p in points:
                 assert not any(p < other for other in ideals), name
+        for name, L in SMALL.items():
+            points = {q.member_set() for q in stone.quasipoints(L)}
+            assert set(stone.brute_force_quasipoints(L)) == points, name
+
+    def test_enumerations_run_no_subset_scan(self, monkeypatch):
+        def scan(L):
+            raise AssertionError("subset scan called")
+
+        monkeypatch.setattr(stone, "brute_force_dual_ideals", scan)
+        MO2 = CORPUS["MO2"]
+        assert len(stone.quasipoints(MO2)) == 4
+        assert len(stone.enumerate_dual_ideals(MO2)) == 5
 
     def test_non_atom_rejected(self):
         B2 = CORPUS["B2"]
