@@ -169,6 +169,13 @@ def _load_matrix(matrix_file):
         return None, A
 
 
+def _over_lattice(fn, d, *args):
+    try:
+        return fn(d, *args)
+    except ValueError as exc:  # the Boolean lattice over d.m atoms is past its cap
+        _fail(EXIT_SCHEMA, f"input error: {d.m} distinct eigenvalues; {exc}")
+
+
 @matrix.command()
 @click.option("--matrix", "matrix_file", required=True, type=click.Path(exists=True))
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
@@ -178,9 +185,10 @@ def spectral(matrix_file, fmt):
     if H is None:
         _fail(EXIT_MATH, "matrix is not Hermitian")
     try:
-        E = matrix_mod.spectral_family_of(H)
+        d = matrix_mod.eig(H)
     except matrix_mod.EigenError as exc:
         _fail(EXIT_MATH, f"eigendecomposition error: {exc}")
+    E = _over_lattice(matrix_mod.spectral_family_of, d)
     if fmt == "json":
         click.echo(json.dumps(sio.family_to_dict(E), indent=2))
     elif fmt == "csv":
@@ -270,7 +278,7 @@ def approx(matrix_file, eps):
         _fail(EXIT_MATH, "matrix is not Hermitian")
     if eps <= 0:
         _fail(EXIT_SCHEMA, "eps must be positive")
-    _, rep = matrix_mod.step_approx(H, eps)
+    _, rep = _over_lattice(matrix_mod.step_approx, matrix_mod.eig(H), eps)
     click.echo(f"eps: {rep.eps:g}")
     click.echo(f"observable distance: {rep.f_distance!r}")
     click.echo(f"operator distance: {rep.op_distance!r}")

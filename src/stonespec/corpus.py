@@ -16,7 +16,7 @@ from .lattice import FiniteOML
 def boolean_lattice(m: int, atom_names: list[str] | None = None) -> FiniteOML:
     """Subset lattice 2^m; the element index *is* its atom bitmask."""
     if not 1 <= m <= 16:
-        raise ValueError("boolean_lattice supports 1..16 atoms")
+        raise ValueError(f"boolean_lattice supports 1..16 atoms, got {m}")
     if atom_names is None:
         atom_names = [f"e{i + 1}" for i in range(m)]
     if len(atom_names) != m:

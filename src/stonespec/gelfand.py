@@ -16,7 +16,6 @@ import numpy as np
 
 from .corpus import boolean_lattice
 from .errors import LatticeError
-from .lattice import FiniteOML
 from .spectral import make_spectral_family, mirrored_fn, observable_fn
 
 SNAP_TOL = 1e-12
@@ -43,15 +42,14 @@ class DiagonalAlgebra:
 
     Its projection lattice is the Boolean lattice 2^n whose element index is
     the bitmask of basis indices; the quasipoints are the atom filters, one
-    per basis vector.
+    per basis vector.  Only :func:`diagonal_spectral_family` builds 2^n.
     """
 
     n: int
-    lattice: FiniteOML
 
     @classmethod
     def of_dimension(cls, n: int) -> "DiagonalAlgebra":
-        return cls(n, boolean_lattice(n))
+        return cls(n)
 
     def atom_of_basis_index(self, i: int) -> int:
         return 1 << i
@@ -97,7 +95,7 @@ def gelfand_transform(alg: DiagonalAlgebra, entries) -> np.ndarray:
 
 
 def diagonal_spectral_family(alg: DiagonalAlgebra, entries):
-    """Spectral family of a real diagonal over the algebra's own lattice.
+    """Spectral family of a real diagonal over the algebra's lattice 2^n.
 
     Thresholds are the distinct (snapped) entries; each value is the bitmask
     of the basis indices at or below the threshold.
@@ -113,7 +111,7 @@ def diagonal_spectral_family(alg: DiagonalAlgebra, entries):
             if reals[i] <= lam:
                 mask |= 1 << i
         jumps.append((float(lam), mask))
-    return make_spectral_family(alg.lattice, jumps)
+    return make_spectral_family(boolean_lattice(alg.n), jumps)
 
 
 @dataclass

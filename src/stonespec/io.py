@@ -49,13 +49,19 @@ def _is_number(x) -> bool:
     return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
+def _has_bool(x) -> bool:
+    return isinstance(x, bool) or isinstance(x, list) and any(map(_has_bool, x))
+
+
 def _number_blocks(re, im, path, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary blocks of finite numbers; a missing one is zero."""
+    """Real and imaginary blocks of finite numbers, no booleans; a missing one is zero."""
     try:
         re_arr = np.asarray(re, dtype=np.float64)
         im_arr = np.zeros_like(re_arr) if im is None else np.asarray(im, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: {what} entries must be numbers") from exc
+    if _has_bool([re, im]):  # numpy accepted the nesting, so the recursion is shallow
+        raise SchemaError(f"{path}: {what} entries must be numbers")
     if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):
         raise SchemaError(f"{path}: {what} entries must be finite")
     return re_arr, im_arr

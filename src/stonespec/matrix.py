@@ -68,12 +68,14 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Distinct (clustered) eigenvalues with their spectral projections."""
+    """Distinct (clustered) eigenvalues with their spectral projections; ray
+    values read the basis, where cluster c owns the columns from starts[c]."""
 
     matrix: np.ndarray
     values: np.ndarray        # (m,) ascending cluster representatives
     projections: np.ndarray   # (m, n, n) Hermitian idempotents
     basis: np.ndarray         # (n, n) phase-fixed eigenvector columns
+    starts: np.ndarray        # (m,) first basis column of each cluster
 
     @property
     def n(self) -> int:
@@ -91,34 +93,24 @@ class EigenDecomposition:
 
 
 def eig(a) -> EigenDecomposition:
-    """Eigendecomposition with gap-based clustering of nearly equal eigenvalues."""
+    """Eigendecomposition with gap-based clustering of nearly equal eigenvalues, checked
+    by ||V^H V - I||_F <= 1e-9 (it bounds sum P_c - I and each P_i P_j) and the residual."""
     A = as_hermitian(a)
     n = A.shape[0]
     w, V = np.linalg.eigh(A)
     V = _fix_phases(V)
     norm = float(np.abs(w).max(initial=0.0))
     ctol = CLUSTER_SCALE * max(1.0, norm)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, n):
-        if w[i] - w[i - 1] < ctol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    starts = np.r_[0, np.flatnonzero(np.diff(w) >= ctol) + 1]
+    clusters = np.split(np.arange(n), starts[1:])
     values = np.array([float(np.mean(w[c])) for c in clusters])
-    projections = np.stack(
-        [V[:, c] @ V[:, c].conj().T for c in clusters]
-    )
-    ident = projections.sum(axis=0)
-    if np.abs(ident - np.eye(n)).max() > 1e-9:
-        raise EigenError("spectral projections do not sum to the identity")
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            if np.abs(projections[i] @ projections[j]).max() > 1e-9:
-                raise EigenError("spectral projections are not orthogonal")
+    projections = np.stack([V[:, c] @ V[:, c].conj().T for c in clusters])
+    if np.linalg.norm(V.conj().T @ V - np.eye(n)) > 1e-9:
+        raise EigenError("eigenbasis is not orthonormal")
     recon = np.tensordot(values, projections, axes=1)
     if np.abs(recon - A).max() > 1e-8 * max(1.0, norm):
         raise EigenError("spectral resolution does not reproduce the matrix")
-    return EigenDecomposition(A, values, projections, V)
+    return EigenDecomposition(A, values, projections, V, starts)
 
 
 def _as_decomp(a) -> EigenDecomposition:
@@ -193,10 +185,13 @@ def normalize_ray(x) -> np.ndarray:
 
 
 def _component_norms(d: EigenDecomposition, x: np.ndarray) -> np.ndarray:
-    return np.array([float(np.linalg.norm(p @ x)) for p in d.projections])
+    """||P_c x|| for each cluster c, read as ||V_c^H x|| from the eigenbasis."""
+    return np.sqrt(np.add.reduceat(np.abs(d.basis.conj().T @ x) ** 2, d.starts))
 
 
-def _warn_conditioning(comps: np.ndarray):
+def _support(d: EigenDecomposition, x) -> np.ndarray:
+    """Clusters the ray has a component in; warns on the conditioning band."""
+    comps = _component_norms(d, normalize_ray(x))
     lo, hi = WARN_BAND
     if ((comps >= lo) & (comps <= hi)).any():
         warnings.warn(
@@ -204,26 +199,19 @@ def _warn_conditioning(comps: np.ndarray):
             "ill-conditioned",
             stacklevel=3,
         )
+    return np.flatnonzero(comps > RAY_TOL)
 
 
 def ray_obs(a, x) -> float:
     """Largest eigenvalue whose spectral component of the ray is nonzero."""
     d = _as_decomp(a)
-    x = normalize_ray(x)
-    comps = _component_norms(d, x)
-    _warn_conditioning(comps)
-    idx = np.flatnonzero(comps > RAY_TOL)
-    return float(d.values[idx[-1]])
+    return float(d.values[_support(d, x)[-1]])
 
 
 def mirrored_ray(a, x) -> float:
     """Smallest eigenvalue whose spectral component of the ray is nonzero."""
     d = _as_decomp(a)
-    x = normalize_ray(x)
-    comps = _component_norms(d, x)
-    _warn_conditioning(comps)
-    idx = np.flatnonzero(comps > RAY_TOL)
-    return float(d.values[idx[0]])
+    return float(d.values[_support(d, x)[0]])
 
 
 def expectation(a, x) -> float:

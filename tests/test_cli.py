@@ -246,6 +246,68 @@ class TestMatrixCommands:
         assert isinstance(result.exception, SystemExit)
         assert "schema error" in result.output
 
+    @pytest.mark.parametrize("command", ["spectral", "approx"])
+    def test_too_many_eigenvalues_exit_2(self, runner, tmp_path, command):
+        path = tmp_path / "d17.json"
+        sio.save_matrix(np.diag(np.arange(17.0)), path)
+        extra = ["--eps", "0.1"] if command == "approx" else []
+        result = runner.invoke(main, ["matrix", command, "--matrix", str(path), *extra])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "input error: 17 distinct eigenvalues; boolean_lattice supports 1..16 atoms, got 17\n"
+        )
+
+    def test_gelfand_past_sixteen(self, runner, tmp_path):
+        path = tmp_path / "d17.json"
+        sio.save_matrix(np.diag(np.arange(17.0)), path)
+        result = runner.invoke(main, ["matrix", "gelfand", "--matrix", str(path)])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [f"F(A)(e{i + 1}) = {i:g}+0i" for i in range(17)]
+
+    @pytest.mark.parametrize("which", ["matrix", "ray"])
+    def test_boolean_entries_exit_2(self, runner, matrix_file, tmp_path, which):
+        bad = tmp_path / "bool.json"
+        if which == "matrix":
+            bad.write_text(json.dumps({"n": 1, "re": [[True]]}))
+            args = ["spectral", "--matrix", str(bad)]
+        else:
+            bad.write_text(json.dumps({"re": [True, 0, 0]}))
+            args = ["rays", "--matrix", str(matrix_file), "--ray", str(bad)]
+        result = runner.invoke(main, ["matrix", *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "entries must be numbers" in result.output
+
+    def test_fixtures_match_golden_text(self, runner):
+        assert matrix_cli_text(runner).encode() == (GOLDEN / "matrix-cli.txt").read_bytes()
+
+
+# rot6.json is U diag(1, 2, 2, 3, 3, 3) U^H with U the Q factor of a complex
+# Gaussian 6x6 from default_rng(2024); herm3.json is the Hermitian part of
+# the next complex Gaussian 3x3 from the same generator.
+MATRIX_FIXTURES = ("rot6.json", "herm3.json")
+MATRIX_CALLS = (
+    ["spectral"],
+    ["spectral", "--format", "json"],
+    ["rays", "--seed", "7"],
+    ["gelfand"],
+    ["approx", "--eps", "0.3"],
+)
+
+
+def matrix_cli_text(runner) -> str:
+    """stdout of every matrix command on each fixture, under a header line."""
+    parts = []
+    for name in MATRIX_FIXTURES:
+        for call in MATRIX_CALLS:
+            args = ["matrix", call[0], "--matrix", str(GOLDEN / name), *call[1:]]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (args, result.output)
+            parts.append(" ".join(["$ stonespec", *args[:3], name, *call[1:]]) + "\n")
+            parts.append(result.stdout)
+    return "".join(parts)
+
 
 class TestVerify:
     def test_stone_suite_passes(self, runner):

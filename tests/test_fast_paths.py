@@ -4,18 +4,22 @@ The oracles below are the straightforward loops the kernels replace: the
 row-scan meet/join search with integer counts, the full distributivity
 triple scan, the per-element atom join, the pairwise max-law loop, the
 filter-minimum loops, Warshall's closure and the literal minimal-ideal
-reconstruction.  Hypothesis draws random posets (with and without an
-added bottom and top), random relabelings of the corpus and of the
-products 2^m x MO2 and 2^m x O6, random spectral families on them, and
-tables with NaN and +-inf injected.
+reconstruction; on the matrix side, the per-cluster gap loop and one
+projector product per cluster for ray components.  Hypothesis draws random
+posets (with and without an added bottom and top), random relabelings of
+the corpus and of the products 2^m x MO2 and 2^m x O6, random spectral
+families on them, tables with NaN and +-inf injected, and Hermitian
+matrices with repeated eigenvalues, rotated or diagonal.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stonespec import _kernels, recon
+from stonespec import _kernels, matrix, recon
 from stonespec.corpus import benzene, boolean_lattice, corpus, mo
 from stonespec.errors import NotObservableError
 from stonespec.io import transitive_closure
@@ -151,6 +155,29 @@ def partial_order_problem(leq):
     return None
 
 
+def gap_loop_starts(w, ctol):
+    """First column of each cluster, from the loop eig ran over eigenvalue gaps."""
+    clusters = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] < ctol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return [c[0] for c in clusters]
+
+
+def projector_norms(d, x):
+    return np.array([float(np.linalg.norm(p @ x)) for p in d.projections])
+
+
+def projector_support(d, x):
+    """Support and conditioning-band verdict of a ray from one projector
+    product per cluster."""
+    comps = projector_norms(d, matrix.normalize_ray(x))
+    lo, hi = matrix.WARN_BAND
+    return np.flatnonzero(comps > matrix.RAY_TOL), bool(((comps >= lo) & (comps <= hi)).any())
+
+
 # ---------------------------------------------------------------------------
 # inputs
 
@@ -179,6 +206,20 @@ for _m in (1, 2, 3):
     BASES[f"2^{_m}xMO2"] = product(boolean_lattice(_m), mo(2))
     BASES[f"2^{_m}xO6"] = product(boolean_lattice(_m), benzene())
 BASES["MO3xO6"] = product(mo(3), benzene())
+
+
+@st.composite
+def hermitians(draw, min_levels=1):
+    """U diag(w) U^H, n <= 40, with w drawn from at most n distinct levels;
+    U is a random unitary or the identity."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(max(2, min_levels), 40))
+    levels = rng.uniform(-5.0, 5.0, draw(st.integers(min_levels, n)))
+    w = np.concatenate([levels, rng.choice(levels, n - len(levels))])
+    if not draw(st.booleans()):
+        return np.diag(w)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return u @ np.diag(w) @ u.conj().T
 
 
 @st.composite
@@ -305,3 +346,81 @@ def test_reconstruct_matches_minimal_ideals(L, seed):
     probes = np.concatenate([levels - 1.0, levels + 1.0, (levels[:-1] + levels[1:]) / 2])
     for lam in probes[~np.isin(probes, levels)]:
         assert back.value_at(float(lam)) == held_value(back, levels, lam)
+
+
+# ---------------------------------------------------------------------------
+# matrix layer
+
+# Off-support components of a ray.  Support decisions are pinned around
+# RAY_TOL = 1e-9 and at both ends of WARN_BAND = (1e-12, 1e-6).  A component
+# exactly at a band end is warned about or not by rounding, in either
+# formula, so the warning is pinned 1e-3 inside and outside each end.
+SUPPORT_COMPONENTS = (1e-12, 1e-10, 1e-9 * (1 - 1e-3), 1e-9 * (1 + 1e-3), 1e-8, 1e-6)
+WARNING_COMPONENTS = (
+    1e-12 * (1 - 1e-3), 1e-12 * (1 + 1e-3), 1e-10, 1e-9 * (1 - 1e-3), 1e-9 * (1 + 1e-3),
+    1e-8, 1e-6 * (1 - 1e-3), 1e-6 * (1 + 1e-3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.5, 1 - 1e-6, 1.0]), st.sampled_from([1 + 1e-6, 2.0])),
+        max_size=10,
+    ),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_cluster_starts_match_gap_loop(steps, rotate, seed):
+    """Gaps in units of the cluster tolerance, within 1e-6 of it on both
+    sides.  Each near-tie is followed by a clear gap: two chained near-ties
+    make a cluster wider than the residual test allows."""
+    gaps = [g for step in steps for g in step]
+    a = np.diag(1.0 + matrix.CLUSTER_SCALE * np.cumsum([0.0, *gaps]))
+    if rotate:
+        rng = np.random.default_rng(seed)
+        n = a.shape[0]
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a = u @ a @ u.conj().T
+    d = matrix.eig(a)
+    w = np.linalg.eigh(d.matrix)[0]
+    ctol = matrix.CLUSTER_SCALE * max(1.0, float(np.abs(w).max()))
+    assert d.starts.tolist() == gap_loop_starts(w, ctol)
+    assert len(d.starts) == d.m
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitians(), st.integers(0, 2**32 - 1))
+def test_component_norms_match_projectors(a, seed):
+    d = matrix.eig(a)
+    rng = np.random.default_rng(seed)
+    rays = [matrix.random_ray(d.n, rng) for _ in range(4)] + list(np.eye(d.n))
+    for x in rays:
+        got = matrix._component_norms(d, x)
+        assert np.abs(got - projector_norms(d, x)).max() <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitians(min_levels=2), st.integers(0, 2**32 - 1))
+def test_band_rays_match_projectors(a, seed):
+    """A unit vector of one cluster plus a small component in another: the
+    support and both ray values agree with the projector path, and so does
+    the warning off the band ends."""
+    d = matrix.eig(a)
+    rng = np.random.default_rng(seed)
+    for delta in sorted(set(SUPPORT_COMPONENTS + WARNING_COMPONENTS)):
+        i, j = rng.choice(d.m, size=2, replace=False)
+        u = matrix.normalize_ray(d.projections[i] @ matrix.random_ray(d.n, rng))
+        v = matrix.normalize_ray(d.projections[j] @ matrix.random_ray(d.n, rng))
+        x = u + delta * v
+        support, band = projector_support(d, x)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = matrix._support(d, x)
+            f, g = matrix.ray_obs(d, x), matrix.mirrored_ray(d, x)
+        np.testing.assert_array_equal(got, support)
+        assert f == float(d.values[support[-1]])
+        assert g == float(d.values[support[0]])
+        if delta in WARNING_COMPONENTS:
+            assert len(caught) == (3 if band else 0)
+            assert all("ill-conditioned" in str(c.message) for c in caught)

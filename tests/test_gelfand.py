@@ -106,6 +106,27 @@ class TestTransform:
         ).all()
 
 
+class TestPastSixteen:
+    def test_transform_builds_no_lattice(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the transform reads no lattice")
+
+        monkeypatch.setattr(G, "boolean_lattice", refuse)
+        entries = np.arange(17.0) - 8.0
+        alg = G.DiagonalAlgebra.of_dimension(17)
+        assert alg.n == 17
+        assert (G.gelfand_transform(alg, entries) == entries).all()
+
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_family_and_identity_up_to_the_cap(self, n):
+        alg = G.DiagonalAlgebra.of_dimension(n)
+        entries = np.random.default_rng(n).standard_normal(n)
+        E = G.diagonal_spectral_family(alg, entries)
+        assert E.lattice.n == 1 << n
+        assert E.thresholds.tolist() == sorted(entries.tolist())
+        assert G.verify_gelfand_identity(alg, entries).passed
+
+
 class TestCharacters:
     def test_characters(self, alg3):
         assert G.verify_characters(alg3).passed

@@ -230,14 +230,17 @@ class TestBooleansAndNonFiniteNumbers:
         "payload",
         [{"n": True, "re": [[1.0]]}]
         + [{"n": 2, "re": [[1.0, 0.0], [0.0, x]]} for x in OUTSIDE_FLOATS]
-        + [{"n": 1, "re": [[1.0]], "im": [[x]]} for x in OUTSIDE_FLOATS],
+        + [{"n": 1, "re": [[1.0]], "im": [[x]]} for x in OUTSIDE_FLOATS]
+        + [{"n": 1, "re": [[True]]}, {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, False], [0, 0]]}],
     )
     def test_matrix(self, tmp_path, payload):
         path = write(tmp_path, "m.json", payload)
         with pytest.raises(SchemaError):
             sio.load_matrix(path)
 
-    @pytest.mark.parametrize("x", OUTSIDE_FLOATS, ids=["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize(
+        "x", [*OUTSIDE_FLOATS, True], ids=["nan", "inf", "-inf", "1e400", "true"]
+    )
     def test_ray(self, tmp_path, x):
         for payload in ({"re": [1.0, x]}, {"re": [1.0, 0.0], "im": [x, 0.0]}):
             path = write(tmp_path, "ray.json", payload)

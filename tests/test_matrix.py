@@ -46,6 +46,34 @@ class TestEig:
         d = M.eig(base)
         assert d.m == 2
 
+    def test_mixed_eigenbasis_fails_the_gram_test(self, monkeypatch):
+        # column 0 leans 1e-6 into column 2: P_0 P_2 != 0, yet the residual
+        # is exact, since the eigenvalue of column 0 is zero
+        eigh = np.linalg.eigh
+
+        def mixed(a):
+            w, V = eigh(a)
+            V[:, 0] += 1e-6 * V[:, 2]
+            return w, V
+
+        A = np.diag([0.0, 0.0, 1.0])
+        assert M.eig(A).m == 2
+        monkeypatch.setattr(np.linalg, "eigh", mixed)
+        with pytest.raises(M.EigenError, match="not orthonormal"):
+            M.eig(A)
+
+    def test_shifted_eigenvalue_fails_the_residual_test(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            w, V = eigh(a)
+            w[-1] += 1e-6
+            return w, V
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(M.EigenError, match="does not reproduce"):
+            M.eig(np.diag([1.0, 2.0, 3.0]))
+
 
 class TestBridge:
     def test_family_over_generated_lattice(self):
