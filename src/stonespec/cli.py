@@ -160,13 +160,21 @@ def matrix():
 
 def _load_matrix(matrix_file):
     try:
-        A = sio.load_matrix(matrix_file)
+        return sio.load_matrix(matrix_file)
     except SchemaError as exc:
         _fail(EXIT_SCHEMA, f"schema error: {exc}")
+
+
+def _eig_of_file(matrix_file):
+    """Exit 1 unless the matrix is Hermitian and its eigendecomposition checks out."""
     try:
-        return matrix_mod.as_hermitian(A), A
+        H = matrix_mod.as_hermitian(_load_matrix(matrix_file))
     except ValueError:
-        return None, A
+        _fail(EXIT_MATH, "matrix is not Hermitian")
+    try:
+        return matrix_mod.eig(H)
+    except matrix_mod.EigenError as exc:
+        _fail(EXIT_MATH, f"eigendecomposition error: {exc}")
 
 
 def _over_lattice(fn, d, *args):
@@ -181,14 +189,7 @@ def _over_lattice(fn, d, *args):
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def spectral(matrix_file, fmt):
     """Spectral family of a Hermitian matrix over its generated lattice."""
-    H, _ = _load_matrix(matrix_file)
-    if H is None:
-        _fail(EXIT_MATH, "matrix is not Hermitian")
-    try:
-        d = matrix_mod.eig(H)
-    except matrix_mod.EigenError as exc:
-        _fail(EXIT_MATH, f"eigendecomposition error: {exc}")
-    E = _over_lattice(matrix_mod.spectral_family_of, d)
+    E = _over_lattice(matrix_mod.spectral_family_of, _eig_of_file(matrix_file))
     if fmt == "json":
         click.echo(json.dumps(sio.family_to_dict(E), indent=2))
     elif fmt == "csv":
@@ -207,10 +208,7 @@ def spectral(matrix_file, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="csv")
 def rays(matrix_file, ray_file, seed, fmt):
     """Ray table (observable, mirrored, expectation) on a probe set."""
-    H, _ = _load_matrix(matrix_file)
-    if H is None:
-        _fail(EXIT_MATH, "matrix is not Hermitian")
-    d = matrix_mod.eig(H)
+    d = _eig_of_file(matrix_file)
     n = d.n
     probes: list[tuple[str, np.ndarray]]
     if ray_file is not None:
@@ -253,7 +251,7 @@ def rays(matrix_file, ray_file, seed, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text")
 def gelfand(matrix_file, fmt):
     """Gelfand transform of a (diagonalizable) matrix."""
-    _, A = _load_matrix(matrix_file)
+    A = _load_matrix(matrix_file)
     try:
         U, entries = gelfand_mod.diagonalize(A)
     except LatticeError as exc:
@@ -273,12 +271,10 @@ def gelfand(matrix_file, fmt):
 @click.option("--eps", type=float, required=True)
 def approx(matrix_file, eps):
     """Step-operator approximation report at mesh eps."""
-    H, _ = _load_matrix(matrix_file)
-    if H is None:
-        _fail(EXIT_MATH, "matrix is not Hermitian")
+    d = _eig_of_file(matrix_file)
     if eps <= 0:
         _fail(EXIT_SCHEMA, "eps must be positive")
-    _, rep = _over_lattice(matrix_mod.step_approx, matrix_mod.eig(H), eps)
+    _, rep = _over_lattice(matrix_mod.step_approx, d, eps)
     click.echo(f"eps: {rep.eps:g}")
     click.echo(f"observable distance: {rep.f_distance!r}")
     click.echo(f"operator distance: {rep.op_distance!r}")

@@ -26,7 +26,7 @@ from .spectral import ObservableTable, SpectralFamily, make_spectral_family, tab
 def _read_json(path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be an object")

@@ -56,24 +56,23 @@ def as_hermitian(a) -> np.ndarray:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive."""
+    significant = np.abs(vectors) > RAY_TOL
+    cols = np.flatnonzero(significant.any(axis=0))
+    pivot = vectors[significant.argmax(axis=0)[cols], cols]
     out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > RAY_TOL)
-        if nz.size:
-            pivot = col[nz[0]]
-            out[:, j] = col * (abs(pivot) / pivot)
+    # hypot, as abs() of a complex scalar: np.abs of an array may round differently
+    out[:, cols] *= np.hypot(pivot.real, pivot.imag) / pivot
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Distinct (clustered) eigenvalues with their spectral projections; ray
-    values read the basis, where cluster c owns the columns from starts[c]."""
+    """Distinct (clustered) eigenvalues over a phase-fixed eigenbasis V, where cluster c
+    owns the columns V_c from starts[c] up to the next start.  No projection is stored:
+    ``projection(c)`` builds P_c = V_c V_c^H when asked."""
 
     matrix: np.ndarray
     values: np.ndarray        # (m,) ascending cluster representatives
-    projections: np.ndarray   # (m, n, n) Hermitian idempotents
     basis: np.ndarray         # (n, n) phase-fixed eigenvector columns
     starts: np.ndarray        # (m,) first basis column of each cluster
 
@@ -85,8 +84,14 @@ class EigenDecomposition:
     def m(self) -> int:
         return len(self.values)
 
+    def projection(self, c: int) -> np.ndarray:
+        """Spectral projection of cluster c, a Hermitian idempotent."""
+        stop = self.starts[c + 1] if c + 1 < self.m else self.n
+        vc = self.basis[:, self.starts[c]:stop]
+        return vc @ vc.conj().T
+
     def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.projections, axis=0)
+        return np.cumsum(np.stack([self.projection(c) for c in range(self.m)]), axis=0)
 
     def norm(self) -> float:
         return float(np.abs(self.values).max())
@@ -94,7 +99,8 @@ class EigenDecomposition:
 
 def eig(a) -> EigenDecomposition:
     """Eigendecomposition with gap-based clustering of nearly equal eigenvalues, checked
-    by ||V^H V - I||_F <= 1e-9 (it bounds sum P_c - I and each P_i P_j) and the residual."""
+    by ||V^H V - I||_F <= 1e-9 (it bounds sum P_c - I and each P_i P_j) and the residual
+    of V diag(lambda_c of each column) V^H, which is sum lambda_c P_c without any P_c."""
     A = as_hermitian(a)
     n = A.shape[0]
     w, V = np.linalg.eigh(A)
@@ -104,13 +110,12 @@ def eig(a) -> EigenDecomposition:
     starts = np.r_[0, np.flatnonzero(np.diff(w) >= ctol) + 1]
     clusters = np.split(np.arange(n), starts[1:])
     values = np.array([float(np.mean(w[c])) for c in clusters])
-    projections = np.stack([V[:, c] @ V[:, c].conj().T for c in clusters])
     if np.linalg.norm(V.conj().T @ V - np.eye(n)) > 1e-9:
         raise EigenError("eigenbasis is not orthonormal")
-    recon = np.tensordot(values, projections, axes=1)
+    recon = (V * np.repeat(values, [len(c) for c in clusters])) @ V.conj().T
     if np.abs(recon - A).max() > 1e-8 * max(1.0, norm):
         raise EigenError("spectral resolution does not reproduce the matrix")
-    return EigenDecomposition(A, values, projections, V, starts)
+    return EigenDecomposition(A, values, V, starts)
 
 
 def _as_decomp(a) -> EigenDecomposition:
@@ -139,11 +144,8 @@ def spectral_family_of(a) -> SpectralFamily:
 
 def element_projector(d: EigenDecomposition, mask: int) -> np.ndarray:
     """Matrix projector for a Boolean-lattice element (a bitmask of atoms)."""
-    out = np.zeros((d.n, d.n), dtype=np.complex128)
-    for i in range(d.m):
-        if mask >> i & 1:
-            out += d.projections[i]
-    return out
+    atoms = (d.projection(i) for i in range(d.m) if mask >> i & 1)
+    return sum(atoms, np.zeros((d.n, d.n), dtype=np.complex128))
 
 
 @dataclass
@@ -474,7 +476,7 @@ def step_approx(a, eps: float) -> tuple[np.ndarray, StepApproxReport]:
         k = int(np.searchsorted(grid, lam, side="left")) - 1
         k = min(max(k, 0), m - 1)
         star[i] = mids[k]
-        a_eps = a_eps + mids[k] * d.projections[i]
+        a_eps = a_eps + mids[k] * d.projection(i)
     f_dist = float(np.abs(d.values - star).max())
     op_dist = float(np.abs(np.linalg.eigvalsh(d.matrix - a_eps)).max())
     # the step observable over the lattice generated by the original
@@ -524,7 +526,7 @@ def rank_one_extension(
     tol = mat_tol(1e-9) if tol is None else tol
     d = _as_decomp(a)
     Q = np.asarray(Q, dtype=np.complex128)
-    overlap = np.array([float(np.linalg.norm(p @ Q)) for p in d.projections])
+    overlap = np.array([float(np.linalg.norm(d.projection(i) @ Q)) for i in range(d.m)])
     idx = np.flatnonzero(overlap > RAY_TOL)
     if idx.size == 0:
         raise ValueError("Q has trivial range")

@@ -889,7 +889,7 @@ def suite_matrix(seed: int = 7) -> list[Check]:
         _check(
             "matrix/clustering",
             d.values.tolist() == [1.0, 2.0]
-            and int(round(float(np.trace(d.projections[1]).real))) == 2,
+            and int(round(float(np.trace(d.projection(1)).real))) == 2,
         )
     )
     pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -899,7 +899,7 @@ def suite_matrix(seed: int = 7) -> list[Check]:
         _check(
             "matrix/pauli-x",
             d.values.tolist() == [-1.0, 1.0]
-            and float(np.abs(d.projections[1] - np.outer(plus, plus)).max()) < 1e-12,
+            and float(np.abs(d.projection(1) - np.outer(plus, plus)).max()) < 1e-12,
         )
     )
     d = matrix.eig(np.zeros((3, 3)))

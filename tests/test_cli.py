@@ -258,6 +258,29 @@ class TestMatrixCommands:
             "input error: 17 distinct eigenvalues; boolean_lattice supports 1..16 atoms, got 17\n"
         )
 
+    @pytest.mark.parametrize("command", ["spectral", "rays", "approx"])
+    def test_eigen_error_exits_1(self, runner, tmp_path, command):
+        # two chained near-ties form one cluster 2e-8 wide, which fails the
+        # residual test
+        path = tmp_path / "chain.json"
+        sio.save_matrix(np.diag([1.0, 1.0, 1 + 0.999999e-8, 1 + 1.999998e-8]), path)
+        extra = ["--eps", "0.1"] if command == "approx" else []
+        result = runner.invoke(main, ["matrix", command, "--matrix", str(path), *extra])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "eigendecomposition error: spectral resolution does not reproduce the matrix\n"
+        )
+
+    @pytest.mark.parametrize("args", [["matrix", "spectral", "--matrix"], ["check", "--lattice"]])
+    def test_deep_nesting_exits_2(self, runner, tmp_path, args):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 1, "re": ' + "[" * 3000 + "]" * 3000 + "}")
+        result = runner.invoke(main, [*args, str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "schema error" in result.output
+
     def test_gelfand_past_sixteen(self, runner, tmp_path):
         path = tmp_path / "d17.json"
         sio.save_matrix(np.diag(np.arange(17.0)), path)

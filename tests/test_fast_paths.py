@@ -4,8 +4,9 @@ The oracles below are the straightforward loops the kernels replace: the
 row-scan meet/join search with integer counts, the full distributivity
 triple scan, the per-element atom join, the pairwise max-law loop, the
 filter-minimum loops, Warshall's closure and the literal minimal-ideal
-reconstruction; on the matrix side, the per-cluster gap loop and one
-projector product per cluster for ray components.  Hypothesis draws random
+reconstruction; on the matrix side, the per-column phase loop, the
+per-cluster gap loop with the projector stack eig once built from it, and
+one projector product per cluster for ray components.  Hypothesis draws random
 posets (with and without an added bottom and top), random relabelings of
 the corpus and of the products 2^m x MO2 and 2^m x O6, random spectral
 families on them, tables with NaN and +-inf injected, and Hermitian
@@ -155,19 +156,31 @@ def partial_order_problem(leq):
     return None
 
 
-def gap_loop_starts(w, ctol):
-    """First column of each cluster, from the loop eig ran over eigenvalue gaps."""
+def gap_loop_clusters(w, ctol):
+    """Basis columns of each cluster, from the loop eig ran over eigenvalue gaps."""
     clusters = [[0]]
     for i in range(1, len(w)):
         if w[i] - w[i - 1] < ctol:
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    return [c[0] for c in clusters]
+    return clusters
+
+
+def loop_fix_phases(vectors):
+    """One column at a time: scale by the phase of the first entry above RAY_TOL."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > matrix.RAY_TOL)
+        if nz.size:
+            pivot = col[nz[0]]
+            out[:, j] = col * (abs(pivot) / pivot)
+    return out
 
 
 def projector_norms(d, x):
-    return np.array([float(np.linalg.norm(p @ x)) for p in d.projections])
+    return np.array([float(np.linalg.norm(d.projection(i) @ x)) for i in range(d.m)])
 
 
 def projector_support(d, x):
@@ -385,8 +398,43 @@ def test_cluster_starts_match_gap_loop(steps, rotate, seed):
     d = matrix.eig(a)
     w = np.linalg.eigh(d.matrix)[0]
     ctol = matrix.CLUSTER_SCALE * max(1.0, float(np.abs(w).max()))
-    assert d.starts.tolist() == gap_loop_starts(w, ctol)
+    assert d.starts.tolist() == [c[0] for c in gap_loop_clusters(w, ctol)]
     assert len(d.starts) == d.m
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitians())
+def test_projection_matches_stacked_clusters(a):
+    """P_c from the basis slice of cluster c, bit for bit the stack eig built
+    from the gap-loop clusters."""
+    d = matrix.eig(a)
+    w = np.linalg.eigh(d.matrix)[0]
+    ctol = matrix.CLUSTER_SCALE * max(1.0, float(np.abs(w).max()))
+    V = d.basis
+    stacked = np.stack([V[:, c] @ V[:, c].conj().T for c in gap_loop_clusters(w, ctol)])
+    assert len(stacked) == d.m
+    for c in range(d.m):
+        assert np.array_equal(d.projection(c), stacked[c])
+    assert np.array_equal(d.cumulative(), np.cumsum(stacked, axis=0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hermitians(), st.integers(0, 2**32 - 1))
+def test_fix_phases_matches_column_loop(a, seed):
+    """On eigh output, and on its columns with a leading run of entries
+    shrunk to at most RAY_TOL, sometimes the whole column, sometimes with
+    an entry exactly at RAY_TOL."""
+    V = np.linalg.eigh(a)[1]
+    rng = np.random.default_rng(seed)
+    n = V.shape[0]
+    shrunk = V.copy()
+    for j in range(n):
+        k = int(rng.integers(0, n + 1))
+        shrunk[:k, j] *= matrix.RAY_TOL * rng.uniform(0.0, 1.0, k)
+        if k and rng.random() < 0.5:
+            shrunk[k - 1, j] = matrix.RAY_TOL
+    for vectors in (V, shrunk):
+        assert np.array_equal(matrix._fix_phases(vectors), loop_fix_phases(vectors))
 
 
 @settings(max_examples=60, deadline=None)
@@ -410,8 +458,8 @@ def test_band_rays_match_projectors(a, seed):
     rng = np.random.default_rng(seed)
     for delta in sorted(set(SUPPORT_COMPONENTS + WARNING_COMPONENTS)):
         i, j = rng.choice(d.m, size=2, replace=False)
-        u = matrix.normalize_ray(d.projections[i] @ matrix.random_ray(d.n, rng))
-        v = matrix.normalize_ray(d.projections[j] @ matrix.random_ray(d.n, rng))
+        u = matrix.normalize_ray(d.projection(i) @ matrix.random_ray(d.n, rng))
+        v = matrix.normalize_ray(d.projection(j) @ matrix.random_ray(d.n, rng))
         x = u + delta * v
         support, band = projector_support(d, x)
         with warnings.catch_warnings(record=True) as caught:

@@ -171,6 +171,12 @@ class TestMatrixFiles:
         with pytest.raises(SchemaError, match="3 x 3"):
             sio.load_matrix(path)
 
+    def test_deep_nesting_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 1, "re": ' + "[" * 3000 + "]" * 3000 + "}")
+        with pytest.raises(SchemaError, match="recursion depth"):
+            sio.load_matrix(path)
+
     def test_ray_file(self, tmp_path):
         path = write(tmp_path, "ray.json", {"re": [1.0, 0.0], "im": [0.0, 1.0]})
         assert sio.load_ray(path).tolist() == [1.0, 1j]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,18 +14,18 @@ class TestEig:
     def test_degenerate_diagonal(self):
         d = M.eig(np.diag([1.0, 2.0, 2.0]))
         assert d.values.tolist() == [1.0, 2.0]
-        assert int(round(float(np.trace(d.projections[1]).real))) == 2
+        assert int(round(float(np.trace(d.projection(1)).real))) == 2
 
     def test_pauli_x(self):
         d = M.eig(PAULI_X)
         assert d.values.tolist() == [-1.0, 1.0]
         plus = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2)
-        assert np.abs(d.projections[1] - np.outer(plus, plus.conj())).max() < 1e-12
+        assert np.abs(d.projection(1) - np.outer(plus, plus.conj())).max() < 1e-12
 
     def test_zero_matrix(self):
         d = M.eig(np.zeros((4, 4)))
         assert d.values.tolist() == [0.0]
-        assert np.abs(d.projections[0] - np.eye(4)).max() == 0.0
+        assert np.abs(d.projection(0) - np.eye(4)).max() == 0.0
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -34,12 +36,25 @@ class TestEig:
         for _ in range(20):
             n = int(rng.integers(2, 9))
             d = M.eig(M.random_hermitian(n, rng))
-            assert np.abs(d.projections.sum(axis=0) - np.eye(n)).max() < 1e-9
+            projections = np.stack([d.projection(i) for i in range(d.m)])
+            assert np.abs(projections.sum(axis=0) - np.eye(n)).max() < 1e-9
             for i in range(d.m):
                 for j in range(i + 1, d.m):
-                    assert np.abs(d.projections[i] @ d.projections[j]).max() < 1e-9
-            recon = np.tensordot(d.values, d.projections, axes=1)
+                    assert np.abs(projections[i] @ projections[j]).max() < 1e-9
+            recon = np.tensordot(d.values, projections, axes=1)
             assert np.abs(recon - d.matrix).max() < 1e-8 * max(1.0, d.norm())
+
+    def test_builds_no_projector_stack(self):
+        # the (m, n, n) stack of 256 distinct eigenprojections alone is 256 MB
+        A = M.random_hermitian(256, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            d = M.eig(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.m == 256
+        assert peak < 32 * 2**20
 
     def test_clustering_merges_roundoff(self):
         base = np.diag([1.0, 1.0 + 1e-12, 3.0])
