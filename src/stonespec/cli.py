@@ -7,6 +7,7 @@ suites.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
@@ -25,6 +26,9 @@ from .recon import reconstruct as reconstruct_fn
 
 EXIT_MATH = 1
 EXIT_SCHEMA = 2
+# complex multiply-adds of the default `matrix rays` sweep, about 2 n^4: n = 512
+# takes about 40 s on a 2-core x86_64 VM, and n = 562 is the first size refused
+SWEEP_CAP = 2 * 10**11
 
 
 def _fail(code: int, message: str):
@@ -165,21 +169,26 @@ def _load_matrix(matrix_file):
         _fail(EXIT_SCHEMA, f"schema error: {exc}")
 
 
-def _eig_of_file(matrix_file):
-    """Exit 1 unless the matrix is Hermitian and its eigendecomposition checks out."""
+def _eig_of(A):
+    """Exit 1 unless the matrix is Hermitian and its eigendecomposition checks out,
+    2 if the decomposition overflows."""
     try:
-        H = matrix_mod.as_hermitian(_load_matrix(matrix_file))
+        H = matrix_mod.as_hermitian(A)
     except ValueError:
         _fail(EXIT_MATH, "matrix is not Hermitian")
     try:
         return matrix_mod.eig(H)
     except matrix_mod.EigenError as exc:
         _fail(EXIT_MATH, f"eigendecomposition error: {exc}")
+    except ValueError as exc:
+        _fail(EXIT_SCHEMA, f"input error: {exc}")
 
 
 def _over_lattice(fn, d, *args):
     try:
         return fn(d, *args)
+    except matrix_mod.CostCapError as exc:
+        _fail(EXIT_SCHEMA, f"input error: {exc}")
     except ValueError as exc:  # the Boolean lattice over d.m atoms is past its cap
         _fail(EXIT_SCHEMA, f"input error: {d.m} distinct eigenvalues; {exc}")
 
@@ -189,7 +198,7 @@ def _over_lattice(fn, d, *args):
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def spectral(matrix_file, fmt):
     """Spectral family of a Hermitian matrix over its generated lattice."""
-    E = _over_lattice(matrix_mod.spectral_family_of, _eig_of_file(matrix_file))
+    E = _over_lattice(matrix_mod.spectral_family_of, _eig_of(_load_matrix(matrix_file)))
     if fmt == "json":
         click.echo(json.dumps(sio.family_to_dict(E), indent=2))
     elif fmt == "csv":
@@ -200,6 +209,35 @@ def spectral(matrix_file, fmt):
             click.echo(f"E({lam:g}) = {L.names[v]}")
 
 
+def _unit_probes(n: int):
+    """Label, i, j and c of the probes e_i + c e_j: e_j itself (i = j, c = 0),
+    then e_i + e_j and e_i + i e_j for i < j."""
+    for j in range(n):
+        yield f"e{j + 1}", j, j, 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield f"e{i + 1}+e{j + 1}", i, j, 1
+            yield f"e{i + 1}+ie{j + 1}", i, j, 1j
+
+
+def _sweep(n: int, seed: int):
+    """The default probes in output order, as (labels, rows) blocks of at most
+    matrix.ray_block_size(n) rays: the unit probes, then 2n random rays drawn
+    from the seed."""
+    size = matrix_mod.ray_block_size(n)
+    units = _unit_probes(n)
+    while chunk := list(itertools.islice(units, size)):
+        labels, i, j, c = zip(*chunk)
+        rows = np.zeros((len(chunk), n), dtype=np.complex128)
+        rows[np.arange(len(chunk)), i] = 1
+        rows[np.arange(len(chunk)), j] += c
+        yield labels, rows
+    rng = np.random.default_rng(seed)
+    for start in range(0, 2 * n, size):
+        k = min(size, 2 * n - start)
+        yield [f"r{start + q}" for q in range(k)], matrix_mod.random_rays(n, k, rng)
+
+
 @matrix.command()
 @click.option("--matrix", "matrix_file", required=True, type=click.Path(exists=True))
 @click.option("--ray", "ray_file", type=click.Path(exists=True), default=None,
@@ -207,43 +245,46 @@ def spectral(matrix_file, fmt):
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="csv")
 def rays(matrix_file, ray_file, seed, fmt):
-    """Ray table (observable, mirrored, expectation) on a probe set."""
-    d = _eig_of_file(matrix_file)
-    n = d.n
-    probes: list[tuple[str, np.ndarray]]
-    if ray_file is not None:
+    """Ray table (observable, mirrored, expectation) on a probe set.
+
+    The sweep evaluates n^2 + 2n probes at two n x n products each, about 2 n^4
+    complex multiply-adds; past SWEEP_CAP it is refused (exit 2) before the
+    eigendecomposition.  Rows are written one block of probes at a time."""
+    A = _load_matrix(matrix_file)
+    n = A.shape[0]
+    if ray_file is None:
+        cost = 2 * n * n * (n * n + 2 * n)
+        if cost > SWEEP_CAP:
+            _fail(EXIT_SCHEMA, f"input error: the probe sweep at n = {n} takes about "
+                  f"{cost:.4g} complex multiply-adds, past the cap of {SWEEP_CAP:.0e}; "
+                  "evaluate single rays with --ray")
+    d = _eig_of(A)
+    if ray_file is None:
+        blocks = _sweep(n, seed)
+    else:
         try:
             x = sio.load_ray(ray_file)
         except SchemaError as exc:
             _fail(EXIT_SCHEMA, f"schema error: {exc}")
         if len(x) != n:
             _fail(EXIT_SCHEMA, f"ray has {len(x)} entries, matrix has {n}")
-        probes = [("ray", x)]
-    else:
-        rng = np.random.default_rng(seed)
-        eye = np.eye(n, dtype=np.complex128)
-        probes = [(f"e{j + 1}", eye[:, j]) for j in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                probes.append((f"e{i + 1}+e{j + 1}", eye[:, i] + eye[:, j]))
-                probes.append((f"e{i + 1}+ie{j + 1}", eye[:, i] + 1j * eye[:, j]))
-        for k in range(2 * n):
-            probes.append((f"r{k}", matrix_mod.random_ray(n, rng)))
-    rows = []
-    for label, x in probes:
-        rows.append(
-            (
-                label,
-                matrix_mod.ray_obs(d, x),
-                matrix_mod.mirrored_ray(d, x),
-                matrix_mod.expectation(d, x),
-            )
-        )
-    if fmt == "csv":
-        click.echo(sio.rays_csv(rows), nl=False)
-    else:
-        for label, fv, gv, ev in rows:
-            click.echo(f"{label}: f={fv:g} g={gv:g} <Ax,x>={ev:g}")
+        blocks = [(["ray"], x[None, :])]
+    for b, (labels, rows) in enumerate(blocks):
+        try:
+            t = matrix_mod.ray_table(d, rows.T)
+        except ValueError as exc:  # a zero ray, or one whose norm overflows
+            _fail(EXIT_SCHEMA, f"input error: {exc}")
+        hits = int(np.count_nonzero(t.band))
+        if hits:
+            click.echo(f"warning: {hits} of {len(labels)} rays from {labels[0]} to "
+                       f"{labels[-1]} have a component within the tolerance band; "
+                       "their support decisions are ill-conditioned", err=True)
+        table = list(zip(labels, t.f.tolist(), t.g.tolist(), t.expectation.tolist()))
+        if fmt == "csv":
+            click.echo(sio.rays_csv(table, header=b == 0), nl=False)
+        else:
+            click.echo("\n".join(f"{label}: f={fv:g} g={gv:g} <Ax,x>={ev:g}"
+                                  for label, fv, gv, ev in table))
 
 
 @matrix.command()
@@ -256,6 +297,8 @@ def gelfand(matrix_file, fmt):
         U, entries = gelfand_mod.diagonalize(A)
     except LatticeError as exc:
         _fail(EXIT_MATH, f"not diagonalizable in an abelian algebra: {exc}")
+    except ValueError as exc:
+        _fail(EXIT_SCHEMA, f"input error: {exc}")
     alg = gelfand_mod.DiagonalAlgebra.of_dimension(len(entries))
     transform = gelfand_mod.gelfand_transform(alg, entries)
     labels = [f"e{i + 1}" for i in range(alg.n)]
@@ -271,7 +314,7 @@ def gelfand(matrix_file, fmt):
 @click.option("--eps", type=float, required=True)
 def approx(matrix_file, eps):
     """Step-operator approximation report at mesh eps."""
-    d = _eig_of_file(matrix_file)
+    d = _eig_of(_load_matrix(matrix_file))
     if eps <= 0:
         _fail(EXIT_SCHEMA, "eps must be positive")
     _, rep = _over_lattice(matrix_mod.step_approx, d, eps)

@@ -28,7 +28,7 @@ def snap_entries(entries) -> np.ndarray:
     out = vals.copy()
     rep = None
     for idx in order:
-        v = vals[idx]
+        v = complex(vals[idx])  # Python arithmetic overflows to inf without a warning
         if rep is not None and abs(v - rep) <= SNAP_TOL:
             out[idx] = rep
         else:
@@ -197,14 +197,14 @@ def verify_gelfand_identity(alg: DiagonalAlgebra, entries) -> GelfandIdentityRep
 
 def diagonalize(a) -> tuple[np.ndarray, np.ndarray]:
     """Phase-fixed eigenbasis unitary and the diagonal entries it produces."""
-    from .matrix import as_hermitian, _fix_phases
+    from .matrix import _fix_phases, as_hermitian, finite_eigh
 
     A = np.asarray(a, dtype=np.complex128)
     herm = np.abs(A - A.conj().T).max(initial=0.0) <= SNAP_TOL * max(
         1.0, float(np.abs(A).max(initial=0.0))
     )
     if herm:
-        w, V = np.linalg.eigh(as_hermitian(A))
+        w, V = finite_eigh(as_hermitian(A))
         return _fix_phases(V), w.astype(np.complex128)
     # normal non-Hermitian diagonals arise from complex entries; diagonalize
     # the Hermitian parts jointly only when they commute
@@ -212,7 +212,7 @@ def diagonalize(a) -> tuple[np.ndarray, np.ndarray]:
     h2 = (A - A.conj().T) / 2j
     if np.abs(h1 @ h2 - h2 @ h1).max() > 1e-9 * max(1.0, float(np.abs(A).max())):
         raise LatticeError("matrix is not normal; no abelian algebra contains it")
-    w, V = np.linalg.eigh(h1 + np.pi * h2)  # generic combination splits ties
+    w, V = finite_eigh(h1 + np.pi * h2)  # generic combination splits ties
     V = _fix_phases(V)
     d = V.conj().T @ A @ V
     if np.abs(d - np.diag(np.diagonal(d))).max() > 1e-9:

@@ -249,10 +249,11 @@ def load_ray(path) -> np.ndarray:
 # CSV emitters
 
 
-def rays_csv(rows: list[tuple[str, float, float, float]]) -> str:
+def rays_csv(rows: list[tuple[str, float, float, float]], header: bool = True) -> str:
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["ray_id", "f", "g", "expectation"])
+    if header:
+        w.writerow(["ray_id", "f", "g", "expectation"])
     for row in rows:
         w.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
     return buf.getvalue()

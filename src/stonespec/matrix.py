@@ -21,6 +21,8 @@ HERM_TOL = 1e-12
 RAY_TOL = 1e-9
 CLUSTER_SCALE = 1e-8
 WARN_BAND = (1e-12, 1e-6)
+RAY_BLOCK_BYTES = 1 << 18  # one block of rays, as complex rows
+MAX_STEP_INTERVALS = 10**7  # grid intervals of step_approx (two float arrays of this length)
 
 
 def mat_tol(default: float = 1e-9) -> float:
@@ -43,15 +45,25 @@ class ProbeResolutionError(RuntimeError):
     """A probe set does not resolve all spectral subspaces."""
 
 
+class CostCapError(ValueError):
+    """The input needs more work or memory than a documented cap allows."""
+
+
 def as_hermitian(a) -> np.ndarray:
     """Validate near-Hermitian input and return its symmetrized copy."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if np.abs(a - a.conj().T).max(initial=0.0) > HERM_TOL * scale:
+    with np.errstate(over="ignore"):  # a non-Hermitian pair near the float limit: inf
+        deviation = np.abs(a - a.conj().T).max(initial=0.0)
+    if not (deviation <= HERM_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return (a + a.conj().T) / 2
+    # halves first: (a + a^H) / 2 overflows on entries near the float limit,
+    # and halving is exact in the normal range, so the result is the same
+    half = a / 2
+    half += half.conj().T
+    return half
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -97,23 +109,51 @@ class EigenDecomposition:
         return float(np.abs(self.values).max())
 
 
+def finite_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh, refusing non-finite output with ValueError: eigenvalues past
+    the float limit come back as inf or NaN, which no tolerance test catches."""
+    w, V = np.linalg.eigh(h)
+    if not (np.isfinite(w).all() and np.isfinite(V).all()):
+        raise ValueError("the eigendecomposition is not finite: matrix entries are too large")
+    return w, V
+
+
+def _cluster_starts(w: np.ndarray, ctol: float) -> np.ndarray:
+    """First index of each cluster of the ascending w: a cluster ends before the
+    first eigenvalue at least ctol above its own first one, so every cluster is
+    narrower than ctol however many near-ties it chains."""
+    vals = w.tolist()  # Python floats: a difference past the float limit is inf, silently
+    starts = [0]
+    first = vals[0]
+    for j, x in enumerate(vals):
+        if x - first >= ctol:
+            starts.append(j)
+            first = x
+    return np.array(starts)
+
+
 def eig(a) -> EigenDecomposition:
-    """Eigendecomposition with gap-based clustering of nearly equal eigenvalues, checked
-    by ||V^H V - I||_F <= 1e-9 (it bounds sum P_c - I and each P_i P_j) and the residual
-    of V diag(lambda_c of each column) V^H, which is sum lambda_c P_c without any P_c."""
+    """Eigendecomposition with clusters of nearly equal eigenvalues, each narrower
+    than 1e-8 max(1, ||A||), checked by ||V^H V - I||_F <= 1e-9 (it bounds sum P_c - I
+    and each P_i P_j) and the residual of V diag(lambda_c of each column) V^H, which is
+    sum lambda_c P_c without any P_c.  With the cluster mean as representative the
+    residual is below the cluster width, so only rounding can fail it.  Raises
+    ValueError where finite_eigh does."""
     A = as_hermitian(a)
     n = A.shape[0]
-    w, V = np.linalg.eigh(A)
+    w, V = finite_eigh(A)
     V = _fix_phases(V)
     norm = float(np.abs(w).max(initial=0.0))
     ctol = CLUSTER_SCALE * max(1.0, norm)
-    starts = np.r_[0, np.flatnonzero(np.diff(w) >= ctol) + 1]
+    starts = _cluster_starts(w, ctol)
     clusters = np.split(np.arange(n), starts[1:])
-    values = np.array([float(np.mean(w[c])) for c in clusters])
-    if np.linalg.norm(V.conj().T @ V - np.eye(n)) > 1e-9:
+    # the mean of halves, doubled: a cluster sum may overflow where its mean does
+    # not, and halving is exact in the normal range
+    values = np.array([2 * float(np.mean(w[c] / 2)) for c in clusters])
+    if not (np.linalg.norm(V.conj().T @ V - np.eye(n)) <= 1e-9):
         raise EigenError("eigenbasis is not orthonormal")
     recon = (V * np.repeat(values, [len(c) for c in clusters])) @ V.conj().T
-    if np.abs(recon - A).max() > 1e-8 * max(1.0, norm):
+    if not (np.abs(recon - A).max() <= 1e-8 * max(1.0, norm)):
         raise EigenError("spectral resolution does not reproduce the matrix")
     return EigenDecomposition(A, values, V, starts)
 
@@ -183,25 +223,67 @@ def normalize_ray(x) -> np.ndarray:
     nrm = float(np.linalg.norm(x))
     if nrm == 0.0:
         raise ValueError("the zero vector spans no ray")
+    if not np.isfinite(nrm):
+        raise ValueError("the norm of the ray is not finite")
     return x / nrm
 
 
+def normalize_rays(rows) -> np.ndarray:
+    """Each row scaled to unit norm, bit for bit as normalize_ray: np.linalg.norm
+    takes two strided dot products, and the batched matmul below makes the same
+    two per row."""
+    rows = np.ascontiguousarray(rows, dtype=np.complex128)
+    re, im = rows.real, rows.imag
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        nrm = np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
+    if (nrm == 0.0).any():
+        raise ValueError("the zero vector spans no ray")
+    if not np.isfinite(nrm).all():
+        raise ValueError("the norm of the ray is not finite")
+    return rows / nrm[:, None]
+
+
+def ray_block_size(n: int) -> int:
+    """Rays per block, so that a block of n-dimensional complex rays stays within
+    RAY_BLOCK_BYTES; the ray layer's working memory is a few such blocks."""
+    return max(1, RAY_BLOCK_BYTES // (16 * n))
+
+
 def _component_norms(d: EigenDecomposition, x: np.ndarray) -> np.ndarray:
-    """||P_c x|| for each cluster c, read as ||V_c^H x|| from the eigenbasis."""
-    return np.sqrt(np.add.reduceat(np.abs(d.basis.conj().T @ x) ** 2, d.starts))
+    """||P_c x|| for each cluster c, of a ray or of each row of a block of rays,
+    read as the norms of the cluster slices of x^H V: one product with x
+    conjugated, so the eigenbasis is read in place and never copied."""
+    return np.sqrt(np.add.reduceat(np.abs(x.conj() @ d.basis) ** 2, d.starts, axis=-1))
+
+
+def _supports(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clusters each ray has a component in, and whether any component falls in
+    the conditioning band."""
+    lo, hi = WARN_BAND
+    return comps > RAY_TOL, ((comps >= lo) & (comps <= hi)).any(axis=-1)
 
 
 def _support(d: EigenDecomposition, x) -> np.ndarray:
     """Clusters the ray has a component in; warns on the conditioning band."""
-    comps = _component_norms(d, normalize_ray(x))
-    lo, hi = WARN_BAND
-    if ((comps >= lo) & (comps <= hi)).any():
+    support, band = _supports(_component_norms(d, normalize_ray(x)))
+    if band:
         warnings.warn(
             "ray component within the tolerance band; the support decision is "
             "ill-conditioned",
             stacklevel=3,
         )
-    return np.flatnonzero(comps > RAY_TOL)
+    return np.flatnonzero(support)
+
+
+def warn_band(hits: int, total: int) -> None:
+    """One warning for a block of rays, counting those whose support decision is
+    ill-conditioned."""
+    if hits:
+        warnings.warn(
+            f"{hits} of {total} rays have a component within the tolerance band; "
+            "their support decisions are ill-conditioned",
+            stacklevel=2,
+        )
 
 
 def ray_obs(a, x) -> float:
@@ -214,6 +296,41 @@ def mirrored_ray(a, x) -> float:
     """Smallest eigenvalue whose spectral component of the ray is nonzero."""
     d = _as_decomp(a)
     return float(d.values[_support(d, x)[0]])
+
+
+def _ray_values(d: EigenDecomposition, rows: np.ndarray):
+    """f, g and the band hits of unit rays given as rows."""
+    support, band = _supports(_component_norms(d, rows))
+    top = d.m - 1 - np.argmax(support[:, ::-1], axis=1)
+    return d.values[top], d.values[np.argmax(support, axis=1)], band
+
+
+@dataclass(frozen=True, eq=False)
+class RayTable:
+    """Ray values of a block of k rays."""
+
+    f: np.ndarray            # (k,) observable: largest eigenvalue of the support
+    g: np.ndarray            # (k,) mirrored: smallest eigenvalue of the support
+    expectation: np.ndarray  # (k,) <Ax, x>
+    band: np.ndarray         # (k,) a component in WARN_BAND: the support is ill-conditioned
+
+
+def ray_table(a, X) -> RayTable:
+    """f, g, <Ax,x> and the band hits of the rays in the columns of an n x k block.
+
+    Each column is normalized as by normalize_ray.  The supports of all k rays
+    come from one product X^H V (X conjugated, V read in place) reduced over the
+    clusters.  <Ax,x> is one matrix-vector product and one dot product per ray,
+    batched by matmul, so it equals np.vdot(x, A @ x) bit for bit.  Band hits are
+    returned, not warned about: the caller reports them once per block."""
+    d = _as_decomp(a)
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[0] != d.n:
+        raise ValueError(f"expected a block of {d.n}-dimensional rays, got shape {X.shape}")
+    rows = normalize_rays(X.T)
+    f, g, band = _ray_values(d, rows)
+    ax = np.matmul(d.matrix, rows[:, :, None])[:, :, 0]
+    return RayTable(f, g, np.vecdot(rows, ax).real, band)
 
 
 def expectation(a, x) -> float:
@@ -234,6 +351,12 @@ def complex_observable(m, x) -> complex:
 def random_ray(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return normalize_ray(v)
+
+
+def random_rays(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k rays as the rows of a block, bit for bit the rays of k random_ray calls."""
+    v = rng.standard_normal((k, 2, n))
+    return normalize_rays(v[:, 0] + 1j * v[:, 1])
 
 
 def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -262,41 +385,51 @@ def verify_ray_axioms(
 
     The span law (a ray in the span of two others takes at most the larger
     value) is sampled on random triples; the sublevel criterion checks that
-    f(x) <= lambda exactly when the cumulative projection fixes x.  Totality
+    f(x) <= lambda_i exactly when E(lambda_i) x = x, on 16 random rays and the
+    eigenbasis.  E(lambda_i) x is V_{<=i}(V_{<=i}^H x), summed cluster by
+    cluster, so no projector is formed.  The random draws follow the seeded
+    order of one random_ray call per ray; only the arithmetic runs in blocks of
+    ray_block_size(n) triples.  Band hits warn once, with their count.  Totality
     is trivial in finite dimension and only recorded.
     """
     tol = mat_tol(1e-9) if tol is None else tol
     d = _as_decomp(a)
     n = d.n
     span_bad = 0
-    for _ in range(samples):
-        x = random_ray(n, rng)
-        y = random_ray(n, rng)
-        alpha = rng.standard_normal() + 1j * rng.standard_normal()
-        beta = rng.standard_normal() + 1j * rng.standard_normal()
-        z = alpha * x + beta * y
-        if np.linalg.norm(z) < 1e-9:
-            continue
-        if ray_obs(d, z) > max(ray_obs(d, x), ray_obs(d, y)) + tol:
-            span_bad += 1
-    cum = d.cumulative()
+    hits = 0
+    size = ray_block_size(n)
+    for start in range(0, samples, size):
+        # per triple, in draw order: x and y (real, then imaginary parts), then
+        # the real and imaginary parts of alpha and of beta
+        g = rng.standard_normal((min(size, samples - start), 4 * n + 4))
+        x = normalize_rays(g[:, :n] + 1j * g[:, n:2 * n])
+        y = normalize_rays(g[:, 2 * n:3 * n] + 1j * g[:, 3 * n:4 * n])
+        c = g[:, 4 * n:]
+        z = (c[:, :1] + 1j * c[:, 1:2]) * x + (c[:, 2:3] + 1j * c[:, 3:]) * y
+        keep = np.linalg.norm(z, axis=1) >= 1e-9
+        fx, _, bx = _ray_values(d, x[keep])
+        fy, _, by = _ray_values(d, y[keep])
+        fz, _, bz = _ray_values(d, normalize_rays(z[keep]))
+        span_bad += int(np.count_nonzero(fz > np.maximum(fx, fy) + tol))
+        hits += int(np.count_nonzero(bx | by | bz))
+    warn_band(hits, samples)
+    probes = np.concatenate([random_rays(n, 16, rng), d.basis.T])
+    # f(x) <= lambda_i exactly when x has no component above cluster i
+    above = _component_norms(d, probes) > RAY_TOL
+    later = np.logical_or.accumulate(above[:, ::-1], axis=1)[:, ::-1]  # any at clusters >= i
+    f_below = np.c_[~later[:, 1:], np.ones(len(probes), bool)]
+    coef = (probes.conj() @ d.basis).conj()  # row r holds V^H x_r
+    ex = np.zeros_like(probes)  # row r becomes E(lambda_i) x_r, one cluster at a time
     sub_bad = 0
-    sub_checked = 0
-    probes = [random_ray(n, rng) for _ in range(16)]
-    probes += [d.basis[:, j] for j in range(n)]
-    for x in probes:
-        comps = _component_norms(d, x)
-        for i, lam in enumerate(d.values):
-            sub_checked += 1
-            f_below = bool(comps[i + 1:].max(initial=0.0) <= RAY_TOL)
-            fixes = bool(np.linalg.norm(cum[i] @ x - x) <= 1e-9)
-            if f_below != fixes:
-                sub_bad += 1
+    for i, (lo, hi) in enumerate(zip(d.starts, [*d.starts[1:], n])):
+        ex += coef[:, lo:hi] @ d.basis[:, lo:hi].T
+        fixes = np.linalg.norm(ex - probes, axis=1) <= 1e-9
+        sub_bad += int(np.count_nonzero(f_below[:, i] != fixes))
     return RayAxiomReport(
         span_bad == 0 and sub_bad == 0,
         samples,
         span_bad,
-        sub_checked,
+        len(probes) * d.m,
         sub_bad,
     )
 
@@ -461,15 +594,22 @@ def step_approx(a, eps: float) -> tuple[np.ndarray, StepApproxReport]:
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = _as_decomp(a)
-    diam = float(d.values.max() - d.values.min())
+    # Python floats: past the float limit a width is inf, not a numpy warning
+    bottom, top = float(d.values.min()), float(d.values.max())
+    diam = top - bottom
     # straddle the spectrum tightly enough that one interval suffices
     # whenever eps exceeds the spectral diameter
     margin = (eps - diam) / 4 if eps > diam else eps / 2
-    lo = float(d.values.min()) - margin
-    hi = float(d.values.max()) + margin
+    lo = bottom - margin
+    hi = top + margin
+    if not (hi - lo) / eps < MAX_STEP_INTERVALS:
+        raise CostCapError(
+            f"the step grid at eps = {eps:g} over [{bottom:g}, {top:g}] has "
+            f"{(hi - lo) / eps:.3g} intervals, past the cap of {MAX_STEP_INTERVALS:.0e}"
+        )
     m = int(np.floor((hi - lo) / eps)) + 1
     grid = lo + (hi - lo) * np.arange(m + 1) / m
-    mids = (grid[:-1] + grid[1:]) / 2
+    mids = grid[:-1] / 2 + grid[1:] / 2  # halves: no overflow near the float limit
     a_eps = np.zeros_like(d.matrix)
     star = np.empty(d.m)
     for i, lam in enumerate(d.values):

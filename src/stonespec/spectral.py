@@ -99,7 +99,7 @@ def make_spectral_family(L: FiniteOML, jumps: Iterable[tuple[float, int]]) -> Sp
     val = np.array([v for _, v in items], dtype=np.int64)
     if not np.isfinite(thr).all():
         raise LatticeError("thresholds must be finite")
-    if (np.diff(thr) <= 0).any():
+    if (thr[1:] <= thr[:-1]).any():  # np.diff would overflow near the float limit
         raise LatticeError("duplicate thresholds")
     for prev, cur in itertools.pairwise(val):
         if not (L.leq[prev, cur] and prev != cur):
@@ -123,7 +123,7 @@ def make_pre_spectral_family(
     thr = np.array([l for l, _, _ in items], dtype=np.float64)
     val = np.array([v for _, v, _ in items], dtype=np.int64)
     clo = np.array([c for _, _, c in items], dtype=bool)
-    if (np.diff(thr) <= 0).any():
+    if (thr[1:] <= thr[:-1]).any():  # np.diff would overflow near the float limit
         raise LatticeError("duplicate thresholds")
     for prev, cur in itertools.pairwise(val):
         if not L.leq[prev, cur]:

@@ -848,14 +848,10 @@ def criterion_ray_layer(seed: int = 7) -> Check:
     for _ in range(10):
         n = int(rng.integers(2, 7))
         A = matrix.random_hermitian(n, rng)
-        d = matrix.eig(A)
-        for _ in range(1000):
-            x = matrix.random_ray(n, rng)
-            g = matrix.mirrored_ray(d, x)
-            e = matrix.expectation(d, x)
-            fv = matrix.ray_obs(d, x)
-            if not (g <= e + 1e-9 and e <= fv + 1e-9):
-                bad_sandwich += 1
+        t = matrix.ray_table(A, matrix.random_rays(n, 1000, rng).T)
+        matrix.warn_band(int(np.count_nonzero(t.band)), len(t.band))
+        e = t.expectation
+        bad_sandwich += int(np.count_nonzero(~((t.g <= e + 1e-9) & (e <= t.f + 1e-9))))
     if bad_sandwich:
         problems.append(f"{bad_sandwich} sandwich violations")
     # blind reconstruction from ray values with resolving probes

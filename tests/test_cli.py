@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from stonespec import io as sio
+from stonespec import matrix as matrix_mod
 from stonespec.cli import main
 from stonespec.corpus import corpus
 from stonespec.spectral import make_spectral_family, observable_fn
@@ -259,11 +262,18 @@ class TestMatrixCommands:
         )
 
     @pytest.mark.parametrize("command", ["spectral", "rays", "approx"])
-    def test_eigen_error_exits_1(self, runner, tmp_path, command):
-        # two chained near-ties form one cluster 2e-8 wide, which fails the
-        # residual test
-        path = tmp_path / "chain.json"
-        sio.save_matrix(np.diag([1.0, 1.0, 1 + 0.999999e-8, 1 + 1.999998e-8]), path)
+    def test_eigen_error_exits_1(self, runner, tmp_path, command, monkeypatch):
+        # eigh made to return a shifted eigenvalue fails the residual test
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            w, V = eigh(a)
+            w[-1] += 1e-6
+            return w, V
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        path = tmp_path / "diag.json"
+        sio.save_matrix(np.diag([1.0, 2.0, 3.0]), path)
         extra = ["--eps", "0.1"] if command == "approx" else []
         result = runner.invoke(main, ["matrix", command, "--matrix", str(path), *extra])
         assert result.exit_code == 1
@@ -304,6 +314,100 @@ class TestMatrixCommands:
 
     def test_fixtures_match_golden_text(self, runner):
         assert matrix_cli_text(runner).encode() == (GOLDEN / "matrix-cli.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1e308, 0.0], [0.0, -1e308]],
+            [[0.0, 1e308], [1e308, 0.0]],
+            [[1.5e308, 0.0], [0.0, 1.5e308]],  # one cluster whose sum overflows
+            [[1.5e308, 1.5e308], [1.5e308, 1.5e308]],  # eigenvalue 3e308: exit 2
+        ],
+    )
+    @pytest.mark.parametrize("command", ["spectral", "rays", "approx", "gelfand"])
+    def test_entries_near_the_float_limit(self, runner, tmp_path, command, entries):
+        """Exit 0 with finite output, or 2 with a one-line reason; numpy warnings
+        are raised as errors, so none may occur."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 2, "re": entries}))
+        extra = ["--eps", "0.5"] if command == "approx" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["matrix", command, "--matrix", str(path), *extra])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code == 0:
+            assert "nan" not in result.stdout and "inf" not in result.stdout
+            assert result.stderr == ""
+        else:
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert result.stderr.startswith("input error: ")
+            assert result.stderr.count("\n") == 1
+
+    def test_chained_near_ties_exit_0(self, runner, tmp_path):
+        path = tmp_path / "chain.json"
+        sio.save_matrix(np.diag([1.0, 1.0, 1 + 0.999999e-8, 1 + 1.999998e-8]), path)
+        for args in (["spectral"], ["rays"], ["approx", "--eps", "0.1"]):
+            result = runner.invoke(main, ["matrix", args[0], "--matrix", str(path), *args[1:]])
+            assert result.exit_code == 0, result.output
+
+    def test_sweep_past_the_cap_exits_2(self, runner, tmp_path):
+        path = tmp_path / "n562.json"
+        path.write_text(json.dumps({"n": 562, "re": np.eye(562).tolist()}))
+        result = runner.invoke(main, ["matrix", "rays", "--matrix", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "input error: the probe sweep at n = 562 takes about 2.002e+11 complex "
+            "multiply-adds, past the cap of 2e+11; evaluate single rays with --ray\n"
+        )
+        ray = tmp_path / "ray.json"
+        ray.write_text(json.dumps({"re": [1.0] + [0.0] * 561}))
+        result = runner.invoke(main, ["matrix", "rays", "--matrix", str(path), "--ray", str(ray)])
+        assert result.exit_code == 0
+        assert result.output == "ray_id,f,g,expectation\nray,1.0,1.0,1.0\n"
+
+    def test_sweep_never_holds_every_probe(self, runner, tmp_path):
+        """At n = 64 the n^2 + 2n probes take 4.3 MB as complex rows; the traced
+        peak of the whole command, eigendecomposition and output included, stays
+        below that."""
+        path = tmp_path / "h64.json"
+        sio.save_matrix(matrix_mod.random_hermitian(64, np.random.default_rng(3)), path)
+        args = ["matrix", "rays", "--matrix", str(path)]
+        runner.invoke(main, args)
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0
+        assert len(result.output.splitlines()) == 1 + 64 * 64 + 2 * 64
+        assert peak < (64 * 64 + 2 * 64) * 64 * 16
+
+    def test_band_hits_warn_once_per_block(self, runner, tmp_path):
+        """Rotated by 1e-8, e1 and e2 each keep a 1e-8 component in the other
+        eigenvector: two band hits in the block of unit probes, none among the
+        random rays."""
+        c, s = np.cos(1e-8), np.sin(1e-8)
+        rot = np.array([[c, -s], [s, c]])
+        path = tmp_path / "tilted.json"
+        sio.save_matrix(rot @ np.diag([1.0, 2.0]) @ rot.T, path)
+        result = runner.invoke(main, ["matrix", "rays", "--matrix", str(path)])
+        assert result.exit_code == 0
+        assert result.stderr == (
+            "warning: 2 of 4 rays from e1 to e1+ie2 have a component within the "
+            "tolerance band; their support decisions are ill-conditioned\n"
+        )
+
+    def test_zero_ray_exits_2(self, runner, matrix_file, tmp_path):
+        ray = tmp_path / "zero.json"
+        ray.write_text(json.dumps({"re": [0.0, 0.0, 0.0]}))
+        args = ["matrix", "rays", "--matrix", str(matrix_file), "--ray", str(ray)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "input error: the zero vector spans no ray\n"
 
 
 # rot6.json is U diag(1, 2, 2, 3, 3, 3) U^H with U the Q factor of a complex

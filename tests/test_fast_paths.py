@@ -5,14 +5,18 @@ row-scan meet/join search with integer counts, the full distributivity
 triple scan, the per-element atom join, the pairwise max-law loop, the
 filter-minimum loops, Warshall's closure and the literal minimal-ideal
 reconstruction; on the matrix side, the per-column phase loop, the
-per-cluster gap loop with the projector stack eig once built from it, and
-one projector product per cluster for ray components.  Hypothesis draws random
+per-cluster gap loop with the projector stack eig once built from it, one
+projector product per cluster for ray components, and the one-ray formula
+and loop (with the cumulative projector stack) that the block ray kernel
+replaces.  Hypothesis draws random
 posets (with and without an added bottom and top), random relabelings of
 the corpus and of the products 2^m x MO2 and 2^m x O6, random spectral
 families on them, tables with NaN and +-inf injected, and Hermitian
 matrices with repeated eigenvalues, rotated or diagonal.
 """
 
+import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -165,6 +169,43 @@ def gap_loop_clusters(w, ctol):
         else:
             clusters.append([i])
     return clusters
+
+
+def column_support(d, x):
+    """Support and band verdict of one ray by the formula ray values used before
+    the block kernel: V^H x with V conjugated, the cluster sums, the square root."""
+    products = d.basis.conj().T @ matrix.normalize_ray(x)
+    comps = np.sqrt(np.add.reduceat(np.abs(products) ** 2, d.starts))
+    lo, hi = matrix.WARN_BAND
+    return np.flatnonzero(comps > matrix.RAY_TOL), bool(((comps >= lo) & (comps <= hi)).any())
+
+
+def loop_ray_axioms(d, rng, samples, tol):
+    """verify_ray_axioms one ray at a time, with the cumulative projector stack:
+    (span violations, sublevel checks, sublevel violations)."""
+    n = d.n
+    span_bad = 0
+    for _ in range(samples):
+        x = matrix.random_ray(n, rng)
+        y = matrix.random_ray(n, rng)
+        alpha = rng.standard_normal() + 1j * rng.standard_normal()
+        beta = rng.standard_normal() + 1j * rng.standard_normal()
+        z = alpha * x + beta * y
+        if np.linalg.norm(z) < 1e-9:
+            continue
+        if matrix.ray_obs(d, z) > max(matrix.ray_obs(d, x), matrix.ray_obs(d, y)) + tol:
+            span_bad += 1
+    cum = d.cumulative()
+    checked = sub_bad = 0
+    probes = [matrix.random_ray(n, rng) for _ in range(16)] + [d.basis[:, j] for j in range(n)]
+    for x in probes:
+        comps = matrix._component_norms(d, x)
+        for i in range(d.m):
+            checked += 1
+            f_below = bool(comps[i + 1:].max(initial=0.0) <= matrix.RAY_TOL)
+            fixes = bool(np.linalg.norm(cum[i] @ x - x) <= 1e-9)
+            sub_bad += f_below != fixes
+    return span_bad, checked, sub_bad
 
 
 def loop_fix_phases(vectors):
@@ -386,8 +427,8 @@ WARNING_COMPONENTS = (
 )
 def test_cluster_starts_match_gap_loop(steps, rotate, seed):
     """Gaps in units of the cluster tolerance, within 1e-6 of it on both
-    sides.  Each near-tie is followed by a clear gap: two chained near-ties
-    make a cluster wider than the residual test allows."""
+    sides.  Each near-tie is followed by a clear gap, so no cluster chains
+    two near-ties and the width rule of eig splits where the gap loop does."""
     gaps = [g for step in steps for g in step]
     a = np.diag(1.0 + matrix.CLUSTER_SCALE * np.cumsum([0.0, *gaps]))
     if rotate:
@@ -472,3 +513,127 @@ def test_band_rays_match_projectors(a, seed):
         if delta in WARNING_COMPONENTS:
             assert len(caught) == (3 if band else 0)
             assert all("ill-conditioned" in str(c.message) for c in caught)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitians(min_levels=2), st.integers(0, 2**32 - 1))
+def test_ray_table_matches_column_formula(a, seed):
+    """Unnormalized random rays, the eigenbasis columns (several per cluster on
+    degenerate spectra) and band rays: supports, f and g as the one-ray formula,
+    band hits off the band ends, and <Ax,x> bit for bit np.vdot(x, A @ x) of the
+    normalized column."""
+    d = matrix.eig(a)
+    rng = np.random.default_rng(seed)
+    rays = [rng.uniform(0.1, 10.0) * matrix.random_ray(d.n, rng) for _ in range(8)]
+    rays += list(d.basis.T)
+    ends = (1e-12, 1e-6)  # the band verdict is rounding noise exactly there
+    off_ends = [True] * len(rays)
+    for delta in sorted(set(SUPPORT_COMPONENTS + WARNING_COMPONENTS)):
+        i, j = rng.choice(d.m, size=2, replace=False)
+        u = matrix.normalize_ray(d.projection(i) @ matrix.random_ray(d.n, rng))
+        v = matrix.normalize_ray(d.projection(j) @ matrix.random_ray(d.n, rng))
+        rays.append(u + delta * v)
+        off_ends.append(delta not in ends)
+    X = np.stack(rays, axis=1)
+    t = matrix.ray_table(d, X)
+    supports = matrix._supports(matrix._component_norms(d, matrix.normalize_rays(X.T)))[0]
+    for k, x in enumerate(rays):
+        support, band = column_support(d, x)
+        np.testing.assert_array_equal(np.flatnonzero(supports[k]), support)
+        assert t.f[k] == d.values[support[-1]] and t.g[k] == d.values[support[0]]
+        y = matrix.normalize_ray(x)
+        assert t.expectation[k] == np.real(np.vdot(y, d.matrix @ y))
+        if off_ends[k]:
+            assert t.band[k] == band
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 50), st.integers(0, 2**32 - 1))
+def test_random_rays_match_random_ray_calls(n, k, seed):
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = matrix.random_rays(n, k, r1)
+    assert np.array_equal(block, np.stack([matrix.random_ray(n, r2) for _ in range(k)]))
+    assert r1.random() == r2.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitians(), st.integers(0, 2**32 - 1), st.integers(1, 60),
+       st.sampled_from([1e-9, 0.0, -1.0]), st.booleans())
+def test_ray_axioms_match_ray_loop(a, seed, samples, tol, broken):
+    """Counts and draws as the one-ray loop with the projector stack.  A negative
+    tol makes span violations, and a basis with one column scaled by 0.9 breaks
+    the sublevel criterion, so both counts are exercised."""
+    d = matrix.eig(a)
+    if broken:
+        V = d.basis.copy()
+        V[:, 0] *= 0.9
+        d = matrix.EigenDecomposition(d.matrix, d.values, V, d.starts)
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = matrix.verify_ray_axioms(d, r1, samples=samples, tol=tol)
+        span_bad, checked, sub_bad = loop_ray_axioms(d, r2, samples, tol)
+    assert (rep.span_violations, rep.sublevel_checked, rep.sublevel_violations) == (
+        span_bad, checked, sub_bad)
+    assert rep.span_checked == samples
+    assert rep.passed == (span_bad == 0 and sub_bad == 0)
+    assert r1.random() == r2.random()
+
+
+def traced_peak(fn, *args, **kwargs):
+    fn(*args, **kwargs)  # first-call set-up is not the call's own memory
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ray_obs_reads_the_eigenbasis_in_place():
+    """One ray at n = 512 allocates less than one n x n complex array (4 MB), the
+    copy that conjugating V would make."""
+    rng = np.random.default_rng(11)
+    d = matrix.eig(matrix.random_hermitian(512, rng))
+    x = matrix.random_ray(512, rng)
+    assert traced_peak(matrix.ray_obs, d, x) < 512 * 512 * 16
+    assert traced_peak(matrix.mirrored_ray, d, x) < 512 * 512 * 16
+
+
+def test_ray_axioms_build_no_projector_stack():
+    """At n = 128 the m x n x n cumulative stack alone is 32 MB."""
+    A = matrix.random_hermitian(128, np.random.default_rng(12))
+    peak = traced_peak(matrix.verify_ray_axioms, A, np.random.default_rng(13), samples=10)
+    assert peak < 8 * 2**20
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1 - 1e-6, 1 + 1e-6, 2.0]), min_size=1,
+             max_size=24),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_chained_near_ties_pass_the_residual_test(steps, rotate, seed):
+    """Gaps below the cluster tolerance chained into runs wider than it: eig raises
+    no EigenError, every cluster is narrower than the tolerance, and each cluster
+    starts at the first eigenvalue at least the tolerance above the previous start."""
+    a = np.diag(1.0 + matrix.CLUSTER_SCALE * np.cumsum([0.0, *steps]))
+    if rotate:
+        rng = np.random.default_rng(seed)
+        n = a.shape[0]
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a = u @ a @ u.conj().T
+    d = matrix.eig(a)
+    w = np.linalg.eigh(d.matrix)[0]
+    ctol = matrix.CLUSTER_SCALE * max(1.0, float(np.abs(w).max()))
+    bounds = [*d.starts.tolist(), len(w)]
+    for lo, hi in itertools.pairwise(bounds):
+        assert w[hi - 1] - w[lo] < ctol
+        if hi < len(w):
+            assert w[hi] - w[lo] >= ctol
+
+
+def test_chained_near_tie_example():
+    d = matrix.eig(np.diag([1.0, 1.0, 1 + 0.999999e-8, 1 + 1.999998e-8]))
+    assert d.starts.tolist() == [0, 3]
