@@ -45,7 +45,19 @@ def _load_lattice(path):
         _fail(EXIT_MATH, f"lattice error: {exc}")
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; running out of memory exits 2 instead of a traceback.
+    Inputs whose size is known up front are refused by their caps before
+    this backstop is reached."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MemoryError as exc:
+            _fail(EXIT_SCHEMA, f"input error: out of memory ({exc or 'no details'})")
+
+
+@click.group(cls=_Main)
 def main():
     """Finite orthomodular lattices, Stone spectra and observable functions."""
 

@@ -197,24 +197,34 @@ def verify_gelfand_identity(alg: DiagonalAlgebra, entries) -> GelfandIdentityRep
 
 def diagonalize(a) -> tuple[np.ndarray, np.ndarray]:
     """Phase-fixed eigenbasis unitary and the diagonal entries it produces."""
-    from .matrix import _fix_phases, as_hermitian, finite_eigh
+    from .matrix import _fix_phases, as_hermitian, finite_eigh, hermitian_gap
 
     A = np.asarray(a, dtype=np.complex128)
-    herm = np.abs(A - A.conj().T).max(initial=0.0) <= SNAP_TOL * max(
-        1.0, float(np.abs(A).max(initial=0.0))
-    )
-    if herm:
+    deviation, scale = hermitian_gap(A / 2)
+    if deviation <= SNAP_TOL * scale:
         w, V = finite_eigh(as_hermitian(A))
         return _fix_phases(V), w.astype(np.complex128)
     # normal non-Hermitian diagonals arise from complex entries; diagonalize
-    # the Hermitian parts jointly only when they commute
-    h1 = (A + A.conj().T) / 2
-    h2 = (A - A.conj().T) / 2j
-    if np.abs(h1 @ h2 - h2 @ h1).max() > 1e-9 * max(1.0, float(np.abs(A).max())):
+    # the Hermitian parts jointly only when they commute.  They are formed
+    # from q = A / 2^e, |q| < 1, so no sum or product overflows: scaling by a
+    # power of two is exact in the normal range and eigh is equivariant under
+    # it, so below the float limit V and the entries are A's own
+    e = int(np.frexp(scale)[1]) + 1
+    q = A * 2.0**-e
+    h1 = (q + q.conj().T) / 2
+    h2 = (q - q.conj().T) / 2j
+    # |[h1, h2]| <= 1e-9 max(1, |A|) for A's own parts, both sides times 2^-2e
+    if not (np.abs(h1 @ h2 - h2 @ h1).max() <= 1e-9 * scale * 2.0 ** (1 - e) * 2.0**-e):
         raise LatticeError("matrix is not normal; no abelian algebra contains it")
     w, V = finite_eigh(h1 + np.pi * h2)  # generic combination splits ties
     V = _fix_phases(V)
-    d = V.conj().T @ A @ V
-    if np.abs(d - np.diag(np.diagonal(d))).max() > 1e-9:
+    d = V.conj().T @ q @ V
+    # off-diagonal of V^H A V within 1e-9 max(1, |A|), times 2^-e
+    if not (np.abs(d - np.diag(np.diagonal(d))).max() <= 1e-9 * scale * 2.0 ** (1 - e)):
         raise LatticeError("joint diagonalization failed")
-    return V, np.diagonal(d).copy()
+    entries = np.diagonal(d).copy()
+    with np.errstate(over="ignore"):
+        entries.real, entries.imag = np.ldexp(entries.real, e), np.ldexp(entries.imag, e)
+    if not np.isfinite(entries).all():
+        raise ValueError("the eigendecomposition is not finite: matrix entries are too large")
+    return V, entries

@@ -23,6 +23,15 @@ from .lattice import FiniteOML
 from .spectral import ObservableTable, SpectralFamily, make_spectral_family, table_from_pairs
 
 
+# Bytes per ordered pair of elements that building and checking a lattice holds
+# at once: the order matrix (1), the meet and join tables (8 + 8), and
+# bound_tables' float32 bit casts and counts (4 + 4) and its two ok masks (2).
+LATTICE_PAIR_BYTES = 27
+# A lattice file whose n^2 tables would pass this many bytes is refused before
+# anything of size n^2 is allocated: 1 GiB admits n <= 6306 elements.
+LATTICE_BYTES_CAP = 1 << 30
+
+
 def _read_json(path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
@@ -83,7 +92,8 @@ def transitive_closure(leq: np.ndarray) -> np.ndarray:
 
 def load_lattice(path) -> FiniteOML:
     """Read {"elements", "leq" (pairs i <= j), "ortho"}; the reflexive and
-    transitive closure is applied, bottom and top are inferred."""
+    transitive closure is applied, bottom and top are inferred.  A file whose
+    tables would pass ``LATTICE_BYTES_CAP`` is refused with SchemaError."""
     data = _read_json(path)
     names = _require(data, "elements", path)
     pairs = _require(data, "leq", path)
@@ -91,6 +101,12 @@ def load_lattice(path) -> FiniteOML:
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise SchemaError(f"{path}: 'elements' must be a list of names")
     n = len(names)
+    need = LATTICE_PAIR_BYTES * n * n
+    if need > LATTICE_BYTES_CAP:
+        raise SchemaError(
+            f"{path}: {n} elements need about {need / 2**30:.2f} GiB for the n^2 "
+            f"tables, past the cap of {LATTICE_BYTES_CAP / 2**30:g} GiB"
+        )
     leq = np.eye(n, dtype=bool)
     if not isinstance(pairs, list):
         raise SchemaError(f"{path}: 'leq' must be a list of [i, j] pairs")

@@ -109,7 +109,7 @@ class FiniteOML:
         if bottom == top:
             raise LatticeError("lattice needs distinct bottom and top")
         if tables is None:
-            meet, join, status, a, b = _kernels.bound_tables(leq)
+            meet, join, status, a, b = _kernels.bound_tables(leq, ortho)
             if status == _kernels.STATUS_NO_MEET:
                 raise LatticeError(f"pair ({names[a]}, {names[b]}) has no unique meet")
             if status == _kernels.STATUS_NO_JOIN:

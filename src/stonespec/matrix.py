@@ -49,19 +49,31 @@ class CostCapError(ValueError):
     """The input needs more work or memory than a documented cap allows."""
 
 
+def hermitian_gap(half: np.ndarray) -> tuple[float, float]:
+    """Deviation max |h - h^H| and scale max(1/2, max |h|) of h = a/2.
+
+    Both are half of a's own, exactly in the normal range, and the scale is
+    finite for every finite a, so a tolerance test ``deviation <= tol *
+    scale`` on them is a's own test; a deviation past the float limit reads
+    inf and fails it.
+    """
+    scale = max(0.5, float(np.abs(half).max(initial=0.0)))
+    with np.errstate(over="ignore"):
+        deviation = float(np.abs(half - half.conj().T).max(initial=0.0))
+    return deviation, scale
+
+
 def as_hermitian(a) -> np.ndarray:
     """Validate near-Hermitian input and return its symmetrized copy."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    with np.errstate(over="ignore"):  # a non-Hermitian pair near the float limit: inf
-        deviation = np.abs(a - a.conj().T).max(initial=0.0)
+    # halves first: a - a^H, |a| and (a + a^H) / 2 overflow on entries near
+    # the float limit, and halving is exact in the normal range
+    half = a / 2
+    deviation, scale = hermitian_gap(half)
     if not (deviation <= HERM_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
-    # halves first: (a + a^H) / 2 overflows on entries near the float limit,
-    # and halving is exact in the normal range, so the result is the same
-    half = a / 2
     half += half.conj().T
     return half
 

@@ -13,6 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _kernels
 from .errors import LatticeError, NotObservableError
 from .lattice import FiniteOML
 from .spectral import (
@@ -33,16 +34,21 @@ def is_completely_increasing(
     arbitrary families (by induction on the family); the brute-force
     equivalence is exercised separately in the suites.  The witness is the
     first failing pair (a, b), a <= b as indices, in row-major order; max
-    is Python's, so a NaN wins only as its first argument.
+    is Python's, so a NaN wins only as its first argument.  The n^2 pairs
+    are compared in row blocks of the kernels' scan budget, so no n x n
+    temporary is built.
     """
     v = np.asarray(r.values, dtype=np.float64)
-    # np.fmax(x, y) is max(x, y) unless x is NaN, where (x, x) fails anyway;
-    # bad is symmetric, so its first entry in row-major order has a <= b
-    bad = v[L.join_table] != np.fmax(v[:, None], v[None, :])
-    bad[L.bottom, :] = bad[:, L.bottom] = False
-    if bad.any():
-        a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return False, (int(a), int(b))
+    for rows in _kernels.row_blocks(L.n, 8 * L.n):
+        # np.fmax(x, y) is max(x, y) unless x is NaN, where (x, x) fails anyway;
+        # bad is symmetric, so its first entry in row-major order has a <= b
+        bad = v[L.join_table[rows]] != np.fmax(v[rows, None], v[None, :])
+        bad[:, L.bottom] = False
+        if rows.start <= L.bottom < rows.stop:
+            bad[L.bottom - rows.start] = False
+        if bad.any():
+            a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            return False, (rows.start + int(a), int(b))
     return True, None
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -344,6 +345,26 @@ class TestMatrixCommands:
             assert result.stderr.startswith("input error: ")
             assert result.stderr.count("\n") == 1
 
+    def test_moduli_past_the_float_limit(self, runner, tmp_path):
+        """|1.5e308 (1 + i)| overflows, but the Hermitian tests read a / 2: spectral
+        exits 1 like any non-Hermitian matrix, and gelfand keeps the imaginary
+        part.  [[0, 1e308], [-1e308, 0]] is normal with eigenvalues -+1e308 i.
+        Numpy warnings are raised as errors, so none may occur."""
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"n": 1, "re": [[1.5e308]], "im": [[1.5e308]]}))
+        turn = tmp_path / "turn.json"
+        turn.write_text(json.dumps({"n": 2, "re": [[0.0, 1e308], [-1e308, 0.0]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spectral = runner.invoke(main, ["matrix", "spectral", "--matrix", str(one)])
+            single = runner.invoke(main, ["matrix", "gelfand", "--matrix", str(one)])
+            pair = runner.invoke(main, ["matrix", "gelfand", "--matrix", str(turn)])
+        assert (spectral.exit_code, spectral.output) == (1, "matrix is not Hermitian\n")
+        assert (single.exit_code, single.output) == (0, "F(A)(e1) = 1.5e+308+1.5e+308i\n")
+        assert (pair.exit_code, pair.output) == (
+            0, "F(A)(e1) = 0-1e+308i\nF(A)(e2) = 0+1e+308i\n"
+        )
+
     def test_chained_near_ties_exit_0(self, runner, tmp_path):
         path = tmp_path / "chain.json"
         sio.save_matrix(np.diag([1.0, 1.0, 1 + 0.999999e-8, 1 + 1.999998e-8]), path)
@@ -434,6 +455,50 @@ def matrix_cli_text(runner) -> str:
             parts.append(" ".join(["$ stonespec", *args[:3], name, *call[1:]]) + "\n")
             parts.append(result.stdout)
     return "".join(parts)
+
+
+class TestMemory:
+    def test_lattice_past_the_cap_exits_2(self, runner, tmp_path):
+        """One element past the cap is refused before its n^2 order matrix
+        (40 MB) is allocated."""
+        n = math.isqrt(sio.LATTICE_BYTES_CAP // sio.LATTICE_PAIR_BYTES) + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"elements": [f"e{i}" for i in range(n)], "leq": [], "ortho": list(range(n))}
+        ))
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["check", "--lattice", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"schema error: {path}: 6307 elements need about 1.00 GiB for the n^2 "
+            "tables, past the cap of 1 GiB\n"
+        )
+        assert peak < n * n
+
+    @pytest.mark.parametrize("command", ["check", "spectral"])
+    def test_memory_error_exits_2(self, runner, b2_file, tmp_path, monkeypatch, command):
+        """The backstop for allocations no cap foresaw, provoked without them."""
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 6.71 GiB")
+
+        if command == "check":
+            monkeypatch.setattr("stonespec.cli.verify_structure", exhausted)
+            args = ["check", "--lattice", str(b2_file)]
+        else:
+            monkeypatch.setattr(matrix_mod, "eig", exhausted)
+            path = tmp_path / "a.json"
+            sio.save_matrix(np.diag([1.0, 2.0]), path)
+            args = ["matrix", "spectral", "--matrix", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "input error: out of memory (Unable to allocate 6.71 GiB)\n"
 
 
 class TestVerify:

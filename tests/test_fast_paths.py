@@ -1,15 +1,17 @@
 """Each vectorized kernel against its slow definition.
 
 The oracles below are the straightforward loops the kernels replace: the
-row-scan meet/join search with integer counts, the full distributivity
+row-scan meet/join search with integer counts, the one-shot n x n forms of
+the law scans that now run in row blocks, the full distributivity
 triple scan, the per-element atom join, the pairwise max-law loop, the
 filter-minimum loops, Warshall's closure and the literal minimal-ideal
 reconstruction; on the matrix side, the per-column phase loop, the
 per-cluster gap loop with the projector stack eig once built from it, one
 projector product per cluster for ray components, and the one-ray formula
 and loop (with the cumulative projector stack) that the block ray kernel
-replaces.  Hypothesis draws random
-posets (with and without an added bottom and top), random relabelings of
+replaces, and the unscaled joint diagonalization.  Hypothesis draws random
+posets (with and without an added bottom and top), orthoposets Q x Q^op
+built from them, random relabelings of
 the corpus and of the products 2^m x MO2 and 2^m x O6, random spectral
 families on them, tables with NaN and +-inf injected, and Hermitian
 matrices with repeated eigenvalues, rotated or diagonal.
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stonespec import _kernels, matrix, recon
+from stonespec import _kernels, gelfand, matrix, recon
 from stonespec.corpus import benzene, boolean_lattice, corpus, mo
 from stonespec.errors import NotObservableError
 from stonespec.io import transitive_closure
@@ -67,6 +69,42 @@ def row_scan_bound_tables(leq):
             return meet, join, _kernels.STATUS_NO_JOIN, a, int(bad[0])
         join[a] = hits.argmax(axis=0)
     return meet, join, _kernels.STATUS_OK, -1, -1
+
+
+def one_shot_increasing(L, r):
+    """recon.is_completely_increasing as one n x n comparison."""
+    v = np.asarray(r.values, dtype=np.float64)
+    bad = v[L.join_table] != np.fmax(v[:, None], v[None, :])
+    bad[L.bottom, :] = bad[:, L.bottom] = False
+    if bad.any():
+        a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return False, (int(a), int(b))
+    return True, None
+
+
+def one_shot_orthomodularity(leq, meet, join, ortho):
+    """_kernels.orthomodularity_witness as one n x n gather."""
+    rel = np.take_along_axis(join, meet[:, ortho].T, axis=1)  # [a, b] -> a v (b ^ a')
+    bad = leq & (rel != np.arange(leq.shape[0])[None, :])
+    if bad.any():
+        a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return int(a), int(b)
+    return -1, -1
+
+
+def one_shot_all_commute(meet, join, ortho):
+    """_kernels.all_commute as one n x n gather."""
+    rel = join[meet, meet[:, ortho]]
+    return bool((rel == np.arange(meet.shape[0])[:, None]).all())
+
+
+def unscaled_diagonalize(A):
+    """The joint diagonalization of a normal non-Hermitian matrix on A itself."""
+    h1 = (A + A.conj().T) / 2
+    h2 = (A - A.conj().T) / 2j
+    _, V = np.linalg.eigh(h1 + np.pi * h2)
+    V = matrix._fix_phases(V)
+    return V, np.diagonal(V.conj().T @ A @ V).copy()
 
 
 def triple_scan(meet, join):
@@ -292,6 +330,20 @@ def posets(draw):
 
 
 @st.composite
+def orthoposets(draw):
+    """Q x Q^op for a drawn poset Q, (a, b) <= (c, d) iff a <= c and d <= b, with
+    the swap (a, b) -> (b, a), an involution that reverses the order; relabeled.
+    Unless Q is a lattice, meets and joins are missing."""
+    q = draw(posets())
+    k = q.shape[0]
+    leq = (q[:, None, :, None] & q.T[None, :, None, :]).reshape(k * k, k * k)
+    swap = np.arange(k * k).reshape(k, k).T.ravel()
+    perm = np.array(draw(st.permutations(range(k * k))))
+    inv = np.argsort(perm)
+    return leq[np.ix_(inv, inv)], perm[swap[inv]]
+
+
+@st.composite
 def relabeled(draw):
     L = BASES[draw(st.sampled_from(sorted(BASES)))]
     return relabel(L, draw(st.permutations(range(L.n))))
@@ -400,6 +452,141 @@ def test_reconstruct_matches_minimal_ideals(L, seed):
     probes = np.concatenate([levels - 1.0, levels + 1.0, (levels[:-1] + levels[1:]) / 2])
     for lam in probes[~np.isin(probes, levels)]:
         assert back.value_at(float(lam)) == held_value(back, levels, lam)
+
+
+def assert_same_bounds(got, want):
+    """Same status and witness, and on success the same tables."""
+    assert got[2:] == want[2:]
+    if got[2] == _kernels.STATUS_OK:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# bit-row budgets of bound_tables: one row per block, a few rows, the default
+# (one block for every lattice drawn here, so nothing is mirrored across blocks)
+BLOCK_WORDS = (1, 64, _kernels._BLOCK_WORDS)
+
+
+@pytest.mark.parametrize("block_words", BLOCK_WORDS)
+@settings(max_examples=100, deadline=None)
+@given(case=orthoposets())
+def test_de_morgan_matches_direct_path_on_orthoposets(block_words, case):
+    """Caught: meets from join[o][:, o] without the outer o, meet-ok not
+    permuted, the witness row taken from the join mask first, a triangle
+    or its ok mask left unmirrored."""
+    leq, ortho = case
+    assert _kernels._reverses_order(leq, ortho)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK_WORDS", block_words)
+        fast = _kernels.bound_tables(leq, ortho)
+        assert_same_bounds(fast, _kernels.bound_tables(leq))
+    assert_same_bounds(fast, row_scan_bound_tables(leq))
+
+
+@pytest.mark.parametrize("block_words", BLOCK_WORDS)
+@settings(max_examples=60, deadline=None)
+@given(L=relabeled())
+def test_de_morgan_matches_direct_path_on_ortholattices(block_words, L):
+    """Caught: a triangle or its ok mask left unmirrored."""
+    assert _kernels._reverses_order(L.leq, L.ortho)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_BLOCK_WORDS", block_words)
+        fast = _kernels.bound_tables(L.leq, L.ortho)
+        assert fast[2] == _kernels.STATUS_OK
+        assert_same_bounds(fast, _kernels.bound_tables(L.leq))
+    assert_same_bounds(fast, row_scan_bound_tables(L.leq))
+
+
+def test_non_involutive_ortho_takes_the_direct_path():
+    """The identity is an involution that keeps the order, and an atom cycle
+    after the complement of MO3 reverses the order without being an
+    involution; De Morgan would give wrong meets for both.  Caught: dropping
+    either half of _reverses_order."""
+    L = mo(3)
+    want = row_scan_bound_tables(L.leq)
+    a1, a2, a3 = L.atoms()[:3]
+    cycle = np.arange(L.n)
+    cycle[[a1, a2, a3]] = [a2, a3, a1]
+    turned = L.ortho[cycle]
+    assert not (turned[turned] == np.arange(L.n)).all()
+    assert (L.leq[np.ix_(turned, turned)] == L.leq.T).all()
+    for ortho in (np.arange(L.n), turned):
+        assert not _kernels._reverses_order(L.leq, ortho)
+        assert_same_bounds(_kernels.bound_tables(L.leq, ortho), want)
+        M = FiniteOML(L.names, L.leq, ortho)
+        assert np.array_equal(M.meet_table, want[0]) and np.array_equal(M.join_table, want[1])
+
+
+def check_blocked_scans(L, t):
+    """Every row-blocked scan against its one-shot form, on L and table t."""
+    o = L.ortho
+    assert recon.is_completely_increasing(L, t) == one_shot_increasing(L, t)
+    assert _kernels.orthomodularity_witness(
+        L.leq, L.meet_table, L.join_table, o
+    ) == one_shot_orthomodularity(L.leq, L.meet_table, L.join_table, o)
+    assert _kernels.all_commute(L.meet_table, L.join_table, o) == one_shot_all_commute(
+        L.meet_table, L.join_table, o
+    )
+    assert _kernels._reverses_order(L.leq, o) == bool((L.leq[np.ix_(o, o)] == L.leq.T).all())
+    meet, join, status, *_ = _kernels.bound_tables(L.leq, o)
+    assert status == _kernels.STATUS_OK
+    assert np.array_equal(meet, L.meet_table) and np.array_equal(join, L.join_table)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@settings(max_examples=100, deadline=None)
+@given(case=tables())
+def test_blocked_scans_match_one_shot(rows, case):
+    """Scan budget cut to 1 and 3 rows of 8n bytes; tables carry NaN and +-inf.
+    Caught: a witness row without its block offset, a last block cut short."""
+    L, t = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_BYTES", rows * 8 * L.n)
+        check_blocked_scans(L, t)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", ["2^3", "MO3", "2^2xO6"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_bottom_at_a_block_edge(rows, name, value):
+    """The bottom moved to the first and last row of a block and to the last
+    row, with r(bottom) = value, which the max law must ignore.  Caught: the
+    bottom row cleared only in the first block, or at an index not offset by
+    the block start."""
+    base = BASES[name]
+    rng = np.random.default_rng(5)
+    for pos in (0, rows - 1, rows, base.n - 1):
+        perm = rng.permutation(base.n)
+        perm[[base.bottom, int(np.argmax(perm == pos))]] = pos, perm[base.bottom]
+        L = relabel(base, perm)
+        assert L.bottom == pos
+        vals = recon.random_increasing_table(L, rng).values.copy()
+        vals[L.bottom] = value
+        t = ObservableTable(L, vals)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_SCAN_BYTES", rows * 8 * L.n)
+            assert recon.is_completely_increasing(L, t) == (True, None)
+            check_blocked_scans(L, t)
+
+
+def test_law_scans_build_no_square_temporary():
+    """At n = 512 the traced peaks of verify_structure, reconstruct and f_from_r
+    stay below 1 MiB; each one-shot scan built 2 MiB float64 or int64 n x n
+    temporaries (traced peaks 4.3 MB), which glibc serves from fresh pages."""
+    L = boolean_lattice(9)
+    f = observable_fn(random_spectral_family(L, np.random.default_rng(1)))
+    assert traced_peak(verify_structure, L) < 1 << 20
+    assert traced_peak(recon.reconstruct, L, f) < 1 << 20
+    assert traced_peak(recon.f_from_r, L, f) < 1 << 20
+
+
+def test_bound_tables_hold_one_bit_block_and_one_count_table():
+    """Beyond its two int64 output tables, bound_tables at n = 512 holds at most
+    one block of ANDed bit rows and one float32 count table (3 MiB); with both
+    count tables and their casts it took 4.8 MB."""
+    L = relabel(boolean_lattice(9), np.random.default_rng(2).permutation(512))
+    n = L.n
+    peak = traced_peak(_kernels.bound_tables, L.leq, L.ortho)
+    assert peak - 2 * 8 * n * n < 8 * _kernels._BLOCK_WORDS + 4 * n * n
 
 
 # ---------------------------------------------------------------------------
@@ -637,3 +824,18 @@ def test_chained_near_ties_pass_the_residual_test(steps, rotate, seed):
 def test_chained_near_tie_example():
     d = matrix.eig(np.diag([1.0, 1.0, 1 + 0.999999e-8, 1 + 1.999998e-8]))
     assert d.starts.tolist() == [0, 3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(-40, 12))
+def test_scaled_diagonalization_matches_unscaled(seed, n, k):
+    """diagonalize works on A / 2^e; on a normal matrix of norm 2^k in the normal
+    range V and the entries equal, bit for bit, those of the unscaled formula.
+    Caught: entries not scaled back, or scaled back by 2^(e - 1)."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    A = (u * w) @ u.conj().T * 2.0**k
+    V, entries = gelfand.diagonalize(A)
+    V0, entries0 = unscaled_diagonalize(A)
+    assert np.array_equal(V, V0) and np.array_equal(entries, entries0)

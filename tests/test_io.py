@@ -78,6 +78,19 @@ class TestLatticeFiles:
         with pytest.raises(LatticeError, match="antisymmetric"):
             sio.load_lattice(path)
 
+    def test_element_cap(self, tmp_path, monkeypatch):
+        """With the cap cut to the tables of 4 elements, 4 load and 5 are refused."""
+        monkeypatch.setattr(sio, "LATTICE_BYTES_CAP", 16 * sio.LATTICE_PAIR_BYTES)
+        path = tmp_path / "b2.json"
+        sio.save_lattice(CORPUS["B2"], path)
+        assert sio.load_lattice(path).n == 4
+        data = json.loads(path.read_text())
+        data["elements"].append("x")
+        data["ortho"].append(4)
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match="5 elements need about .* GiB .* past the cap"):
+            sio.load_lattice(path)
+
     def test_non_unique_bottom(self, tmp_path):
         path = write(
             tmp_path,
