@@ -153,15 +153,18 @@ def bound_tables(leq: np.ndarray, ortho=None):
 
 
 def distributivity_witness(meet, join):
-    """First triple violating a ^ (b v c) == (a ^ b) v (a ^ c), else (-1,)*3."""
+    """First triple violating a ^ (b v c) == (a ^ b) v (a ^ c), in row-major
+    order, else (-1,)*3."""
     n = meet.shape[0]
     for a in range(n):
-        lhs = meet[a][join]  # [b, c] -> a ^ (b v c)
-        rhs = join[meet[a][:, None], meet[a][None, :]]
-        bad = lhs != rhs
-        if bad.any():
-            b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return a, int(b), int(c)
+        ma = meet[a]
+        for rows in row_blocks(n, 8 * n):
+            lhs = ma[join[rows]]  # [b, c] -> a ^ (b v c)
+            rhs = join[ma[rows, None], ma[None, :]]
+            bad = lhs != rhs
+            if bad.any():
+                b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                return a, rows.start + int(b), int(c)
     return -1, -1, -1
 
 

@@ -7,7 +7,6 @@ suites.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 
@@ -221,29 +220,12 @@ def spectral(matrix_file, fmt):
             click.echo(f"E({lam:g}) = {L.names[v]}")
 
 
-def _unit_probes(n: int):
-    """Label, i, j and c of the probes e_i + c e_j: e_j itself (i = j, c = 0),
-    then e_i + e_j and e_i + i e_j for i < j."""
-    for j in range(n):
-        yield f"e{j + 1}", j, j, 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield f"e{i + 1}+e{j + 1}", i, j, 1
-            yield f"e{i + 1}+ie{j + 1}", i, j, 1j
-
-
 def _sweep(n: int, seed: int):
     """The default probes in output order, as (labels, rows) blocks of at most
     matrix.ray_block_size(n) rays: the unit probes, then 2n random rays drawn
     from the seed."""
     size = matrix_mod.ray_block_size(n)
-    units = _unit_probes(n)
-    while chunk := list(itertools.islice(units, size)):
-        labels, i, j, c = zip(*chunk)
-        rows = np.zeros((len(chunk), n), dtype=np.complex128)
-        rows[np.arange(len(chunk)), i] = 1
-        rows[np.arange(len(chunk)), j] += c
-        yield labels, rows
+    yield from matrix_mod.unit_probes(n, size)
     rng = np.random.default_rng(seed)
     for start in range(0, 2 * n, size):
         k = min(size, 2 * n - start)

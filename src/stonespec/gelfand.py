@@ -195,8 +195,22 @@ def verify_gelfand_identity(alg: DiagonalAlgebra, entries) -> GelfandIdentityRep
     return GelfandIdentityReport(ok and mirrored_ok, mirrored_ok)
 
 
+def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
+    """z * 2^e for complex z: exact in the normal range, inf past the float limit."""
+    out = np.empty_like(z)
+    with np.errstate(over="ignore"):
+        out.real, out.imag = np.ldexp(z.real, e), np.ldexp(z.imag, e)
+    return out
+
+
 def diagonalize(a) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-fixed eigenbasis unitary and the diagonal entries it produces."""
+    """Phase-fixed eigenbasis unitary and the diagonal entries it produces.
+
+    Every test is relative to |A| = max |A_ij|, with no absolute floor, so a
+    verdict does not change when A is scaled: A is Hermitian iff |A - A^H| <=
+    1e-12 |A|; otherwise its Hermitian parts must commute within 1e-9 |A|^2,
+    and their joint eigenbasis must leave V^H A V off-diagonal within 1e-9 |A|.
+    """
     from .matrix import _fix_phases, as_hermitian, finite_eigh, hermitian_gap
 
     A = np.asarray(a, dtype=np.complex128)
@@ -206,25 +220,23 @@ def diagonalize(a) -> tuple[np.ndarray, np.ndarray]:
         return _fix_phases(V), w.astype(np.complex128)
     # normal non-Hermitian diagonals arise from complex entries; diagonalize
     # the Hermitian parts jointly only when they commute.  They are formed
-    # from q = A / 2^e, |q| < 1, so no sum or product overflows: scaling by a
-    # power of two is exact in the normal range and eigh is equivariant under
-    # it, so below the float limit V and the entries are A's own
+    # from q = A / 2^e, 1/2 <= |q| < 1, so no sum or product overflows or
+    # underflows: scaling by a power of two is exact in the normal range and
+    # eigh is equivariant under it, so below the float limit V and the entries
+    # are A's own, and each test on q is A's own times a power of 2^-e
     e = int(np.frexp(scale)[1]) + 1
-    q = A * 2.0**-e
+    q = _ldexp(A, -e)
+    size = float(np.abs(q).max())
     h1 = (q + q.conj().T) / 2
     h2 = (q - q.conj().T) / 2j
-    # |[h1, h2]| <= 1e-9 max(1, |A|) for A's own parts, both sides times 2^-2e
-    if not (np.abs(h1 @ h2 - h2 @ h1).max() <= 1e-9 * scale * 2.0 ** (1 - e) * 2.0**-e):
+    if not (np.abs(h1 @ h2 - h2 @ h1).max() <= 1e-9 * size**2):
         raise LatticeError("matrix is not normal; no abelian algebra contains it")
     w, V = finite_eigh(h1 + np.pi * h2)  # generic combination splits ties
     V = _fix_phases(V)
     d = V.conj().T @ q @ V
-    # off-diagonal of V^H A V within 1e-9 max(1, |A|), times 2^-e
-    if not (np.abs(d - np.diag(np.diagonal(d))).max() <= 1e-9 * scale * 2.0 ** (1 - e)):
+    if not (np.abs(d - np.diag(np.diagonal(d))).max() <= 1e-9 * size):
         raise LatticeError("joint diagonalization failed")
-    entries = np.diagonal(d).copy()
-    with np.errstate(over="ignore"):
-        entries.real, entries.imag = np.ldexp(entries.real, e), np.ldexp(entries.imag, e)
+    entries = _ldexp(np.diagonal(d), e)
     if not np.isfinite(entries).all():
         raise ValueError("the eigendecomposition is not finite: matrix entries are too large")
     return V, entries

@@ -1,14 +1,13 @@
 """Numerical layer: Hermitian matrices, eigenprojections, ray values and the
 bridge into finite Boolean lattices.
 
-All tolerances live here; the lattice layer stays exact.  The comparison
-tolerance used by the verification helpers can be overridden with the
-``OBS_EPS`` environment variable.
+All tolerances live here, as fixed constants; the lattice layer stays exact.
+The verification helpers compare ray and eigenvalues within ``MAT_TOL``.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,22 +18,11 @@ from .spectral import SpectralFamily, make_spectral_family, observable_fn
 
 HERM_TOL = 1e-12
 RAY_TOL = 1e-9
+MAT_TOL = 1e-9  # comparison tolerance of the verification helpers
 CLUSTER_SCALE = 1e-8
 WARN_BAND = (1e-12, 1e-6)
 RAY_BLOCK_BYTES = 1 << 18  # one block of rays, as complex rows
 MAX_STEP_INTERVALS = 10**7  # grid intervals of step_approx (two float arrays of this length)
-
-
-def mat_tol(default: float = 1e-9) -> float:
-    """Matrix-layer comparison tolerance; OBS_EPS overrides it."""
-    raw = os.environ.get("OBS_EPS", "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        warnings.warn(f"ignoring unparsable OBS_EPS={raw!r}")
-        return default
 
 
 class EigenError(RuntimeError):
@@ -50,14 +38,14 @@ class CostCapError(ValueError):
 
 
 def hermitian_gap(half: np.ndarray) -> tuple[float, float]:
-    """Deviation max |h - h^H| and scale max(1/2, max |h|) of h = a/2.
+    """Deviation max |h - h^H| and scale max |h| of h = a/2.
 
     Both are half of a's own, exactly in the normal range, and the scale is
     finite for every finite a, so a tolerance test ``deviation <= tol *
     scale`` on them is a's own test; a deviation past the float limit reads
     inf and fails it.
     """
-    scale = max(0.5, float(np.abs(half).max(initial=0.0)))
+    scale = float(np.abs(half).max(initial=0.0))
     with np.errstate(over="ignore"):
         deviation = float(np.abs(half - half.conj().T).max(initial=0.0))
     return deviation, scale
@@ -72,7 +60,7 @@ def as_hermitian(a) -> np.ndarray:
     # the float limit, and halving is exact in the normal range
     half = a / 2
     deviation, scale = hermitian_gap(half)
-    if not (deviation <= HERM_TOL * scale):
+    if not (deviation <= HERM_TOL * max(0.5, scale)):
         raise ValueError("matrix is not Hermitian within tolerance")
     half += half.conj().T
     return half
@@ -113,9 +101,6 @@ class EigenDecomposition:
         stop = self.starts[c + 1] if c + 1 < self.m else self.n
         vc = self.basis[:, self.starts[c]:stop]
         return vc @ vc.conj().T
-
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(np.stack([self.projection(c) for c in range(self.m)]), axis=0)
 
     def norm(self) -> float:
         return float(np.abs(self.values).max())
@@ -209,10 +194,9 @@ class SpectrumReport:
     max_error: float
 
 
-def verify_spectrum_identity(a, tol: float | None = None) -> SpectrumReport:
+def verify_spectrum_identity(a) -> SpectrumReport:
     """The observable function's image over quasipoints, and over all dual
     ideals, is the spectrum."""
-    tol = mat_tol(1e-9) if tol is None else tol
     d = _as_decomp(a)
     f = observable_fn(spectral_family_of(d))
     img_q = f.image("quasipoints")
@@ -223,7 +207,7 @@ def verify_spectrum_identity(a, tol: float | None = None) -> SpectrumReport:
         err = max(
             float(np.abs(img_q - sp).max()), float(np.abs(img_d - sp).max())
         )
-    return SpectrumReport(err <= tol, sp.copy(), img_q, img_d, err)
+    return SpectrumReport(err <= MAT_TOL, sp.copy(), img_q, img_d, err)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +355,14 @@ def random_rays(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return normalize_rays(v[:, 0] + 1j * v[:, 1])
 
 
+def _block_f(d: EigenDecomposition, X: np.ndarray) -> np.ndarray:
+    """f of the rays in the columns of X, by one ray_table call; the block's band
+    hits warn once, with their count."""
+    t = ray_table(d, X)
+    warn_band(int(np.count_nonzero(t.band)), len(t.band))
+    return t.f
+
+
 def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return scale * (g + g.conj().T) / 2
@@ -390,9 +382,27 @@ class RayAxiomReport:
     total_domain: bool = True
 
 
-def verify_ray_axioms(
-    a, rng: np.random.Generator, samples: int = 1000, tol: float | None = None
-) -> RayAxiomReport:
+def _span_law(d: EigenDecomposition, rng: np.random.Generator, k: int) -> tuple[int, int]:
+    """Span-law violations f(z) > max(f(x), f(y)) + MAT_TOL, z = alpha x + beta y,
+    and band hits over k random triples drawn as one block: per triple, x and y
+    (real, then imaginary parts), then the real and imaginary parts of alpha and
+    of beta, the order of two random_ray calls and four scalar draws.  A triple
+    whose z is nearly zero spans no ray and is skipped."""
+    n = d.n
+    g = rng.standard_normal((k, 4 * n + 4))
+    x = normalize_rays(g[:, :n] + 1j * g[:, n:2 * n])
+    y = normalize_rays(g[:, 2 * n:3 * n] + 1j * g[:, 3 * n:4 * n])
+    c = g[:, 4 * n:]
+    z = (c[:, :1] + 1j * c[:, 1:2]) * x + (c[:, 2:3] + 1j * c[:, 3:]) * y
+    keep = np.linalg.norm(z, axis=1) >= 1e-9
+    fx, _, bx = _ray_values(d, x[keep])
+    fy, _, by = _ray_values(d, y[keep])
+    fz, _, bz = _ray_values(d, normalize_rays(z[keep]))
+    bad = np.count_nonzero(fz > np.maximum(fx, fy) + MAT_TOL)
+    return int(bad), int(np.count_nonzero(bx | by | bz))
+
+
+def verify_ray_axioms(a, rng: np.random.Generator, samples: int = 1000) -> RayAxiomReport:
     """Spot-check the ray-function axioms.
 
     The span law (a ray in the span of two others takes at most the larger
@@ -404,26 +414,14 @@ def verify_ray_axioms(
     ray_block_size(n) triples.  Band hits warn once, with their count.  Totality
     is trivial in finite dimension and only recorded.
     """
-    tol = mat_tol(1e-9) if tol is None else tol
     d = _as_decomp(a)
     n = d.n
-    span_bad = 0
-    hits = 0
+    span_bad = hits = 0
     size = ray_block_size(n)
     for start in range(0, samples, size):
-        # per triple, in draw order: x and y (real, then imaginary parts), then
-        # the real and imaginary parts of alpha and of beta
-        g = rng.standard_normal((min(size, samples - start), 4 * n + 4))
-        x = normalize_rays(g[:, :n] + 1j * g[:, n:2 * n])
-        y = normalize_rays(g[:, 2 * n:3 * n] + 1j * g[:, 3 * n:4 * n])
-        c = g[:, 4 * n:]
-        z = (c[:, :1] + 1j * c[:, 1:2]) * x + (c[:, 2:3] + 1j * c[:, 3:]) * y
-        keep = np.linalg.norm(z, axis=1) >= 1e-9
-        fx, _, bx = _ray_values(d, x[keep])
-        fy, _, by = _ray_values(d, y[keep])
-        fz, _, bz = _ray_values(d, normalize_rays(z[keep]))
-        span_bad += int(np.count_nonzero(fz > np.maximum(fx, fy) + tol))
-        hits += int(np.count_nonzero(bx | by | bz))
+        bad, band = _span_law(d, rng, min(size, samples - start))
+        span_bad += bad
+        hits += band
     warn_band(hits, samples)
     probes = np.concatenate([random_rays(n, 16, rng), d.basis.T])
     # f(x) <= lambda_i exactly when x has no component above cluster i
@@ -452,10 +450,11 @@ def verify_ray_axioms(
 
 @dataclass(frozen=True, eq=False)
 class ProjectorFamily:
-    """Matrix-level spectral family: thresholds with cumulative projectors."""
+    """Matrix-level spectral family: thresholds, each with an orthonormal basis of
+    the range of its cumulative projector E(threshold) = B B^H."""
 
-    thresholds: np.ndarray   # (k,)
-    projectors: np.ndarray   # (k, n, n) increasing, last = identity
+    thresholds: np.ndarray           # (k,)
+    bases: tuple[np.ndarray, ...]    # k bases (n, r), r increasing up to n
 
     @property
     def k(self) -> int:
@@ -463,34 +462,46 @@ class ProjectorFamily:
 
 
 def projector_family_of(a) -> ProjectorFamily:
+    """E(lambda_c) of each cluster c, held as the eigenbasis columns of the
+    clusters up to c: views of V, so nothing is copied."""
     d = _as_decomp(a)
-    return ProjectorFamily(d.values.copy(), d.cumulative())
+    stops = [*d.starts[1:], d.n]
+    return ProjectorFamily(d.values.copy(), tuple(d.basis[:, :stop] for stop in stops))
 
 
 def projector_distance(f1: ProjectorFamily, f2: ProjectorFamily) -> float:
-    """Max Frobenius distance between aligned steps; inf on shape mismatch."""
+    """Max Frobenius distance between aligned steps; inf on shape mismatch.  The
+    two projectors of one step are built at a time."""
     if f1.k != f2.k:
         return float("inf")
-    if np.abs(f1.thresholds - f2.thresholds).max() > mat_tol(1e-9):
+    if np.abs(f1.thresholds - f2.thresholds).max() > MAT_TOL:
         return float("inf")
-    return float(
-        max(
-            np.linalg.norm(p - q)
-            for p, q in zip(f1.projectors, f2.projectors)
-        )
+    return max(
+        float(np.linalg.norm(p @ p.conj().T - q @ q.conj().T))
+        for p, q in zip(f1.bases, f2.bases)
     )
 
 
+def unit_probes(n: int, size: int):
+    """The unit probes e_j, then e_i + e_j and e_i + i e_j for i < j, as (labels,
+    rows) blocks of at most size unnormalized rays."""
+    units = itertools.chain(
+        ((f"e{j + 1}", j, j, 0) for j in range(n)),
+        ((f"e{i + 1}+{unit}e{j + 1}", i, j, c)
+         for i, j in itertools.combinations(range(n), 2) for unit, c in (("", 1), ("i", 1j))),
+    )
+    while chunk := list(itertools.islice(units, size)):
+        labels, i, j, c = zip(*chunk)
+        rows = np.zeros((len(chunk), n), dtype=np.complex128)
+        rows[np.arange(len(chunk)), i] = 1
+        rows[np.arange(len(chunk)), j] += c
+        yield labels, rows
+
+
 def default_probes(n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Standard basis, pairwise sums, complex pairwise sums, 4n random rays."""
-    eye = np.eye(n, dtype=np.complex128)
-    probes = [eye[:, j] for j in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            probes.append(normalize_ray(eye[:, i] + eye[:, j]))
-            probes.append(normalize_ray(eye[:, i] + 1j * eye[:, j]))
-    probes += [random_ray(n, rng) for _ in range(4 * n)]
-    return probes
+    """The unit probes, normalized, then 4n random rays."""
+    probes = [normalize_ray(x) for _, rows in unit_probes(n, n * n) for x in rows]
+    return probes + [random_ray(n, rng) for _ in range(4 * n)]
 
 
 def resolving_probes(d: EigenDecomposition, rng: np.random.Generator) -> list[np.ndarray]:
@@ -515,7 +526,7 @@ def reconstruct_from_rays(oracle, probes) -> ProjectorFamily:
     vals = np.array([float(oracle(p)) for p in probes])
     observed = np.unique(vals)
     thresholds = []
-    projectors = []
+    bases = []
     prev_rank = 0
     for lam in observed:
         sel = [p for p, v in zip(probes, vals) if v <= lam]
@@ -527,14 +538,13 @@ def reconstruct_from_rays(oracle, probes) -> ProjectorFamily:
                 f"no new direction resolved at value {lam!r}"
             )
         prev_rank = rank
-        basis = u[:, :rank]
         thresholds.append(float(lam))
-        projectors.append(basis @ basis.conj().T)
+        bases.append(u[:, :rank])
     if prev_rank != n:
         raise ProbeResolutionError(
             f"probes resolve only {prev_rank} of {n} dimensions"
         )
-    return ProjectorFamily(np.array(thresholds), np.stack(projectors))
+    return ProjectorFamily(np.array(thresholds), tuple(bases))
 
 
 @dataclass
@@ -544,38 +554,30 @@ class InfSupReport:
     failures: list[float] = field(default_factory=list)
 
 
-def verify_infsup_extension(
-    a, rng: np.random.Generator, rays: int = 50, tol: float | None = None
-) -> InfSupReport:
+def verify_infsup_extension(a, rng: np.random.Generator, rays: int = 50) -> InfSupReport:
     """The induced value at an atomic quasipoint is the inf over a projector
     chain of the sup of ray values inside each projector, attained at the
-    ray projector itself."""
-    tol = mat_tol(1e-9) if tol is None else tol
+    ray projector itself.  Each sup is sampled on 8 random rays of the
+    projector's range and y itself; the samples of one chain are read as one
+    block."""
     d = _as_decomp(a)
     n = d.n
     rep = InfSupReport(passed=True, checked=0)
     eye = np.eye(n, dtype=np.complex128)
     for _ in range(rays):
         y = random_ray(n, rng)
-        fy = ray_obs(d, y)
-        sups = []
         # chain: the ray projector, growing coordinate spans around y, identity
-        spans = [[y]]
         order = rng.permutation(n)
-        acc = [y]
-        for j in order[:-1]:
-            acc = acc + [eye[:, j]]
-            spans.append(list(acc))
-        spans.append([eye[:, j] for j in range(n)])
-        for vecs in spans:
-            mat = np.stack(vecs, axis=1)
+        spans = [np.column_stack([y, eye[:, order[:k]]]) for k in range(n)] + [eye]
+        block = []
+        for mat in spans:
             u, s, _ = np.linalg.svd(mat, full_matrices=False)
             basis = u[:, s > 1e-9]
-            samples = [basis @ random_ray(basis.shape[1], rng) for _ in range(8)]
-            samples.append(y)
-            sups.append(max(ray_obs(d, v) for v in samples))
+            block += [basis @ random_rays(basis.shape[1], 8, rng).T, y[:, None]]
+        f = _block_f(d, np.hstack(block)).reshape(n + 1, 9)
+        sups, fy = f.max(axis=1), float(f[0, -1])
         rep.checked += 1
-        if abs(min(sups) - fy) > tol or abs(sups[0] - fy) > tol:
+        if abs(sups.min() - fy) > MAT_TOL or abs(sups[0] - fy) > MAT_TOL:
             rep.failures.append(fy)
     rep.passed = not rep.failures
     return rep
@@ -669,13 +671,12 @@ class RankOneReport:
 
 
 def rank_one_extension(
-    a, Q: np.ndarray, rng: np.random.Generator, samples: int = 64,
-    tol: float | None = None,
+    a, Q: np.ndarray, rng: np.random.Generator, samples: int = 64
 ) -> RankOneReport:
     """Extend ray data to a projector: the largest eigenvalue whose spectral
     projection meets the range of Q, cross-checked as the sup of ray values
-    sampled inside that range."""
-    tol = mat_tol(1e-9) if tol is None else tol
+    on random rays of that range and its basis, read as one block; the span
+    law is spot-checked on 16 random triples."""
     d = _as_decomp(a)
     Q = np.asarray(Q, dtype=np.complex128)
     overlap = np.array([float(np.linalg.norm(d.projection(i) @ Q)) for i in range(d.m)])
@@ -685,21 +686,11 @@ def rank_one_extension(
     value = float(d.values[idx[-1]])
     u, s, _ = np.linalg.svd(Q)
     basis = u[:, s > 0.5]
-    sup = max(
-        ray_obs(d, basis @ random_ray(basis.shape[1], rng)) for _ in range(samples)
-    )
-    sup = max(sup, max(ray_obs(d, basis[:, j]) for j in range(basis.shape[1])))
-    sup_ok = abs(sup - value) <= tol
-    span_ok = True
-    n = d.n
-    for _ in range(16):
-        y, z = random_ray(n, rng), random_ray(n, rng)
-        w = normalize_ray(
-            (rng.standard_normal() + 1j * rng.standard_normal()) * y
-            + (rng.standard_normal() + 1j * rng.standard_normal()) * z
-        )
-        if ray_obs(d, w) > max(ray_obs(d, y), ray_obs(d, z)) + tol:
-            span_ok = False
+    rays = np.column_stack([basis @ random_rays(basis.shape[1], samples, rng).T, basis])
+    sup_ok = abs(float(_block_f(d, rays).max()) - value) <= MAT_TOL
+    violations, hits = _span_law(d, rng, 16)
+    warn_band(hits, 16)
+    span_ok = violations == 0
     return RankOneReport(value, sup_ok, span_ok, sup_ok and span_ok)
 
 
@@ -711,22 +702,20 @@ class PlateauReport:
     values_are_eigenvalues: bool
 
 
-def verify_eigenvalue_plateaus(a, tol: float | None = None) -> PlateauReport:
+def verify_eigenvalue_plateaus(a) -> PlateauReport:
     """Finite-dimensional plateau facts: eigenvector rays take their
     eigenvalue, the basis set of each jump projector sits inside the level
-    set, and every quasipoint value is an eigenvalue."""
-    tol = mat_tol(1e-9) if tol is None else tol
+    set, and every quasipoint value is an eigenvalue.  The eigenvector rays
+    are read as one block."""
     d = _as_decomp(a)
     E = spectral_family_of(d)
     f = observable_fn(E)
-    eigen_ok = True
     w, V = np.linalg.eigh(d.matrix)
-    for j in range(d.n):
-        got = ray_obs(d, V[:, j])
-        if min(abs(got - lam) for lam in d.values) > tol or abs(got - w[j]) > max(
-            tol, CLUSTER_SCALE * max(1.0, d.norm())
-        ):
-            eigen_ok = False
+    got = _block_f(d, V)
+    eigen_ok = bool(
+        (np.abs(got[:, None] - d.values).min(axis=1) <= MAT_TOL).all()
+        and (np.abs(got - w) <= max(MAT_TOL, CLUSTER_SCALE * max(1.0, d.norm()))).all()
+    )
     plateau_ok = True
     L = E.lattice
     for i in range(d.m):
@@ -735,7 +724,7 @@ def verify_eigenvalue_plateaus(a, tol: float | None = None) -> PlateauReport:
             if L.leq[t, atom] and float(f.values[t]) != float(d.values[i]):
                 plateau_ok = False
     vals_ok = all(
-        min(abs(float(f.values[t]) - lam) for lam in d.values) <= tol
+        min(abs(float(f.values[t]) - lam) for lam in d.values) <= MAT_TOL
         for t in L.atoms()
     )
     return PlateauReport(

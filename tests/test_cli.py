@@ -299,6 +299,22 @@ class TestMatrixCommands:
         assert result.exit_code == 0
         assert result.output.splitlines() == [f"F(A)(e{i + 1}) = {i:g}+0i" for i in range(17)]
 
+    def test_gelfand_at_a_large_norm(self, runner, tmp_path):
+        """A random normal 6x6 of norm about 2^24: its commutator test scales as
+        |A|^2, so it is not refused as "not normal"."""
+        rng = np.random.default_rng(24)
+        u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        w = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) * 2.0**24
+        path = tmp_path / "normal.json"
+        sio.save_matrix((u * w) @ u.conj().T, path)
+        result = runner.invoke(main, ["matrix", "gelfand", "--matrix", str(path)])
+        assert result.exit_code == 0
+        got = [complex(line.split(" = ")[1].replace("i", "j"))
+               for line in result.output.splitlines()]
+        assert len(got) == 6
+        for v, want in zip(sorted(got, key=abs), sorted(w, key=abs)):
+            assert abs(v - want) <= 1e-5 * abs(want)
+
     @pytest.mark.parametrize("which", ["matrix", "ray"])
     def test_boolean_entries_exit_2(self, runner, matrix_file, tmp_path, which):
         bad = tmp_path / "bool.json"
@@ -514,8 +530,10 @@ class TestVerify:
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
 
-    def test_all_suites_match_golden_text(self, runner):
-        result = runner.invoke(main, ["verify", "--suite", "all", "--seed", "7"])
+    @pytest.mark.parametrize("env", [{}, {"OBS_EPS": "-1"}], ids=["default", "OBS_EPS=-1"])
+    def test_all_suites_match_golden_text(self, runner, env):
+        """The matrix tolerances are fixed: no environment variable moves them."""
+        result = runner.invoke(main, ["verify", "--suite", "all", "--seed", "7"], env=env)
         assert result.exit_code == 0
         assert result.stdout_bytes == (GOLDEN / "verify-all-seed7.txt").read_bytes()
 

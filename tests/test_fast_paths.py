@@ -7,9 +7,11 @@ triple scan, the per-element atom join, the pairwise max-law loop, the
 filter-minimum loops, Warshall's closure and the literal minimal-ideal
 reconstruction; on the matrix side, the per-column phase loop, the
 per-cluster gap loop with the projector stack eig once built from it, one
-projector product per cluster for ray components, and the one-ray formula
-and loop (with the cumulative projector stack) that the block ray kernel
-replaces, and the unscaled joint diagonalization.  Hypothesis draws random
+projector product per cluster for ray components, the one-ray formula and
+loops (with the cumulative projector stack) that the block ray kernel
+replaces in verify_ray_axioms, rank_one_extension, verify_infsup_extension
+and verify_eigenvalue_plateaus, the projector distance over dense cumulative
+stacks, and the unscaled joint diagonalization.  Hypothesis draws random
 posets (with and without an added bottom and top), orthoposets Q x Q^op
 built from them, random relabelings of
 the corpus and of the products 2^m x MO2 and 2^m x O6, random spectral
@@ -23,7 +25,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stonespec import _kernels, gelfand, matrix, recon
@@ -218,6 +220,18 @@ def column_support(d, x):
     return np.flatnonzero(comps > matrix.RAY_TOL), bool(((comps >= lo) & (comps <= hi)).any())
 
 
+def cumulative_stack(d):
+    """The (m, n, n) stack of E(lambda_c) = P_0 + ... + P_c."""
+    return np.cumsum(np.stack([d.projection(c) for c in range(d.m)]), axis=0)
+
+
+def stacked_distance(t1, s1, t2, s2):
+    """projector_distance on thresholds and dense (k, n, n) cumulative stacks."""
+    if len(t1) != len(t2) or np.abs(t1 - t2).max() > 1e-9:
+        return float("inf")
+    return float(max(np.linalg.norm(p - q) for p, q in zip(s1, s2)))
+
+
 def loop_ray_axioms(d, rng, samples, tol):
     """verify_ray_axioms one ray at a time, with the cumulative projector stack:
     (span violations, sublevel checks, sublevel violations)."""
@@ -233,7 +247,7 @@ def loop_ray_axioms(d, rng, samples, tol):
             continue
         if matrix.ray_obs(d, z) > max(matrix.ray_obs(d, x), matrix.ray_obs(d, y)) + tol:
             span_bad += 1
-    cum = d.cumulative()
+    cum = cumulative_stack(d)
     checked = sub_bad = 0
     probes = [matrix.random_ray(n, rng) for _ in range(16)] + [d.basis[:, j] for j in range(n)]
     for x in probes:
@@ -244,6 +258,67 @@ def loop_ray_axioms(d, rng, samples, tol):
             fixes = bool(np.linalg.norm(cum[i] @ x - x) <= 1e-9)
             sub_bad += f_below != fixes
     return span_bad, checked, sub_bad
+
+
+def loop_rank_one(d, Q, rng, samples, tol):
+    """rank_one_extension one ray at a time: (value, sup_matches, span_law_ok)."""
+    Q = np.asarray(Q, dtype=np.complex128)
+    overlap = np.array([float(np.linalg.norm(d.projection(i) @ Q)) for i in range(d.m)])
+    value = float(d.values[np.flatnonzero(overlap > matrix.RAY_TOL)[-1]])
+    u, s, _ = np.linalg.svd(Q)
+    basis = u[:, s > 0.5]
+    sup = max(
+        matrix.ray_obs(d, basis @ matrix.random_ray(basis.shape[1], rng)) for _ in range(samples)
+    )
+    sup = max(sup, max(matrix.ray_obs(d, basis[:, j]) for j in range(basis.shape[1])))
+    span_ok = True
+    for _ in range(16):
+        y, z = matrix.random_ray(d.n, rng), matrix.random_ray(d.n, rng)
+        w = matrix.normalize_ray(
+            (rng.standard_normal() + 1j * rng.standard_normal()) * y
+            + (rng.standard_normal() + 1j * rng.standard_normal()) * z
+        )
+        if matrix.ray_obs(d, w) > max(matrix.ray_obs(d, y), matrix.ray_obs(d, z)) + tol:
+            span_ok = False
+    return value, abs(sup - value) <= tol, span_ok
+
+
+def loop_infsup(d, rng, rays, tol):
+    """verify_infsup_extension one ray at a time: (checked, failures)."""
+    n = d.n
+    eye = np.eye(n, dtype=np.complex128)
+    failures = []
+    for _ in range(rays):
+        y = matrix.random_ray(n, rng)
+        fy = matrix.ray_obs(d, y)
+        spans = [[y]]
+        order = rng.permutation(n)
+        acc = [y]
+        for j in order[:-1]:
+            acc = acc + [eye[:, j]]
+            spans.append(list(acc))
+        spans.append([eye[:, j] for j in range(n)])
+        sups = []
+        for vecs in spans:
+            u, s, _ = np.linalg.svd(np.stack(vecs, axis=1), full_matrices=False)
+            basis = u[:, s > 1e-9]
+            samples = [basis @ matrix.random_ray(basis.shape[1], rng) for _ in range(8)]
+            sups.append(max(matrix.ray_obs(d, v) for v in [*samples, y]))
+        if abs(min(sups) - fy) > tol or abs(sups[0] - fy) > tol:
+            failures.append(fy)
+    return rays, failures
+
+
+def loop_eigen_rays(d, tol):
+    """The eigenvector-ray verdict of verify_eigenvalue_plateaus, one ray at a time."""
+    w, V = np.linalg.eigh(d.matrix)
+    for j in range(d.n):
+        got = matrix.ray_obs(d, V[:, j])
+        if min(abs(got - lam) for lam in d.values) > tol or abs(got - w[j]) > max(
+            tol, matrix.CLUSTER_SCALE * max(1.0, d.norm())
+        ):
+            return False
+    return True
 
 
 def loop_fix_phases(vectors):
@@ -301,11 +376,11 @@ BASES["MO3xO6"] = product(mo(3), benzene())
 
 
 @st.composite
-def hermitians(draw, min_levels=1):
-    """U diag(w) U^H, n <= 40, with w drawn from at most n distinct levels;
+def hermitians(draw, min_levels=1, max_n=40):
+    """U diag(w) U^H, n <= max_n, with w drawn from at most n distinct levels;
     U is a random unitary or the identity."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(max(2, min_levels), 40))
+    n = draw(st.integers(max(2, min_levels), max_n))
     levels = rng.uniform(-5.0, 5.0, draw(st.integers(min_levels, n)))
     w = np.concatenate([levels, rng.choice(levels, n - len(levels))])
     if not draw(st.booleans()):
@@ -517,7 +592,8 @@ def test_non_involutive_ortho_takes_the_direct_path():
 
 
 def check_blocked_scans(L, t):
-    """Every row-blocked scan against its one-shot form, on L and table t."""
+    """Every row-blocked scan against its one-shot form, on L and table t; the
+    distributivity scan against the triple loop."""
     o = L.ortho
     assert recon.is_completely_increasing(L, t) == one_shot_increasing(L, t)
     assert _kernels.orthomodularity_witness(
@@ -530,6 +606,8 @@ def check_blocked_scans(L, t):
     meet, join, status, *_ = _kernels.bound_tables(L.leq, o)
     assert status == _kernels.STATUS_OK
     assert np.array_equal(meet, L.meet_table) and np.array_equal(join, L.join_table)
+    assert _kernels.distributivity_witness(meet, join) == (
+        triple_scan(meet, join) or (-1, -1, -1))
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -577,6 +655,15 @@ def test_law_scans_build_no_square_temporary():
     assert traced_peak(verify_structure, L) < 1 << 20
     assert traced_peak(recon.reconstruct, L, f) < 1 << 20
     assert traced_peak(recon.f_from_r, L, f) < 1 << 20
+
+
+def test_distributivity_scan_builds_no_square_temporary():
+    """On the non-orthomodular 2^6 x O6 (n = 384) verify_structure runs the
+    triple scan, which held three n x n int64 arrays per row a (3.6 MB traced)."""
+    L = product(boolean_lattice(6), benzene())
+    assert verify_structure(L).witnesses["is_distributive"] == triple_scan(
+        L.meet_table, L.join_table)
+    assert traced_peak(_kernels.distributivity_witness, L.meet_table, L.join_table) < 1 << 20
 
 
 def test_bound_tables_hold_one_bit_block_and_one_count_table():
@@ -643,7 +730,6 @@ def test_projection_matches_stacked_clusters(a):
     assert len(stacked) == d.m
     for c in range(d.m):
         assert np.array_equal(d.projection(c), stacked[c])
-    assert np.array_equal(d.cumulative(), np.cumsum(stacked, axis=0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -748,23 +834,151 @@ def test_random_rays_match_random_ray_calls(n, k, seed):
        st.sampled_from([1e-9, 0.0, -1.0]), st.booleans())
 def test_ray_axioms_match_ray_loop(a, seed, samples, tol, broken):
     """Counts and draws as the one-ray loop with the projector stack.  A negative
-    tol makes span violations, and a basis with one column scaled by 0.9 breaks
-    the sublevel criterion, so both counts are exercised."""
+    MAT_TOL makes span violations, and a basis with one column scaled by 0.9
+    breaks the sublevel criterion, so both counts are exercised."""
     d = matrix.eig(a)
     if broken:
         V = d.basis.copy()
         V[:, 0] *= 0.9
         d = matrix.EigenDecomposition(d.matrix, d.values, V, d.starts)
     r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("ignore")
-        rep = matrix.verify_ray_axioms(d, r1, samples=samples, tol=tol)
+        mp.setattr(matrix, "MAT_TOL", tol)
+        rep = matrix.verify_ray_axioms(d, r1, samples=samples)
         span_bad, checked, sub_bad = loop_ray_axioms(d, r2, samples, tol)
     assert (rep.span_violations, rep.sublevel_checked, rep.sublevel_violations) == (
         span_bad, checked, sub_bad)
     assert rep.span_checked == samples
     assert rep.passed == (span_bad == 0 and sub_bad == 0)
     assert r1.random() == r2.random()
+
+
+def loop_default_probes(n, rng):
+    """Standard basis, pairwise sums, complex pairwise sums, 4n random rays."""
+    eye = np.eye(n, dtype=np.complex128)
+    probes = [eye[:, j] for j in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            probes.append(matrix.normalize_ray(eye[:, i] + eye[:, j]))
+            probes.append(matrix.normalize_ray(eye[:, i] + 1j * eye[:, j]))
+    return probes + [matrix.random_ray(n, rng) for _ in range(4 * n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_default_probes_match_pairwise_loop(n):
+    """Bit for bit, in order, and with the same draws as the pairwise loop."""
+    r1, r2 = np.random.default_rng(n), np.random.default_rng(n)
+    got, want = matrix.default_probes(n, r1), loop_default_probes(n, r2)
+    assert len(got) == len(want) == n * n + 4 * n
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert r1.random() == r2.random()
+
+
+def with_values(d, values):
+    """d with its cluster values replaced: ray values and the value of a
+    projector no longer follow the spectrum, so the checks can fail."""
+    return matrix.EigenDecomposition(d.matrix, values, d.basis, d.starts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitians(max_n=12), st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 0.0, -1.0]),
+       st.booleans())
+def test_rank_one_extension_matches_ray_loop(a, seed, tol, broken):
+    """Report and draws as the one-ray loop, on the full space, a coordinate
+    projector and a random line.  Reversed cluster values break the sup (f no
+    longer grows with the support), and a negative MAT_TOL fails every
+    comparison."""
+    d = matrix.eig(a)
+    if broken:
+        d = with_values(d, d.values[::-1].copy())
+    rng = np.random.default_rng(seed)
+    line = matrix.random_ray(d.n, rng)
+    coordinates = np.diag((rng.random(d.n) < 0.5).astype(float))
+    coordinates[0, 0] = 1.0
+    for Q in (np.eye(d.n), coordinates, np.outer(line, line.conj())):
+        r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("ignore")
+            mp.setattr(matrix, "MAT_TOL", tol)
+            rep = matrix.rank_one_extension(d, Q, r1, samples=16)
+            value, sup_ok, span_ok = loop_rank_one(d, Q, r2, 16, tol)
+        assert (rep.value, rep.sup_matches, rep.span_law_ok) == (value, sup_ok, span_ok)
+        assert rep.passed == (sup_ok and span_ok)
+        assert r1.random() == r2.random()
+        if tol < 0:
+            assert not rep.sup_matches and not rep.span_law_ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitians(max_n=8), st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 0.0, -1.0]),
+       st.booleans())
+def test_infsup_extension_matches_ray_loop(a, seed, tol, broken):
+    d = matrix.eig(a)
+    if broken:
+        d = with_values(d, d.values[::-1].copy())
+    r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("ignore")
+        mp.setattr(matrix, "MAT_TOL", tol)
+        rep = matrix.verify_infsup_extension(d, r1, rays=4)
+        checked, failures = loop_infsup(d, r2, 4, tol)
+    assert (rep.checked, rep.failures, rep.passed) == (checked, failures, not failures)
+    assert r1.random() == r2.random()
+    if tol < 0:
+        assert len(rep.failures) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitians(max_n=10), st.sampled_from([1e-9, 0.0, -1.0]), st.booleans())
+def test_eigenvalue_plateaus_match_ray_loop(a, tol, broken):
+    """Shifted cluster values break the eigenvector rays: f no longer equals
+    eigh's eigenvalue."""
+    d = matrix.eig(a)
+    if broken:
+        d = with_values(d, d.values + 1.0)
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("ignore")
+        mp.setattr(matrix, "MAT_TOL", tol)
+        rep = matrix.verify_eigenvalue_plateaus(d)
+        assert rep.eigen_rays_ok == loop_eigen_rays(d, tol)
+    if broken or tol < 0:
+        assert not rep.eigen_rays_ok and not rep.passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitians(max_n=12), st.integers(0, 2**32 - 1))
+def test_projector_distance_matches_stacked_formula(a, seed):
+    """Against the dense cumulative stacks, within 1e-12: a decomposition and
+    the same one with its eigenbasis turned by a random unitary near I, and
+    the family reconstructed from ray values on resolving probes."""
+    d = matrix.eig(a)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d.n, d.n)) + 1j * rng.standard_normal((d.n, d.n))
+    turn, _ = np.linalg.qr(np.eye(d.n) + 1e-3 * g)
+    turned = matrix.EigenDecomposition(d.matrix, d.values, d.basis @ turn, d.starts)
+    fam = matrix.reconstruct_from_rays(
+        lambda x: matrix.ray_obs(d, x), matrix.resolving_probes(d, rng))
+    assert [b.shape[1] for b in fam.bases] == [*d.starts[1:], d.n]
+    dense = [(d.values, cumulative_stack(d)), (turned.values, cumulative_stack(turned)),
+             (fam.thresholds, np.stack([b @ b.conj().T for b in fam.bases]))]
+    families = [matrix.projector_family_of(d), matrix.projector_family_of(turned), fam]
+    for (f1, (t1, s1)), (f2, (t2, s2)) in itertools.product(zip(families, dense), repeat=2):
+        want = stacked_distance(t1, s1, t2, s2)
+        assert abs(matrix.projector_distance(f1, f2) - want) <= 1e-12
+
+
+def test_projector_families_build_no_stack():
+    """Two families at n = m = 128 and their distance: the m x n x n cumulative
+    stack alone is 32 MB, and the parent's traced peak was 96 MB."""
+    d = matrix.eig(matrix.random_hermitian(128, np.random.default_rng(15)))
+    assert d.m == 128
+
+    def distance():
+        return matrix.projector_distance(matrix.projector_family_of(d),
+                                         matrix.projector_family_of(d))
+
+    assert traced_peak(distance) < 2 * 2**20
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -827,7 +1041,8 @@ def test_chained_near_tie_example():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(-40, 12))
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(-40, 30))
+@example(seed=0, n=2, k=-40)
 def test_scaled_diagonalization_matches_unscaled(seed, n, k):
     """diagonalize works on A / 2^e; on a normal matrix of norm 2^k in the normal
     range V and the entries equal, bit for bit, those of the unscaled formula.

@@ -332,19 +332,6 @@ class TestPlateaus:
             assert M.verify_eigenvalue_plateaus(M.random_hermitian(n, rng)).passed
 
 
-class TestTolerances:
-    def test_obs_eps_override(self, monkeypatch):
-        monkeypatch.setenv("OBS_EPS", "0.5")
-        assert M.mat_tol(1e-9) == 0.5
-        monkeypatch.setenv("OBS_EPS", "")
-        assert M.mat_tol(1e-9) == 1e-9
-
-    def test_unparsable_obs_eps_warns(self, monkeypatch):
-        monkeypatch.setenv("OBS_EPS", "soon")
-        with pytest.warns(UserWarning):
-            assert M.mat_tol(1e-9) == 1e-9
-
-
 class TestLargerSampledExamples:
     def test_thousand_span_triples_on_a_4x4(self):
         rng = np.random.default_rng(71)
