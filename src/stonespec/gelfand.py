@@ -10,26 +10,34 @@ compared exactly after a single snap at ingestion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import boolean_lattice
 from .errors import LatticeError
+from .matrix import SNAP_TOL, _fix_phases, as_hermitian, finite_eigh, hermitian_gap
 from .spectral import make_spectral_family, mirrored_fn, observable_fn
-
-SNAP_TOL = 1e-12
 
 
 def snap_entries(entries) -> np.ndarray:
-    """Merge entries within the snap tolerance onto one representative."""
+    """Merge entries within SNAP_TOL times the largest finite real or
+    imaginary part of an entry onto one representative, so that scaling the
+    entries does not change which of them merge."""
     vals = np.asarray(entries, dtype=np.complex128).reshape(-1)
+    parts = np.abs(np.ascontiguousarray(vals).view(np.float64))
+    size = float(parts.max(initial=0.0))
+    if not math.isfinite(size):
+        size = float(parts[np.isfinite(parts)].max(initial=0.0))
+    tol = SNAP_TOL * size
     order = np.lexsort((vals.imag, vals.real))
     out = vals.copy()
+    items = vals.tolist()  # Python arithmetic overflows to inf without a warning
     rep = None
-    for idx in order:
-        v = complex(vals[idx])  # Python arithmetic overflows to inf without a warning
-        if rep is not None and abs(v - rep) <= SNAP_TOL:
+    for idx in order.tolist():
+        v = items[idx]
+        if rep is not None and abs(v - rep) <= tol:
             out[idx] = rep
         else:
             rep = v
@@ -211,8 +219,6 @@ def diagonalize(a) -> tuple[np.ndarray, np.ndarray]:
     1e-12 |A|; otherwise its Hermitian parts must commute within 1e-9 |A|^2,
     and their joint eigenbasis must leave V^H A V off-diagonal within 1e-9 |A|.
     """
-    from .matrix import _fix_phases, as_hermitian, finite_eigh, hermitian_gap
-
     A = np.asarray(a, dtype=np.complex128)
     deviation, scale = hermitian_gap(A / 2)
     if deviation <= SNAP_TOL * scale:

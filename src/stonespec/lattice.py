@@ -81,7 +81,7 @@ class FiniteOML:
     """
 
     __slots__ = ("n", "names", "leq", "ortho", "bottom", "top", "meet_table",
-                 "join_table", "_atoms", "_name_index")
+                 "join_table", "_atoms", "_down", "_nonzero", "_name_index")
 
     def __init__(
         self,
@@ -125,8 +125,10 @@ class FiniteOML:
         self.meet_table = meet
         self.join_table = join
         self._atoms: tuple[int, ...] | None = None
+        self._down: np.ndarray | None = None
+        self._nonzero = np.delete(np.arange(n, dtype=np.int64), bottom)
         self._name_index = {s: i for i, s in enumerate(names)}
-        for arr in (self.leq, self.ortho, self.meet_table, self.join_table):
+        for arr in (self.leq, self.ortho, self.meet_table, self.join_table, self._nonzero):
             arr.setflags(write=False)
 
     # -- basic queries ----------------------------------------------------
@@ -161,17 +163,22 @@ class FiniteOML:
     def complement(self, a: int) -> int:
         return int(self.ortho[self._check(a)])
 
+    def downset_sizes(self) -> np.ndarray:
+        """|{b : b <= a}| for every element a (the column counts of leq),
+        computed once."""
+        if self._down is None:
+            self._down = self.leq.sum(axis=0)
+            self._down.setflags(write=False)
+        return self._down
+
     def atoms(self) -> tuple[int, ...]:
-        """Elements covering bottom."""
+        """Elements covering bottom: those whose down-set is {bottom, a}."""
         if self._atoms is None:
-            down = self.leq.sum(axis=0)
-            self._atoms = tuple(
-                int(a) for a in np.flatnonzero(down == 2) if a != self.bottom
-            )
+            self._atoms = tuple(int(a) for a in np.flatnonzero(self.downset_sizes() == 2))
         return self._atoms
 
     def is_atom(self, a: int) -> bool:
-        return a in set(self.atoms())
+        return 0 <= a < self.n and bool(self.downset_sizes()[a] == 2)
 
     def downset(self, a: int) -> np.ndarray:
         """Indices of {b : b <= a}."""
@@ -191,7 +198,8 @@ class FiniteOML:
             raise KeyError(f"no element named {name!r}") from None
 
     def nonzero(self) -> np.ndarray:
-        return np.array([i for i in range(self.n) if i != self.bottom], dtype=np.int64)
+        """Indices of every element but bottom, ascending (read-only)."""
+        return self._nonzero
 
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i."""

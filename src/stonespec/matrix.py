@@ -17,6 +17,7 @@ from .corpus import boolean_lattice
 from .spectral import SpectralFamily, make_spectral_family, observable_fn
 
 HERM_TOL = 1e-12
+SNAP_TOL = 1e-12  # gelfand layer: entry merging and the Hermitian test (relative), isometry
 RAY_TOL = 1e-9
 MAT_TOL = 1e-9  # comparison tolerance of the verification helpers
 CLUSTER_SCALE = 1e-8
@@ -679,7 +680,8 @@ def rank_one_extension(
     law is spot-checked on 16 random triples."""
     d = _as_decomp(a)
     Q = np.asarray(Q, dtype=np.complex128)
-    overlap = np.array([float(np.linalg.norm(d.projection(i) @ Q)) for i in range(d.m)])
+    # ||P_i Q||_F over the columns q of Q, from the cluster norms of each q
+    overlap = np.linalg.norm(_component_norms(d, Q.T), axis=0)
     idx = np.flatnonzero(overlap > RAY_TOL)
     if idx.size == 0:
         raise ValueError("Q has trivial range")
@@ -705,28 +707,28 @@ class PlateauReport:
 def verify_eigenvalue_plateaus(a) -> PlateauReport:
     """Finite-dimensional plateau facts: eigenvector rays take their
     eigenvalue, the basis set of each jump projector sits inside the level
-    set, and every quasipoint value is an eigenvalue.  The eigenvector rays
-    are read as one block."""
+    set, and every quasipoint value is an eigenvalue.  Each is compared with
+    the matrix's own eigenvalues from eigh, within the cluster width; the
+    eigenvector rays are read as one block."""
     d = _as_decomp(a)
     E = spectral_family_of(d)
     f = observable_fn(E)
     w, V = np.linalg.eigh(d.matrix)
+    width = max(MAT_TOL, CLUSTER_SCALE * max(1.0, d.norm()))
     got = _block_f(d, V)
     eigen_ok = bool(
         (np.abs(got[:, None] - d.values).min(axis=1) <= MAT_TOL).all()
-        and (np.abs(got - w) <= max(MAT_TOL, CLUSTER_SCALE * max(1.0, d.norm()))).all()
+        and (np.abs(got - w) <= width).all()
     )
-    plateau_ok = True
     L = E.lattice
-    for i in range(d.m):
-        atom = 1 << i  # jump projector of the i-th eigenvalue
-        for t in L.atoms():
-            if L.leq[t, atom] and float(f.values[t]) != float(d.values[i]):
-                plateau_ok = False
-    vals_ok = all(
-        min(abs(float(f.values[t]) - lam) for lam in d.values) <= MAT_TOL
-        for t in L.atoms()
+    # the jump projector of the i-th cluster is the atom 1 << i; its basis set
+    # is that atom, whose value must be each eigenvalue of the cluster
+    stops = [*d.starts[1:], d.n]
+    plateau_ok = all(
+        bool((np.abs(w[start:stop] - float(f.values[1 << i])) <= width).all())
+        for i, (start, stop) in enumerate(zip(d.starts, stops))
     )
+    vals_ok = all(float(np.abs(w - float(f.values[t])).min()) <= width for t in L.atoms())
     return PlateauReport(
         eigen_ok and plateau_ok and vals_ok, eigen_ok, plateau_ok, vals_ok
     )

@@ -25,20 +25,46 @@ from .spectral import (
 )
 
 
-def is_completely_increasing(
-    L: FiniteOML, r: ObservableTable
-) -> tuple[bool, tuple[int, int] | None]:
-    """Pairwise max law r(a v b) == max(r(a), r(b)) over all nonzero pairs.
+def _sublevel_family(L: FiniteOML, values) -> SpectralFamily | None:
+    """The spectral family whose observable function is the table, or None.
 
-    For a finite lattice the pairwise law is equivalent to the law for
-    arbitrary families (by induction on the family); the brute-force
-    equivalence is exercised separately in the suites.  The witness is the
-    first failing pair (a, b), a <= b as indices, in row-major order; max
-    is Python's, so a NaN wins only as its first argument.  The n^2 pairs
-    are compared in row blocks of the kernels' scan budget, so no n x n
-    temporary is built.
+    A table f is an observable function exactly when each sublevel set
+    {p != 0 : f(p) <= lam}, with bottom, is a principal ideal; its generator
+    E_lam is then the element of level lam with the largest down-set.  So the
+    table is accepted when these candidates form a chain, every nonzero p lies
+    below the candidate of its own level, and each sublevel set with bottom
+    has as many members as the candidate's down-set, which it then is (at the
+    last level the whole lattice, so the chain ends at top).  O(n log n) from
+    the down-set sizes.  A NaN on a nonzero element rejects; infinite levels
+    are kept, and :func:`make_spectral_family` refuses them.
     """
-    v = np.asarray(r.values, dtype=np.float64)
+    nz = L.nonzero()
+    v = np.asarray(values, dtype=np.float64)[nz]
+    if np.isnan(v).any():
+        return None
+    # the levels as np.unique picks them (its sort decides whether a zero level
+    # reads -0.0 or 0.0); searchsorted finds either zero's level
+    levels = np.unique(v)
+    level = np.searchsorted(levels, v)
+    down = L.downset_sizes()
+    order = np.lexsort((down[nz], level))  # by level, then by down-set size
+    sizes = np.cumsum(np.bincount(level, minlength=len(levels)))
+    cand = nz[order[sizes - 1]]
+    if not (
+        (down[cand] == sizes + 1).all()
+        and L.leq[cand[:-1], cand[1:]].all()
+        and L.leq[nz, cand[level]].all()
+    ):
+        return None
+    return SpectralFamily(L, levels, cand)
+
+
+def _max_law_witness(L: FiniteOML, values) -> tuple[int, int] | None:
+    """First nonzero pair (a, b), a <= b as indices, in row-major order with
+    f(a v b) != max(f(a), f(b)); max is Python's, so a NaN wins only as its
+    first argument.  The n^2 pairs are compared in row blocks of the kernels'
+    scan budget, so no n x n temporary is built."""
+    v = np.asarray(values, dtype=np.float64)
     for rows in _kernels.row_blocks(L.n, 8 * L.n):
         # np.fmax(x, y) is max(x, y) unless x is NaN, where (x, x) fails anyway;
         # bad is symmetric, so its first entry in row-major order has a <= b
@@ -48,8 +74,27 @@ def is_completely_increasing(
             bad[L.bottom - rows.start] = False
         if bad.any():
             a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return False, (rows.start + int(a), int(b))
-    return True, None
+            return rows.start + int(a), int(b)
+    return None
+
+
+def is_completely_increasing(
+    L: FiniteOML, r: ObservableTable
+) -> tuple[bool, tuple[int, int] | None]:
+    """Pairwise max law r(a v b) == max(r(a), r(b)) over all nonzero pairs.
+
+    For a finite lattice the pairwise law is equivalent to the law for
+    arbitrary families (by induction on the family); the brute-force
+    equivalence is exercised separately in the suites.  The law holds
+    exactly when the sublevel sets are principal ideals, which decides it in
+    O(n log n); only a failing table is scanned pair by pair, for its
+    witness: the first failing pair (a, b), a <= b as indices, in row-major
+    order.
+    """
+    if _sublevel_family(L, r.values) is not None:
+        return True, None
+    witness = _max_law_witness(L, r.values)
+    return witness is None, witness
 
 
 def _filter_minima(L: FiniteOML, values: np.ndarray) -> np.ndarray:
@@ -80,24 +125,35 @@ def family_law_holds(L: FiniteOML, r: ObservableTable) -> bool:
 def f_from_r(L: FiniteOML, r: ObservableTable) -> ObservableTable:
     """Extend an increasing set function to ideals by minimizing over members.
 
-    Computed literally as the min over each principal filter.  On a
-    completely increasing r that min is attained at the generator, so the
-    result agrees with r there, which the round-trip tests check.
+    The min over the principal filter of p is attained at its generator when
+    r is completely increasing, so the result is r's own values (NaN at
+    bottom); a table that is not raises :class:`NotObservableError` with the
+    first pair off the max law.
     """
     ok, witness = is_completely_increasing(L, r)
     if not ok:
         raise NotObservableError(
             f"not completely increasing at pair {witness}", witness
         )
-    nz = L.nonzero()
-    vals = np.full(L.n, np.nan)
-    vals[nz] = _filter_minima(L, r.values)
+    vals = np.array(r.values, dtype=np.float64)
+    vals[L.bottom] = np.nan
     return ObservableTable(L, vals)
 
 
 def r_from_f(f: ObservableTable) -> ObservableTable:
     """Restrict a dual-ideal function to principal filters (a value copy)."""
     return ObservableTable(f.lattice, f.values.copy())
+
+
+def _observable_witness(L: FiniteOML, f: ObservableTable) -> tuple | None:
+    """The first nonzero p off the min formula, else the first pair off the
+    intersection law, else None."""
+    nz = L.nonzero()
+    bad = np.asarray(f.values, dtype=np.float64)[nz] != _filter_minima(L, f.values)
+    if bad.any():
+        return "min-formula", int(nz[np.argmax(bad)])
+    witness = _max_law_witness(L, f.values)
+    return None if witness is None else ("intersection", *witness)
 
 
 def is_abstract_observable(
@@ -107,35 +163,30 @@ def is_abstract_observable(
 
     The intersection law reduces to the pairwise max law through the
     principal identity (an intersection of filters is the filter of the
-    join).
+    join), and an increasing f meets the min formula, so both hold exactly
+    when the sublevel sets are principal ideals.  Only a failing table is
+    scanned, for its witness.
     """
-    nz = L.nonzero()
-    bad = np.asarray(f.values, dtype=np.float64)[nz] != _filter_minima(L, f.values)
-    if bad.any():
-        return False, ("min-formula", int(nz[np.argmax(bad)]))
-    ok, witness = is_completely_increasing(L, f)
-    if not ok:
-        return False, ("intersection", *witness)
-    return True, None
+    if _sublevel_family(L, f.values) is not None:
+        return True, None
+    witness = _observable_witness(L, f)
+    return witness is None, witness
 
 
 def reconstruct(L: FiniteOML, f: ObservableTable) -> SpectralFamily:
     """Rebuild the unique spectral family whose observable function is f.
 
-    After validating f, the jump at each attained value is the join of its
-    level set: the infimum of the intersection of the level filters, which
-    the tests and :func:`verify_reconstruction_steps` check.
+    The jump at each attained value lam is E_lam, the generator of the
+    sublevel ideal {p : f(p) <= lam}: the element of level lam with the
+    largest down-set, which is the join of its level set (the infimum of the
+    intersection of the level filters).  The tests and
+    :func:`verify_reconstruction_steps` check this.
     """
-    ok, witness = is_abstract_observable(L, f)
-    if not ok:
+    family = _sublevel_family(L, f.values)
+    if family is None:
+        witness = _observable_witness(L, f)
         raise NotObservableError(f"table is not an observable function: {witness}", witness)
-    nz = [int(p) for p in L.nonzero()]
-    levels = np.unique(f.values[nz])
-    jumps: list[tuple[float, int]] = []
-    for lam in levels:
-        gens = [p for p in nz if f.values[p] == lam]
-        jumps.append((float(lam), L.big_join(gens)))
-    return make_spectral_family(L, jumps)
+    return make_spectral_family(L, family.jumps())
 
 
 @dataclass
@@ -221,7 +272,7 @@ def observable_from_quasipoint_data(
     ok, witness = is_completely_increasing(L, r)
     if not ok:
         return None, witness
-    return reconstruct(L, f_from_r(L, r)), None
+    return reconstruct(L, r), None
 
 
 @dataclass

@@ -299,6 +299,16 @@ class TestMatrixCommands:
         assert result.exit_code == 0
         assert result.output.splitlines() == [f"F(A)(e{i + 1}) = {i:g}+0i" for i in range(17)]
 
+    def test_gelfand_keeps_tiny_distinct_entries(self, runner, tmp_path):
+        """Entries merge relative to their size: entries of order 1e-13 apart
+        by more than 1e-12 of it stay distinct."""
+        path = tmp_path / "tiny.json"
+        sio.save_matrix(np.diag([1e-13, 1.5e-13, 3e-13]), path)
+        result = runner.invoke(main, ["matrix", "gelfand", "--matrix", str(path)])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == [
+            "F(A)(e1) = 1e-13+0i", "F(A)(e2) = 1.5e-13+0i", "F(A)(e3) = 3e-13+0i"]
+
     def test_gelfand_at_a_large_norm(self, runner, tmp_path):
         """A random normal 6x6 of norm about 2^24: its commutator test scales as
         |A|^2, so it is not refused as "not normal"."""

@@ -529,6 +529,90 @@ def test_reconstruct_matches_minimal_ideals(L, seed):
         assert back.value_at(float(lam)) == held_value(back, levels, lam)
 
 
+@st.composite
+def sublevel_tables(draw):
+    """Tables of tables(), or on the same lattice: all n values distinct, or an
+    observable table with one level moved to 0.0 and the signs of its zeros
+    drawn, optionally with NaN or +-inf on one nonzero element."""
+    L, t = draw(tables())
+    kind = draw(st.sampled_from(["drawn", "distinct", "signed zeros"]))
+    if kind == "drawn":
+        return L, t
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "distinct":
+        return L, ObservableTable(L, rng.permutation(L.n).astype(np.float64))
+    vals = recon.random_increasing_table(L, rng).values.copy()
+    nz = L.nonzero()
+    zero = vals == rng.choice(np.unique(vals[nz]))
+    vals[zero] = np.where(rng.random(L.n) < 0.5, -0.0, 0.0)[zero]
+    hit = draw(st.sampled_from((None,) + SPECIALS))
+    if hit is not None:
+        vals[nz[draw(st.integers(0, len(nz) - 1))]] = hit
+    return L, ObservableTable(L, vals)
+
+
+def unchained_table():
+    """On 2^3 (index = bitmask of x, y, z): every nonzero p lies below the
+    candidate of its level and each sublevel count matches the candidate's
+    down-set, but the candidates x and y v z form no chain, and f(y v z) = 2
+    while max(f(y), f(z)) = 3."""
+    L = boolean_lattice(3)
+    return L, ObservableTable(L, np.array([np.nan, 1, 2, 3, 3, 3, 2, 3], dtype=np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sublevel_tables())
+@example(case=unchained_table())
+def test_sublevel_family_matches_pairwise_law(case):
+    """The sublevel decision against the pairwise max-law loop, its jumps
+    (signs of zero included) against the literal minimal ideals, and a
+    rejected table's witness from reconstruct against the loops."""
+    L, t = case
+    family = recon._sublevel_family(L, t.values)
+    ok, _ = pairwise_increasing(L, t)
+    assert (family is not None) == ok
+    if ok:
+        assert [(repr(lam), v) for lam, v in family.jumps()] == [
+            (repr(lam), v) for lam, v in literal_jumps(L, t)]
+    else:
+        with pytest.raises(NotObservableError) as err:
+            recon.reconstruct(L, t)
+        assert err.value.witness == loop_abstract_observable(L, t)[1]
+
+
+def test_observable_tables_skip_the_witness_scans():
+    """On observable tables (finite, with +-inf levels, with signed zeros) no
+    n^2 scan runs: the row-block max-law scan and the filter minima raise."""
+
+    def scan(*args):
+        raise AssertionError("witness scan ran on an observable table")
+
+    rng = np.random.default_rng(9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recon, "_max_law_witness", scan)
+        mp.setattr(recon, "_filter_minima", scan)
+        for name in sorted(BASES):
+            L = BASES[name]
+            for _ in range(4):
+                E = random_spectral_family(L, rng)
+                f = observable_fn(E)
+                assert recon.is_completely_increasing(L, f) == (True, None)
+                assert recon.is_abstract_observable(L, f) == (True, None)
+                np.testing.assert_array_equal(recon.f_from_r(L, f).values, f.values)
+                assert recon.reconstruct(L, f) == E
+                vals = f.values.copy()
+                vals[vals == E.thresholds[0]] = -np.inf
+                vals[vals == E.thresholds[-1]] = np.inf
+                vals[vals == E.thresholds[len(E.thresholds) // 2]] = -0.0
+                vals[L.bottom] = 7.0  # ignored by the laws, NaN in f_from_r
+                g = ObservableTable(L, vals)
+                assert recon.is_completely_increasing(L, g) == (True, None)
+                assert recon.is_abstract_observable(L, g) == (True, None)
+                want = vals.copy()
+                want[L.bottom] = np.nan
+                np.testing.assert_array_equal(recon.f_from_r(L, g).values, want)
+
+
 def assert_same_bounds(got, want):
     """Same status and witness, and on success the same tables."""
     assert got[2:] == want[2:]
@@ -944,6 +1028,8 @@ def test_eigenvalue_plateaus_match_ray_loop(a, tol, broken):
         assert rep.eigen_rays_ok == loop_eigen_rays(d, tol)
     if broken or tol < 0:
         assert not rep.eigen_rays_ok and not rep.passed
+    if broken:  # the plateaus and the quasipoint values are eigh's eigenvalues
+        assert not rep.plateau_ok and not rep.values_are_eigenvalues
 
 
 @settings(max_examples=40, deadline=None)

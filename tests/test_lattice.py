@@ -201,6 +201,20 @@ class TestAtoms:
             for p in L.nonzero():
                 assert any(L.le(t, int(p)) for t in L.atoms())
 
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_is_atom_and_nonzero_match_their_definitions(self, name):
+        """is_atom reads the down-set sizes: the same answer as membership in
+        atoms(), False out of range; nonzero() is every index but bottom, and
+        the shared array cannot be written."""
+        L = CORPUS[name]
+        atoms = set(L.atoms())
+        assert [L.is_atom(a) for a in range(-2, L.n + 2)] == [
+            a in atoms for a in range(-2, L.n + 2)]
+        assert (L.downset_sizes() == L.leq.sum(axis=0)).all()
+        assert L.nonzero().tolist() == [i for i in range(L.n) if i != L.bottom]
+        with pytest.raises(ValueError):
+            L.nonzero()[0] = L.bottom
+
 
 class TestSublattices:
     def test_single_generator_closes_b2(self):
