@@ -1,0 +1,85 @@
+"""Time loading a lattice from covering pairs, and the two kernels behind it.
+
+Run from the root of a checkout, with the package under test on the path:
+
+    PYTHONPATH=src python benchmarks/load_ops.py [--repeats 9] [--seed 1]
+
+Each lattice is written once as a file of its covering pairs, with its
+elements relabeled by a permutation drawn from the seed: the Boolean
+lattices 2^9, 2^10 and 2^11, MO256 and MO1024 (127 and 511
+orthocomplementary atom pairs) and the chain of 2048 elements (its
+orthocomplement reverses the chain).  For each file it prints, as JSON, the
+median and the quartiles in ms of ``io.load_lattice`` on the file,
+``io.transitive_closure`` on the reflexive relation of its pairs (what
+``load_lattice`` closes) and ``_kernels.bound_tables`` on the closed order
+with the file's orthocomplement.  The first call of each is not timed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from stonespec import _kernels, io
+from stonespec.corpus import boolean_lattice
+from stonespec.lattice import FiniteOML
+from table_ops import mo_lattice, timed  # this script's directory is on sys.path
+
+
+def chain(n: int) -> FiniteOML:
+    leq = np.triu(np.ones((n, n), dtype=bool))
+    return FiniteOML([str(i) for i in range(n)], leq, np.arange(n)[::-1].copy())
+
+
+def relabeled_file(L: FiniteOML, rng: np.random.Generator, path: Path) -> None:
+    """Write L's covering pairs with element i renamed to position p[i]."""
+    p = rng.permutation(L.n)
+    names = [""] * L.n
+    for i, name in enumerate(L.names):
+        names[p[i]] = name
+    ortho = np.empty(L.n, np.int64)
+    ortho[p] = p[L.ortho]
+    doc = {"elements": names,
+           "leq": [[int(p[i]), int(p[j])] for i, j in L.cover_pairs()],
+           "ortho": ortho.tolist()}
+    path.write_text(json.dumps(doc))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=9)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+    rng = np.random.default_rng(args.seed)
+    lattices = {f"2^{m}": lambda m=m: boolean_lattice(m) for m in (9, 10, 11)}
+    lattices["MO256"] = lambda: mo_lattice(127)
+    lattices["MO1024"] = lambda: mo_lattice(511)
+    lattices["chain2048"] = lambda: chain(2048)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, build in lattices.items():
+            path = Path(tmp) / f"{name}.json"
+            relabeled_file(build(), rng, path)
+            doc = json.loads(path.read_text())
+            n = len(doc["elements"])
+            rel = np.eye(n, dtype=bool)
+            i, j = np.array(doc["leq"]).T
+            rel[i, j] = True
+            L = io.load_lattice(path)
+            out[name] = {
+                "n": n,
+                "pairs": len(doc["leq"]),
+                "load_lattice": timed(lambda: io.load_lattice(path), args.repeats),
+                "transitive_closure": timed(lambda: io.transitive_closure(rel), args.repeats),
+                "bound_tables": timed(lambda: _kernels.bound_tables(L.leq, L.ortho),
+                                      args.repeats),
+            }
+    print(json.dumps(out, indent=1))
+
+
+if __name__ == "__main__":
+    main()

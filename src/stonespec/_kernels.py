@@ -5,14 +5,17 @@ which numpy hands to BLAS (integer products it computes itself).  Every
 count is at most n, so the products are exact while n < 2**24.
 
 The join table comes from bit rows: the join candidate of (a, b) is the
-common upper bound with the largest up-set, found as the first bit set in
-both packed rows when columns are sorted by up-set size.  In a partial
-order it is the join exactly when its up-set is as large as the number of
-common upper bounds, which one BLAS product counts for all pairs at once.
-Both the table and the test are symmetric, so only the pairs a <= b (by
-index) are searched and the rest mirrored.  Meets are joins too: when the
-orthocomplement is an involution that reverses the order,
-a ^ b = (a' v b')' (De Morgan); otherwise they are the joins of the
+common upper bound with the largest up-set, the lowest bit set in both
+packed rows when the elements are sorted by up-set size (largest first) and
+packed little-endian.  In a partial order it is the join exactly when its
+up-set is as large as the number of common upper bounds, which one BLAS
+product counts for all pairs at once.  In that order the relation is upper
+triangular, so the common upper bounds of positions i <= j lie at j or
+after: the 64 columns of each word are searched against the rows before
+their end only, one word at a time from their own word on, until every pair
+has found its bit, and mirrored (table and test are symmetric).  Meets are
+joins too: when the orthocomplement is an involution that reverses the
+order, a ^ b = (a' v b')' (De Morgan); otherwise they are the joins of the
 reversed order.
 
 The n^2 law scans run in row blocks of at most ``_SCAN_BYTES`` per
@@ -28,7 +31,8 @@ STATUS_OK = 0
 STATUS_NO_MEET = 1
 STATUS_NO_JOIN = 2
 
-# uint64 words of bit rows ANDed per block of bound_tables (2 MiB)
+# pairs of bit rows ANDed at once per block of bound_tables: one uint64 word
+# each (2 MiB), so at most 4096 rows against one word of 64 columns
 _BLOCK_WORDS = 1 << 18
 # bytes of one temporary of an n^2 scan per row block (64 KiB); below
 # glibc's default mmap threshold of 128 KiB, so no block maps fresh pages
@@ -57,54 +61,83 @@ def bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # meet/join tables
 
 
-def _packed_rows(bits: np.ndarray) -> np.ndarray:
-    """Each boolean row as native uint64 words, column 0 in the most
-    significant bit of word 0."""
-    packed = np.packbits(bits, axis=1)
+def packed_rows(bits: np.ndarray) -> np.ndarray:
+    """Each boolean row as uint64 words, little-endian: column k is bit
+    k % 64 of word k // 64."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
     packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
-    return np.ascontiguousarray(packed).view(">u8").astype(np.uint64)
+    return np.ascontiguousarray(packed).view("<u8").astype(np.uint64)
 
 
-def _first_common(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """[i, j] -> first bit set in both word rows rows[i] and cols[j], else -1."""
-    both = rows[:, None, :] & cols[None, :, :]
-    w = (both != 0).argmax(axis=2)
-    v = np.take_along_axis(both, w[..., None], axis=2)[..., 0]
-    del both
-    # bit length of v; each 32-bit half converts to float64 exactly
-    hi = np.frexp((v >> np.uint64(32)).astype(np.float64))[1]
-    lo = np.frexp((v & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
-    bits = np.where(hi > 0, 32 + hi, lo)
-    return np.where(v != 0, 64 * w + 64 - bits, -1)
+def unpacked_rows(words: np.ndarray, n: int) -> np.ndarray:
+    """The boolean rows of n columns that :func:`packed_rows` packed."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
 
 
-def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Join candidates of every pair and whether each is the join.
+def _first_common(rows: np.ndarray, cols: np.ndarray, w0: int) -> np.ndarray:
+    """[i, j] -> lowest bit set in both word rows rows[i] and cols[j], else -1;
+    words before w0 must be empty in one of the two.
 
-    Rows s:e are searched against columns s: only, so each pair a <= b (by
-    index) is computed once and mirrored into (b, a).
+    Scans one word at a time and stops once every pair has found its bit;
+    the lowest set bit of v is the number of ones in (v & -v) - 1.
+    """
+    out = np.full((len(rows), len(cols)), -1, np.int64)
+    flat = out.reshape(-1)
+    todo = np.ones(flat.size, bool)
+    left = flat.size
+    for w in range(w0, rows.shape[1]):
+        v = (rows[:, w, None] & cols[None, :, w]).reshape(-1)
+        hit = np.flatnonzero(todo & (v != 0))
+        if hit.size:
+            v = v[hit]
+            flat[hit] = np.bitwise_count((v & -v) - np.uint64(1)) + np.int64(64 * w)
+            left -= hit.size
+            if not left:
+                break
+            todo[hit] = False
+    return out
+
+
+def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Join candidates of every pair, whether each is the join, and the
+    position of each element in the search order.
+
+    The search runs on the order relabeled by up-set size, largest first,
+    where it is upper triangular: the common upper bounds of the positions
+    i <= j lie at j or after.  So the 64 columns of word w are searched
+    against the rows before their end, from word w on, and mirrored.
+    Returns (join, ok, pos): join[a, b] is the candidate for (a, b), and
+    ok[pos[a], pos[b]] says whether it is the join.
     """
     n = leq.shape[0]
     up = leq.sum(axis=1)  # |{c : i <= c}| per row i
     by_up = np.argsort(-up, kind="stable")
-    words = _packed_rows(leq[:, by_up])  # [a, k]: a <= by_up[k]
-    f = leq.astype(np.float32)
-    common = f @ f.T  # [a, b] -> number of common upper bounds
+    pos = np.empty(n, np.int64)
+    pos[by_up] = np.arange(n)
+    rel = leq.take(by_up, axis=0).take(by_up, axis=1)
+    words = packed_rows(rel)  # [i, k]: by_up[i] <= by_up[k]
+    f = rel.astype(np.float32)
+    del rel
+    common = f @ f.T  # [i, j] -> number of common upper bounds
     del f
-    join = np.empty((n, n), np.int64)
+    up = up[by_up]
+    # positions, not labels, in the search order: two bytes a pair while n <= 2^15
+    at = np.empty((n, n), np.int16 if n <= 1 << 15 else np.int64)
     ok = np.empty((n, n), bool)
-    start = 0
-    while start < n:
-        stop = min(n, start + max(1, _BLOCK_WORDS // ((n - start) * words.shape[1])))
-        k = _first_common(words[start:stop], words[start:])
-        cand = by_up[k]
-        good = (k >= 0) & (up[cand] == common[start:stop, start:])
-        join[start:stop, start:] = cand
-        join[start:, start:stop] = cand.T
-        ok[start:stop, start:] = good
-        ok[start:, start:stop] = good.T
-        start = stop
-    return join, ok
+    for w in range(words.shape[1]):
+        cols = slice(64 * w, min(n, 64 * w + 64))
+        step = max(1, _BLOCK_WORDS // (cols.stop - cols.start))
+        for start in range(0, cols.stop, step):
+            rows = slice(start, min(cols.stop, start + step))
+            k = _first_common(words[rows], words[cols], w)
+            good = (k >= 0) & (up[k] == common[rows, cols])
+            at[rows, cols] = k
+            at[cols, rows] = k.T
+            ok[rows, cols] = good
+            ok[cols, rows] = good.T
+    del common
+    return by_up[at[np.ix_(pos, pos)]], ok, pos
 
 
 def _reverses_order(leq: np.ndarray, ortho: np.ndarray) -> bool:
@@ -131,21 +164,21 @@ def bound_tables(leq: np.ndarray, ortho=None):
     """
     leq = np.ascontiguousarray(leq, dtype=bool)
     n = leq.shape[0]
-    join, join_ok = _joins(leq)
+    join, ok, pos = _joins(leq)
     if ortho is not None and _reverses_order(leq, o := np.asarray(ortho, np.int64)):
         meet = join[np.ix_(o, o)]
         for rows in row_blocks(n, 8 * n):
             meet[rows] = o[meet[rows]]
-        meet_ok = join_ok[np.ix_(o, o)]
+        meet_ok, meet_pos = ok, pos[o]  # (a, b) has a meet iff (a', b') has a join
     else:
-        meet, meet_ok = _joins(leq.T)
-    bad = ~(meet_ok.all(axis=1) & join_ok.all(axis=1))
+        meet, meet_ok, meet_pos = _joins(leq.T)
+    bad = ~(meet_ok.all(axis=1)[meet_pos] & ok.all(axis=1)[pos])
     if not bad.any():
         return meet, join, STATUS_OK, -1, -1
     r = int(np.argmax(bad))
-    if not meet_ok[r].all():
-        return meet, join, STATUS_NO_MEET, r, int(np.argmin(meet_ok[r]))
-    return meet, join, STATUS_NO_JOIN, r, int(np.argmin(join_ok[r]))
+    if not meet_ok[meet_pos[r]].all():
+        return meet, join, STATUS_NO_MEET, r, int(np.argmin(meet_ok[meet_pos[r], meet_pos]))
+    return meet, join, STATUS_NO_JOIN, r, int(np.argmin(ok[pos[r], pos]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -23,9 +24,16 @@ from .lattice import FiniteOML
 from .spectral import ObservableTable, SpectralFamily, make_spectral_family, table_from_pairs
 
 
-# Bytes per ordered pair of elements that building and checking a lattice holds
-# at once: the order matrix (1), the meet and join tables (8 + 8), and
-# bound_tables' float32 bit casts and counts (4 + 4) and its two ok masks (2).
+# Bytes per ordered pair of elements that loading and checking a lattice holds
+# at once, at most.  Three order matrices: the file's relation, its closure and
+# the lattice's copy (1 + 1 + 1).  The join table and its ok mask (8 + 1).  When
+# the meets are searched as the joins of the reversed order: that search's
+# int16 positions and their un-relabeled gather (2 + 2), the meet table and its
+# ok mask (8 + 1), 25 in all; De Morgan meets skip the search.  A search's
+# float32 cast and counts (4 + 4) live before its tables and hold less.  The
+# closure's pair index arrays grow with the file's pair list, not with n^2.
+# 27 still bounds this (25.9 bytes per pair traced on 2^11 with a direct
+# search), so the cap stays at n <= 6306.
 LATTICE_PAIR_BYTES = 27
 # A lattice file whose n^2 tables would pass this many bytes is refused before
 # anything of size n^2 is allocated: 1 GiB admits n <= 6306 elements.
@@ -80,14 +88,90 @@ def _number_blocks(re, im, path, what: str) -> tuple[np.ndarray, np.ndarray]:
 # lattices
 
 
-def transitive_closure(leq: np.ndarray) -> np.ndarray:
-    """Transitive closure by repeated squaring of the boolean relation."""
-    out = leq.copy()
+def _ranges(ptr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The index ranges ptr[i]:ptr[i + 1] for i in idx, concatenated."""
+    starts = ptr[idx]
+    lens = ptr[idx + 1] - starts
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
+def _close_rows(rows: np.ndarray, rel: np.ndarray) -> int:
+    """OR into each packed row of ``rel`` the rows of its successors, in
+    reverse topological order, one round per level; returns how many rows
+    became final (the others are on or above a cycle)."""
+    n = rel.shape[0]
+    src, dst = np.divmod(np.flatnonzero(rel), n)  # the pairs, sorted by src
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    succ_ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    pred = src[np.argsort(dst)]  # grouped by dst
+    pred_ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
+    left = np.diff(succ_ptr)  # successors not yet final
+    level = np.flatnonzero(left == 0)  # the rows of sinks are final as they are
+    final = level.size
     while True:
-        step = out | _kernels.bool_matmul(out, out)
-        if (step == out).all():
+        done = np.bincount(pred[_ranges(pred_ptr, level)], minlength=n)
+        left -= done
+        level = np.flatnonzero((left == 0) & (done > 0))
+        if not level.size:
+            return final
+        final += level.size
+        edges = _ranges(succ_ptr, level)
+        for block in _kernels.row_blocks(edges.size, 8 * rows.shape[1]):
+            e = edges[block]
+            x = src[e]
+            heads = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+            rows[x[heads]] |= np.bitwise_or.reduceat(rows[dst[e]], heads, axis=0)
+
+
+def transitive_closure(leq: np.ndarray) -> np.ndarray:
+    """Transitive closure of a boolean relation: out[i, j] iff a path of one
+    or more steps leads from i to j.
+
+    Bit-packed rows are propagated over the relation's own pairs in reverse
+    topological order, one numpy round per level (Kahn 1962, by levels): once
+    every successor of x is final, row x becomes its own row ORed with theirs.
+    The successor rows of a level are gathered in blocks of at most
+    ``_kernels._SCAN_BYTES``.  Elements on or above a cycle never become
+    final; if any remain, the propagated relation is finished by repeated
+    squaring (such a relation is refused as not antisymmetric).
+    """
+    rel = np.asarray(leq, dtype=bool)
+    n = rel.shape[0]
+    rows = _kernels.packed_rows(rel)
+    final = _close_rows(rows, rel)
+    out = _kernels.unpacked_rows(rows, n)
+    if final == n:
+        return out
+    while True:  # a cycle remains: finish by squaring
+        grown = out | _kernels.bool_matmul(out, out)
+        if (grown == out).all():
             return out
-        out = step
+        out = grown
+
+
+def _order_pairs(pairs, n: int, path) -> tuple[np.ndarray, np.ndarray]:
+    """The 'leq' entries as index arrays (i, j).  Each entry must be a list of
+    two JSON integers in 0..n-1; the first entry in list order that is not
+    is named in the SchemaError."""
+    if not isinstance(pairs, list):
+        raise SchemaError(f"{path}: 'leq' must be a list of [i, j] pairs")
+    typed = next(  # the first entry that is not [int, int]; type() excludes bools
+        (k for k, p in enumerate(pairs)
+         if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int),
+        len(pairs),
+    )
+    flat = itertools.chain.from_iterable(itertools.islice(pairs, typed))
+    try:
+        ij = np.fromiter(flat, np.int64, 2 * typed).reshape(-1, 2)
+        outside = ((ij < 0) | (ij >= n)).any(axis=1)
+    except OverflowError:  # an index past int64, which the check below reports
+        outside = [not (0 <= i < n and 0 <= j < n) for i, j in pairs[:typed]]
+    if np.any(outside):
+        raise SchemaError(f"{path}: 'leq' index out of range in {pairs[np.argmax(outside)]!r}")
+    if typed < len(pairs):
+        raise SchemaError(f"{path}: bad 'leq' entry {pairs[typed]!r}")
+    return ij[:, 0], ij[:, 1]
 
 
 def load_lattice(path) -> FiniteOML:
@@ -108,19 +192,8 @@ def load_lattice(path) -> FiniteOML:
             f"tables, past the cap of {LATTICE_BYTES_CAP / 2**30:g} GiB"
         )
     leq = np.eye(n, dtype=bool)
-    if not isinstance(pairs, list):
-        raise SchemaError(f"{path}: 'leq' must be a list of [i, j] pairs")
-    for item in pairs:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(_is_int(x) for x in item)
-        ):
-            raise SchemaError(f"{path}: bad 'leq' entry {item!r}")
-        i, j = item
-        if not (0 <= i < n and 0 <= j < n):
-            raise SchemaError(f"{path}: 'leq' index out of range in {item!r}")
-        leq[i, j] = True
+    i, j = _order_pairs(pairs, n, path)
+    leq[i, j] = True
     if (
         not isinstance(ortho, list)
         or len(ortho) != n

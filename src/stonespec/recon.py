@@ -213,6 +213,24 @@ class StepReport:
         return self
 
 
+def _monotone_continuous(L: FiniteOML, values) -> bool:
+    """Monotone continuity: along every descending generator chain the union
+    of the filters is the last filter, so f of it is the limit.  For nonzero
+    q < p (H_p inside H_q) that is f(q) == min(f(p), f(q)), which with
+    Python's min fails exactly when f(q) <= f(p) does not hold (a NaN on
+    either side fails).  Compared in row blocks of the kernels' scan budget."""
+    v = np.asarray(values, dtype=np.float64)
+    for rows in _kernels.row_blocks(L.n, L.n):
+        bad = L.leq[rows] & ~(v[rows, None] <= v[None, :])  # [q, p]
+        bad[np.arange(bad.shape[0]), np.arange(rows.start, rows.stop)] = False
+        bad[:, L.bottom] = False
+        if rows.start <= L.bottom < rows.stop:
+            bad[L.bottom - rows.start] = False
+        if bad.any():
+            return False
+    return True
+
+
 def verify_reconstruction_steps(L: FiniteOML, f: ObservableTable) -> StepReport:
     """Check the intermediate facts the reconstruction relies on."""
     E = reconstruct(L, f)
@@ -220,16 +238,8 @@ def verify_reconstruction_steps(L: FiniteOML, f: ObservableTable) -> StepReport:
     increasing = all(
         L.leq[a, b] and a != b for a, b in itertools.pairwise(vals.tolist())
     )
-    # monotone continuity: along every descending generator chain the union
-    # of the filters is the last filter, so f of it is the limit
-    monotone = True
-    nz = [int(p) for p in L.nonzero()]
-    for p in nz:
-        for q in nz:
-            if p != q and L.leq[q, p]:  # H_p subset of H_q
-                if float(f.values[q]) != min(float(f.values[p]), float(f.values[q])):
-                    monotone = False
-    levels = np.unique(f.values[nz])
+    monotone = _monotone_continuous(L, f.values)
+    levels = np.unique(f.values[L.nonzero()])
     image_finite = bool(np.isfinite(levels).all())
     try:
         family_valid = observable_fn(make_spectral_family(L, E.jumps())) == f
@@ -251,6 +261,19 @@ def verify_reconstruction_steps(L: FiniteOML, f: ObservableTable) -> StepReport:
     ).finish()
 
 
+def _atom_sup(L: FiniteOML, atom_values: Mapping[int, float]) -> np.ndarray:
+    """p -> the max of the values of the atoms below p, NaN at bottom.  On a
+    tie the first of those atoms in atom order gives the value, as with
+    Python's max, so a signed zero comes out as a loop gives it; a NaN value
+    counts as the smallest (quasipoint files admit none)."""
+    atoms = np.asarray(L.atoms())
+    a = np.array([float(atom_values[t]) for t in atoms.tolist()])
+    order = np.argsort(-a, kind="stable")
+    vals = a[order][np.argmax(L.leq[atoms[order]], axis=0)]  # the first atom <= p
+    vals[L.bottom] = np.nan
+    return vals
+
+
 def observable_from_quasipoint_data(
     L: FiniteOML, atom_values: Mapping[int, float]
 ) -> tuple[SpectralFamily | None, tuple | None]:
@@ -261,14 +284,9 @@ def observable_from_quasipoint_data(
     family reconstructed from it, whose table restricts back to the data, is
     returned, otherwise (None, witness).
     """
-    atoms = list(L.atoms())
-    if sorted(atom_values) != sorted(atoms):
+    if sorted(atom_values) != sorted(L.atoms()):
         raise LatticeError("need exactly one value per atom")
-    vals = np.full(L.n, np.nan)
-    for p in L.nonzero():
-        under = [t for t in atoms if L.leq[t, p]]
-        vals[p] = max(float(atom_values[t]) for t in under)
-    r = ObservableTable(L, vals)
+    r = ObservableTable(L, _atom_sup(L, atom_values))
     ok, witness = is_completely_increasing(L, r)
     if not ok:
         return None, witness

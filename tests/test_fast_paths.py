@@ -4,11 +4,12 @@ The oracles below are the straightforward loops the kernels replace: the
 row-scan meet/join search with integer counts, the one-shot n x n forms of
 the law scans that now run in row blocks, the full distributivity
 triple scan, the per-element atom join, the pairwise max-law loop, the
-filter-minimum loops, Warshall's closure and the literal minimal-ideal
-reconstruction; on the matrix side, the per-column phase loop, the
-per-cluster gap loop with the projector stack eig once built from it, one
-projector product per cluster for ray components, the one-ray formula and
-loops (with the cumulative projector stack) that the block ray kernel
+filter-minimum loops, Warshall's closure, the literal minimal-ideal
+reconstruction, the pair loop for monotone continuity and the p x atoms
+loop that extended quasipoint data; on the matrix side, the per-column
+phase loop, the per-cluster gap loop with the projector stack eig once
+built from it, one projector product per cluster for ray components, the
+one-ray formula and loops (with the cumulative projector stack) that the block ray kernel
 replaces in verify_ray_axioms, rank_one_extension, verify_infsup_extension
 and verify_eigenvalue_plateaus, the projector distance over dense cumulative
 stacks, and the unscaled joint diagonalization.  Hypothesis draws random
@@ -161,6 +162,26 @@ def loop_abstract_observable(L, f):
     if not ok:
         return False, ("intersection", *witness)
     return True, None
+
+
+def loop_monotone_continuous(L, values):
+    """The pair loop verify_reconstruction_steps ran for monotone continuity."""
+    nz = [int(p) for p in L.nonzero()]
+    for p in nz:
+        for q in nz:
+            if p != q and L.leq[q, p]:  # H_p subset of H_q
+                if float(values[q]) != min(float(values[p]), float(values[q])):
+                    return False
+    return True
+
+
+def loop_atom_sup(L, atom_values):
+    """The p x atoms loop observable_from_quasipoint_data extended its data with."""
+    atoms = list(L.atoms())
+    vals = np.full(L.n, np.nan)
+    for p in L.nonzero():
+        vals[p] = max(float(atom_values[t]) for t in atoms if L.leq[t, p])
+    return vals
 
 
 def literal_jumps(L, f):
@@ -472,6 +493,66 @@ def test_closure_and_order_check_match_loops(n, data):
         assert check_partial_order(m) == partial_order_problem(m)
 
 
+def chain_covers(n):
+    rel = np.eye(n, dtype=bool)
+    rel[np.arange(n - 1), np.arange(1, n)] = True
+    return rel
+
+
+def cover_relation(L):
+    rel = np.zeros((L.n, L.n), dtype=bool)
+    for a, b in L.cover_pairs():
+        rel[a, b] = True
+    return rel
+
+
+def closure_cases():
+    """Relations the level closure must get right, relabeled by a fixed draw:
+    a 300-element chain of covers (300 levels), a DAG with a 3-cycle inside
+    (rows on and above the cycle are finished by squaring), the closed
+    order of 2^6 (every pair listed), and the covers of 2^6 and of the chain
+    without their diagonals."""
+    rng = np.random.default_rng(10)
+    dag = np.triu(rng.random((40, 40)) < 0.08, 1)
+    dag[[20, 25, 31], [25, 31, 20]] = True
+    chain = chain_covers(300)
+    cases = {
+        "chain300": chain,
+        "cycle in a DAG": dag,
+        "closed 2^6": boolean_lattice(6).leq,
+        "covers of 2^6 without diagonal": cover_relation(boolean_lattice(6)),
+        "chain300 without diagonal": chain & ~np.eye(300, dtype=bool),
+    }
+    for name, rel in cases.items():
+        perm = rng.permutation(rel.shape[0])
+        yield pytest.param(rel[np.ix_(perm, perm)], id=name)
+
+
+@pytest.mark.parametrize("scan_bytes", [8, 24, _kernels._SCAN_BYTES])
+@pytest.mark.parametrize("rel", closure_cases())
+def test_closure_matches_warshall(rel, scan_bytes):
+    """Gather budgets of one row, of three one-word rows (an element's
+    successors split across blocks) and the default.  Caught: a block's
+    rows assigned instead of ORed, the blocks after a level's first skipped."""
+    reflexive = rel | np.eye(rel.shape[0], dtype=bool)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_BYTES", scan_bytes)
+        assert (transitive_closure(rel) == warshall(rel)).all()
+        assert (transitive_closure(reflexive) == warshall(reflexive)).all()
+
+
+def test_closure_holds_no_pair_by_word_gather():
+    """On the closed order of 2^9 (19683 pairs, 8 words a row) the level
+    closure gathers successor rows in blocks of _SCAN_BYTES, and its traced
+    peak stays below 40 bytes a pair, most of it the pair index arrays.
+    Gathering the rows of a whole level at once took 51 bytes a pair, and a
+    gather of every pair's row alone takes 64."""
+    leq = relabel(boolean_lattice(9), np.random.default_rng(3).permutation(512)).leq
+    pairs = int(leq.sum())
+    assert (transitive_closure(leq) == leq).all()
+    assert traced_peak(transitive_closure, leq) < 40 * pairs
+
+
 @settings(max_examples=60, deadline=None)
 @given(relabeled())
 def test_structure_matches_triple_scan(L):
@@ -514,6 +595,57 @@ def test_table_laws_match_loops(case):
         assert err.value.witness == want
     else:
         np.testing.assert_array_equal(recon.f_from_r(L, t).values, want)
+
+
+def nan_at_top_of_two():
+    """chain-2 with NaN at top: no pair q < p of nonzero elements, so the
+    loop holds, though NaN <= NaN fails on the diagonal."""
+    L = BASES["chain-2"]
+    vals = np.zeros(L.n)
+    vals[L.top] = np.nan
+    return L, ObservableTable(L, vals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+@example(case=nan_at_top_of_two())
+def test_monotone_continuity_matches_pair_loop(case):
+    """Tables with NaN and +-inf, observable or not."""
+    L, t = case
+    assert recon._monotone_continuous(L, t.values) == loop_monotone_continuous(L, t.values)
+
+
+def assert_same_bits(got, want):
+    """Equal as float64 bit patterns: NaN where NaN, and the sign of zero kept."""
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+def atom_data(L, rng, finite=False):
+    """Random atom values from a few levels, ties and both signed zeros among them."""
+    levels = [-0.0, 0.0, -1.5, 2.0, rng.standard_normal()] + [np.inf, -np.inf] * (not finite)
+    return {int(t): float(rng.choice(levels)) for t in L.atoms()}
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_atom_sup_matches_atom_loop_on_the_corpus(name):
+    L = BASES[name]
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        data = atom_data(L, rng)
+        assert_same_bits(recon._atom_sup(L, data), loop_atom_sup(L, data))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled(), st.integers(0, 2**32 - 1))
+def test_atom_sup_matches_atom_loop(L, seed):
+    rng = np.random.default_rng(seed)
+    data = atom_data(L, rng)
+    assert_same_bits(recon._atom_sup(L, data), loop_atom_sup(L, data))
+    data = atom_data(L, rng, finite=True)  # a family needs finite thresholds
+    want = loop_atom_sup(L, data)
+    family, witness = recon.observable_from_quasipoint_data(L, data)
+    ok, loop_witness = pairwise_increasing(L, ObservableTable(L, want))
+    assert (family is not None, witness) == (ok, loop_witness)
 
 
 @settings(max_examples=100, deadline=None)
