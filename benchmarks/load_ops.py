@@ -1,4 +1,4 @@
-"""Time loading a lattice from covering pairs, and the two kernels behind it.
+"""Time loading a lattice from covering pairs, and the kernels behind it.
 
 Run from the root of a checkout, with the package under test on the path:
 
@@ -6,13 +6,15 @@ Run from the root of a checkout, with the package under test on the path:
 
 Each lattice is written once as a file of its covering pairs, with its
 elements relabeled by a permutation drawn from the seed: the Boolean
-lattices 2^9, 2^10 and 2^11, MO256 and MO1024 (127 and 511
-orthocomplementary atom pairs) and the chain of 2048 elements (its
-orthocomplement reverses the chain).  For each file it prints, as JSON, the
-median and the quartiles in ms of ``io.load_lattice`` on the file,
-``io.transitive_closure`` on the reflexive relation of its pairs (what
-``load_lattice`` closes) and ``_kernels.bound_tables`` on the closed order
-with the file's orthocomplement.  The first call of each is not timed.
+lattices 2^9 to 2^12, MO256 and MO1024 (127 and 511 orthocomplementary atom
+pairs) and the chain of 2048 elements (its orthocomplement reverses the
+chain).  For each file it prints, as JSON, the median and the quartiles in
+ms of ``io.load_lattice`` on the file, ``io.transitive_closure`` on the
+reflexive relation of its pairs (what ``load_lattice`` closes),
+``_kernels.bound_tables`` on the closed order with the file's
+orthocomplement, and the ``FiniteOML`` constructor alone on the closed
+order (its checks and tables, without the file and the closure).  The
+first call of each is not timed.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
-    lattices = {f"2^{m}": lambda m=m: boolean_lattice(m) for m in (9, 10, 11)}
+    lattices = {f"2^{m}": lambda m=m: boolean_lattice(m) for m in (9, 10, 11, 12)}
     lattices["MO256"] = lambda: mo_lattice(127)
     lattices["MO1024"] = lambda: mo_lattice(511)
     lattices["chain2048"] = lambda: chain(2048)
@@ -77,6 +79,7 @@ def main() -> None:
                 "transitive_closure": timed(lambda: io.transitive_closure(rel), args.repeats),
                 "bound_tables": timed(lambda: _kernels.bound_tables(L.leq, L.ortho),
                                       args.repeats),
+                "finite_oml": timed(lambda: FiniteOML(L.names, L.leq, L.ortho), args.repeats),
             }
     print(json.dumps(out, indent=1))
 

@@ -13,10 +13,11 @@ product counts for all pairs at once.  In that order the relation is upper
 triangular, so the common upper bounds of positions i <= j lie at j or
 after: the 64 columns of each word are searched against the rows before
 their end only, one word at a time from their own word on, until every pair
-has found its bit, and mirrored (table and test are symmetric).  Meets are
-joins too: when the orthocomplement is an involution that reverses the
-order, a ^ b = (a' v b')' (De Morgan); otherwise they are the joins of the
-reversed order.
+has found its bit, and mirrored (table and test are symmetric).  The counts
+first decide transitivity in O(n^2): a reflexive relation is transitive iff
+every a <= b has |up(b)| common upper bounds.  Meets are joins too: when the
+orthocomplement is an involution that reverses the order, a ^ b = (a' v b')'
+(De Morgan); otherwise they are the joins of the reversed order.
 
 The n^2 law scans run in row blocks of at most ``_SCAN_BYTES`` per
 temporary, so no scan allocates an n x n array; blocks that small are
@@ -30,6 +31,7 @@ import numpy as np
 STATUS_OK = 0
 STATUS_NO_MEET = 1
 STATUS_NO_JOIN = 2
+STATUS_NOT_TRANSITIVE = 3
 
 # pairs of bit rows ANDed at once per block of bound_tables: one uint64 word
 # each (2 MiB), so at most 4096 rows against one word of 64 columns
@@ -47,14 +49,10 @@ def row_blocks(n: int, row_bytes: int):
         yield slice(start, min(start + step, n))
 
 
-def _counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """out[i, j] = |{k : x[i, k] and y[k, j]}| as one float32 BLAS product."""
-    return x.astype(np.float32) @ y.astype(np.float32)
-
-
 def bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Boolean product: out[i, j] iff x[i, k] and y[k, j] for some k."""
-    return _counts(x, y) > 0
+    """Boolean product: out[i, j] iff x[i, k] and y[k, j] for some k, from
+    the counts |{k : x[i, k] and y[k, j]}| of one float32 BLAS product."""
+    return x.astype(np.float32) @ y.astype(np.float32) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +97,9 @@ def _first_common(rows: np.ndarray, cols: np.ndarray, w0: int) -> np.ndarray:
     return out
 
 
-def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Join candidates of every pair, whether each is the join, and the
-    position of each element in the search order.
+    position of each element in the search order; None if not transitive.
 
     The search runs on the order relabeled by up-set size, largest first,
     where it is upper triangular: the common upper bounds of the positions
@@ -121,7 +119,10 @@ def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     del rel
     common = f @ f.T  # [i, j] -> number of common upper bounds
     del f
-    up = up[by_up]
+    up = up[by_up].astype(np.float32)  # exact, and compared with counts of the same type
+    for rows in row_blocks(n, n):  # i <= j must give |up(i) & up(j)| == |up(j)|
+        if (unpacked_rows(words[rows], n) & (common[rows] != up)).any():
+            return None
     # positions, not labels, in the search order: two bytes a pair while n <= 2^15
     at = np.empty((n, n), np.int16 if n <= 1 << 15 else np.int64)
     ok = np.empty((n, n), bool)
@@ -157,14 +158,17 @@ def bound_tables(leq: np.ndarray, ortho=None):
     Returns (meet, join, status, a, b); status != STATUS_OK flags the first
     pair (a, b), in row-major order, without a unique bound (a missing meet
     reported before a missing join in the same row); the tables are then
-    not valid.  ``leq`` must be a partial order.  When ``ortho`` (a
-    permutation) is an involution that reverses the order, meets are read
-    from the join table by De Morgan, a ^ b = (a' v b')'; otherwise they are
-    searched as the joins of the reversed order.
+    not valid.  ``leq`` must be reflexive and antisymmetric; if it is not
+    transitive the status is STATUS_NOT_TRANSITIVE, with no tables or pair.
+    When ``ortho`` (a permutation) is an involution that reverses the order,
+    meets are read from the join table by De Morgan, a ^ b = (a' v b')';
+    otherwise they are searched as the joins of the reversed order.
     """
     leq = np.ascontiguousarray(leq, dtype=bool)
     n = leq.shape[0]
-    join, ok, pos = _joins(leq)
+    if (joins := _joins(leq)) is None:
+        return None, None, STATUS_NOT_TRANSITIVE, -1, -1
+    join, ok, pos = joins
     if ortho is not None and _reverses_order(leq, o := np.asarray(ortho, np.int64)):
         meet = join[np.ix_(o, o)]
         for rows in row_blocks(n, 8 * n):

@@ -25,15 +25,15 @@ from .spectral import ObservableTable, SpectralFamily, make_spectral_family, tab
 
 
 # Bytes per ordered pair of elements that loading and checking a lattice holds
-# at once, at most.  Three order matrices: the file's relation, its closure and
-# the lattice's copy (1 + 1 + 1).  The join table and its ok mask (8 + 1).  When
-# the meets are searched as the joins of the reversed order: that search's
-# int16 positions and their un-relabeled gather (2 + 2), the meet table and its
-# ok mask (8 + 1), 25 in all; De Morgan meets skip the search.  A search's
-# float32 cast and counts (4 + 4) live before its tables and hold less.  The
-# closure's pair index arrays grow with the file's pair list, not with n^2.
-# 27 still bounds this (25.9 bytes per pair traced on 2^11 with a direct
-# search), so the cap stays at n <= 6306.
+# at once, at most.  Two order matrices: the closure and the lattice's copy
+# (1 + 1); the file's relation is freed when the closure returns.  The join
+# table and its ok mask (8 + 1).  When the meets are searched as the joins of
+# the reversed order: that search's int16 positions and their un-relabeled
+# gather (2 + 2), the meet table and its ok mask (8 + 1), 24 in all; De Morgan
+# meets skip the search.  A search's float32 cast and counts (4 + 4) live
+# before its tables and hold less.  The closure's pair index arrays grow with
+# the file's pair list, not with n^2.  27 still bounds this (24.9 bytes per
+# pair traced on 2^11 with a direct search), so the cap stays at n <= 6306.
 LATTICE_PAIR_BYTES = 27
 # A lattice file whose n^2 tables would pass this many bytes is refused before
 # anything of size n^2 is allocated: 1 GiB admits n <= 6306 elements.
@@ -200,7 +200,8 @@ def load_lattice(path) -> FiniteOML:
         or not all(_is_int(x) and 0 <= x < n for x in ortho)
     ):
         raise SchemaError(f"{path}: 'ortho' must list one index per element")
-    return FiniteOML(names, transitive_closure(leq), ortho)
+    leq = transitive_closure(leq)  # rebound, so the file's relation is freed first
+    return FiniteOML(names, leq, ortho)
 
 
 def lattice_to_dict(L: FiniteOML) -> dict:

@@ -3,7 +3,8 @@
 Elements are integer indices into a fixed boolean order matrix ``leq``
 (``leq[i, j]`` means i <= j).  Meets and joins are precomputed into n x n
 tables at construction; construction fails fast if the order is not a
-partial order or some pair lacks a unique bound.  The orthocomplement is
+partial order or some pair lacks a unique bound (transitivity is read from
+the join search's counts: one n^3 product).  The orthocomplement is
 stored as a permutation but its axioms (involution, order reversal,
 complement laws, orthomodularity) are *verdicts* reported by
 :func:`verify_structure`, not construction requirements -- non-orthomodular
@@ -34,8 +35,7 @@ def _as_bool_matrix(leq) -> np.ndarray:
     return m
 
 
-def check_partial_order(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
-    """Return (problem, witness) if leq is not a partial order, else None."""
+def _reflexive_antisymmetric_problem(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     n = leq.shape[0]
     diag = np.diagonal(leq)
     if not diag.all():
@@ -45,6 +45,16 @@ def check_partial_order(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     if sym.any():
         i, j = np.unravel_index(int(np.argmax(sym)), sym.shape)
         return "not antisymmetric", (int(i), int(j))
+    return None
+
+
+def check_partial_order(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
+    """Return (problem, witness) if leq is not a partial order, else None;
+    :class:`FiniteOML` decides transitivity without this n^3 product and
+    calls it only to name the witness of a failure."""
+    problem = _reflexive_antisymmetric_problem(leq)
+    if problem is not None:
+        return problem
     gap = _kernels.bool_matmul(leq, leq) & ~leq
     if gap.any():
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
@@ -77,7 +87,8 @@ class FiniteOML:
     tables:
         Optional precomputed ``(meet, join)`` tables for constructions whose
         bounds are known analytically (e.g. subset lattices). They are
-        trusted; pass None to have them computed and checked.
+        trusted, and vouch for the transitivity of ``leq``; pass None to have
+        them computed and the whole order checked.
     """
 
     __slots__ = ("n", "names", "leq", "ortho", "bottom", "top", "meet_table",
@@ -101,7 +112,11 @@ class FiniteOML:
         ortho = np.asarray(ortho, dtype=np.int64)
         if ortho.shape != (n,) or sorted(ortho.tolist()) != list(range(n)):
             raise LatticeError("ortho must be a permutation of the element indices")
-        problem = check_partial_order(leq)
+        problem = _reflexive_antisymmetric_problem(leq)
+        if problem is None and tables is None:
+            meet, join, status, a, b = _kernels.bound_tables(leq, ortho)
+            if status == _kernels.STATUS_NOT_TRANSITIVE:
+                problem = check_partial_order(leq)
         if problem is not None:
             what, wit = problem
             raise LatticeError(f"order is {what}, witness {wit}")
@@ -109,7 +124,6 @@ class FiniteOML:
         if bottom == top:
             raise LatticeError("lattice needs distinct bottom and top")
         if tables is None:
-            meet, join, status, a, b = _kernels.bound_tables(leq, ortho)
             if status == _kernels.STATUS_NO_MEET:
                 raise LatticeError(f"pair ({names[a]}, {names[b]}) has no unique meet")
             if status == _kernels.STATUS_NO_JOIN:
@@ -356,13 +370,16 @@ def sublattice_from_members(
         sub_ortho = np.array([back[ortho_map[int(p)]] for p in embed], dtype=np.int64)
     except KeyError as exc:
         raise LatticeError(f"orthocomplement leaves the member set at element {exc}") from None
-    # bounds within a closed member set are the parent bounds
-    sub_meet = np.empty((len(embed), len(embed)), np.int64)
-    sub_join = np.empty_like(sub_meet)
-    for i, p in enumerate(embed):
-        sub_meet[i] = [back[int(L.meet_table[p, q])] for q in embed]
-        sub_join[i] = [back[int(L.join_table[p, q])] for q in embed]
     names = [L.names[int(p)] for p in embed]
+    # bounds within a closed member set are the parent bounds; -1 marks one
+    # outside the set, which tables trusted by FiniteOML must not hold
+    inv = np.full(L.n, -1, np.int64)
+    inv[embed] = np.arange(len(embed))
+    sub_meet, sub_join = (inv[t[np.ix_(embed, embed)]] for t in (L.meet_table, L.join_table))
+    for what, t in (("meet", sub_meet), ("join", sub_join)):
+        if (t < 0).any():
+            i, j = np.argwhere(t < 0)[0]
+            raise LatticeError(f"{what} of {names[i]!r} and {names[j]!r} leaves the member set")
     return FiniteOML(names, sub_leq, sub_ortho, tables=(sub_meet, sub_join)), embed
 
 
@@ -384,29 +401,15 @@ def generated_sublattice(
             raise LatticeError(
                 f"generated sublattice exceeds the {max_size}-element bound"
             )
-        new = set()
         current = sorted(members)
-        for a in current:
-            ca = int(L.ortho[a])
-            if ca not in members:
-                new.add(ca)
+        new = set(L.ortho[current].tolist())
         for i, a in enumerate(current):
-            row_m = L.meet_table[a]
-            row_j = L.join_table[a]
-            for b in current[i + 1:]:
-                m = int(row_m[b])
-                if m not in members:
-                    new.add(m)
-                j = int(row_j[b])
-                if j not in members:
-                    new.add(j)
+            new.update(L.meet_table[a, current[i + 1:]].tolist())
+            new.update(L.join_table[a, current[i + 1:]].tolist())
+        new -= members
         if not new:
             break
         members |= new
-        if len(members) > max_size:
-            raise LatticeError(
-                f"generated sublattice exceeds the {max_size}-element bound"
-            )
     return sublattice_from_members(L, members)
 
 

@@ -142,15 +142,8 @@ def spectralize(pre: PreSpectralFamily) -> SpectralFamily:
     fixed point.
     """
     L = pre.lattice
-    out: list[tuple[float, int]] = []
-    prev = L.bottom
-    for l, v in zip(pre.thresholds, pre.values):
-        v = int(v)
-        if v == prev or v == L.bottom:
-            continue
-        out.append((float(l), v))
-        prev = v
-    return make_spectral_family(L, out)
+    jumps = _normalized_parent_jumps(L, zip(pre.thresholds, pre.values), L.top)
+    return make_spectral_family(L, jumps)
 
 
 def translate(E: SpectralFamily, a: float) -> SpectralFamily:
@@ -296,20 +289,14 @@ def restrict(E: SpectralFamily, a: int) -> RestrictedFamily:
         raise LatticeError("cannot restrict to the trivial ideal below bottom")
     sub, embed = principal_ideal(L, a)
     back = {int(p): i for i, p in enumerate(embed)}
-    jumps: list[tuple[float, int]] = []
-    prev = L.bottom
-    for l, v in zip(E.thresholds, E.values):
-        w = int(L.meet_table[a, v])
-        if w == prev or w == L.bottom:
-            continue
-        jumps.append((float(l), back[w]))
-        prev = w
+    jumps = [(l, back[w]) for l, w in _normalized_parent_jumps(L, zip(E.thresholds, E.values), a)]
     return RestrictedFamily(make_spectral_family(sub, jumps), L, a, embed)
 
 
 def _normalized_parent_jumps(
     L: FiniteOML, jumps: Iterable[tuple[float, int]], cap: int
 ) -> tuple[tuple[float, int], ...]:
+    """The jumps met with cap, with repeated values and bottom dropped."""
     out: list[tuple[float, int]] = []
     prev = L.bottom
     for l, v in jumps:

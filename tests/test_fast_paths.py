@@ -4,7 +4,9 @@ The oracles below are the straightforward loops the kernels replace: the
 row-scan meet/join search with integer counts, the one-shot n x n forms of
 the law scans that now run in row blocks, the full distributivity
 triple scan, the per-element atom join, the pairwise max-law loop, the
-filter-minimum loops, Warshall's closure, the literal minimal-ideal
+filter-minimum loops, Warshall's closure, the transitivity loop and the
+order of the construction checks, the per-row loop of the sub-tables of a
+sublattice, the literal minimal-ideal
 reconstruction, the pair loop for monotone continuity and the p x atoms
 loop that extended quasipoint data; on the matrix side, the per-column
 phase loop, the per-cluster gap loop with the projector stack eig once
@@ -14,7 +16,8 @@ replaces in verify_ray_axioms, rank_one_extension, verify_infsup_extension
 and verify_eigenvalue_plateaus, the projector distance over dense cumulative
 stacks, and the unscaled joint diagonalization.  Hypothesis draws random
 posets (with and without an added bottom and top), orthoposets Q x Q^op
-built from them, random relabelings of
+built from them, reflexive relations (cyclic or not, transitive or not),
+random relabelings of
 the corpus and of the products 2^m x MO2 and 2^m x O6, random spectral
 families on them, tables with NaN and +-inf injected, and Hermitian
 matrices with repeated eigenvalues, rotated or diagonal.
@@ -31,9 +34,15 @@ from hypothesis import strategies as st
 
 from stonespec import _kernels, gelfand, matrix, recon
 from stonespec.corpus import benzene, boolean_lattice, corpus, mo
-from stonespec.errors import NotObservableError
-from stonespec.io import transitive_closure
-from stonespec.lattice import FiniteOML, check_partial_order, verify_structure
+from stonespec.errors import LatticeError, NotObservableError
+from stonespec.io import load_lattice, save_lattice, transitive_closure
+from stonespec.lattice import (
+    FiniteOML,
+    check_partial_order,
+    generated_sublattice,
+    principal_ideal,
+    verify_structure,
+)
 from stonespec.spectral import ObservableTable, observable_fn, random_spectral_family
 
 # ---------------------------------------------------------------------------
@@ -205,6 +214,15 @@ def held_value(E, levels, lam):
     return E.lattice.bottom if below.size == 0 else E.value_at(float(below.max()))
 
 
+def transitivity_gap(leq):
+    n = leq.shape[0]
+    for i in range(n):
+        for j in range(n):
+            if not leq[i, j] and any(leq[i, k] and leq[k, j] for k in range(n)):
+                return i, j
+    return None
+
+
 def partial_order_problem(leq):
     n = leq.shape[0]
     for i in range(n):
@@ -214,11 +232,42 @@ def partial_order_problem(leq):
         for j in range(n):
             if i != j and leq[i, j] and leq[j, i]:
                 return "not antisymmetric", (i, j)
-    for i in range(n):
-        for j in range(n):
-            if not leq[i, j] and any(leq[i, k] and leq[k, j] for k in range(n)):
-                return "not transitive", (i, j)
-    return None
+    gap = transitivity_gap(leq)
+    return None if gap is None else ("not transitive", gap)
+
+
+def construction_problem(names, leq):
+    """The error FiniteOML raises on a reflexive order with valid names and
+    ortho, or None, in the order of its checks: the order (loop oracle),
+    bottom, top, distinct bounds, then the first pair (row scan) without a
+    unique meet or join."""
+    problem = partial_order_problem(leq)
+    if problem is not None:
+        return f"order is {problem[0]}, witness {problem[1]}"
+    n = leq.shape[0]
+    bottoms = [i for i in range(n) if leq[i].all()]
+    tops = [i for i in range(n) if leq[:, i].all()]
+    if len(bottoms) != 1:
+        return f"bottom element not unique (candidates {bottoms})"
+    if len(tops) != 1:
+        return f"top element not unique (candidates {tops})"
+    if bottoms == tops:
+        return "lattice needs distinct bottom and top"
+    _, _, status, a, b = row_scan_bound_tables(leq)
+    what = {_kernels.STATUS_NO_MEET: "meet", _kernels.STATUS_NO_JOIN: "join"}.get(status)
+    return None if what is None else f"pair ({names[a]}, {names[b]}) has no unique {what}"
+
+
+def loop_sub_tables(L, embed):
+    """The sub-tables sublattice_from_members built row by row: each parent
+    bound mapped back through a dict."""
+    back = {int(p): i for i, p in enumerate(embed)}
+    meet = np.empty((len(embed), len(embed)), np.int64)
+    join = np.empty_like(meet)
+    for i, p in enumerate(embed):
+        meet[i] = [back[int(L.meet_table[p, q])] for q in embed]
+        join[i] = [back[int(L.join_table[p, q])] for q in embed]
+    return meet, join
 
 
 def gap_loop_clusters(w, ctol):
@@ -426,6 +475,30 @@ def posets(draw):
 
 
 @st.composite
+def reflexive_relations(draw):
+    """A reflexive relation on 1 to 8 elements, with a random permutation as
+    ortho: random bits, two times in three cut to their upper triangle
+    (acyclic), closed or not, with or without an added bottom and top;
+    relabeled."""
+    n = draw(st.integers(1, 8))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    rel = np.array(bits, dtype=bool).reshape(n, n)
+    if draw(st.sampled_from([True, True, False])):  # acyclic: the upper triangle
+        rel = np.triu(rel)
+    rel |= np.eye(n, dtype=bool)
+    if draw(st.booleans()):
+        rel = warshall(rel)
+    if draw(st.booleans()):  # add a bottom and a top
+        n += 2
+        grown = np.eye(n, dtype=bool)
+        grown[1:-1, 1:-1] = rel
+        grown[0, :] = grown[:, -1] = True
+        rel = grown
+    perm = np.array(draw(st.permutations(range(n))))
+    return rel[np.ix_(perm, perm)], np.array(draw(st.permutations(range(n))))
+
+
+@st.composite
 def orthoposets(draw):
     """Q x Q^op for a drawn poset Q, (a, b) <= (c, d) iff a <= c and d <= b, with
     the swap (a, b) -> (b, a), an involution that reverses the order; relabeled.
@@ -551,6 +624,91 @@ def test_closure_holds_no_pair_by_word_gather():
     pairs = int(leq.sum())
     assert (transitive_closure(leq) == leq).all()
     assert traced_peak(transitive_closure, leq) < 40 * pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=reflexive_relations())
+@example(case=(np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool), np.array([2, 1, 0])))
+def test_construction_errors_keep_their_order(case):
+    """FiniteOML raises what the loop oracles raise, in their order; the
+    example is intransitive with no bottom, where transitivity must win.
+    Caught: the bounds checked before the join search's transitivity verdict."""
+    leq, ortho = case
+    names = [f"x{i}" for i in range(leq.shape[0])]
+    want = construction_problem(names, leq)
+    if want is None:
+        L = FiniteOML(names, leq, ortho)
+        meet, join, *_ = row_scan_bound_tables(leq)
+        assert np.array_equal(L.meet_table, meet) and np.array_equal(L.join_table, join)
+    else:
+        with pytest.raises(LatticeError) as exc:
+            FiniteOML(names, leq, ortho)
+        assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@settings(max_examples=150, deadline=None)
+@given(case=reflexive_relations())
+def test_join_search_decides_transitivity(rows, case):
+    """The count comparison of _joins, in blocks of 1 and 3 rows, against
+    the transitivity loop, on reflexive relations cyclic or not.  Caught:
+    the comparison run on the first block only."""
+    leq, _ = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_BYTES", rows * leq.shape[0])
+        assert (_kernels._joins(leq) is None) == (transitivity_gap(leq) is not None)
+
+
+def test_construction_runs_one_cubic_product(tmp_path):
+    """With bool_matmul raising, acyclic covering-pair files load, relabeled
+    corpus orders construct, and the builders that pass tables (2^m, ideals,
+    generated sublattices) run: the count table of the join search is the
+    only n^3 product of a valid lattice.  check_partial_order ran a second
+    one on every order, the trusted ones included."""
+    rng = np.random.default_rng(12)
+    bases = [boolean_lattice(m) for m in (1, 3, 6)] + [mo(k) for k in (1, 4, 8)]
+    bases += [product(boolean_lattice(m), q) for m in (1, 2, 3) for q in (mo(2), benzene())]
+    files = []
+    for k, L in enumerate(bases):  # save_lattice writes the covering pairs only
+        files.append((relabel(L, rng.permutation(L.n)), tmp_path / f"{k}.json"))
+        save_lattice(*files[-1])
+
+    def no_product(*args):
+        raise AssertionError("bool_matmul ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "bool_matmul", no_product)
+        for M, path in files:
+            L = load_lattice(path)
+            assert np.array_equal(L.leq, M.leq)
+            assert np.array_equal(L.meet_table, M.meet_table)
+            assert np.array_equal(L.join_table, M.join_table)
+        for L in BASES.values():
+            relabel(L, rng.permutation(L.n))
+        for m in range(1, 10):
+            boolean_lattice(m)
+        for L in (boolean_lattice(6), mo(3), product(boolean_lattice(2), mo(2))):
+            for a in L.nonzero():
+                principal_ideal(L, int(a))
+            generated_sublattice(L, rng.choice(L.n, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=relabeled(), data=st.data())
+def test_sublattice_tables_match_row_loop(L, data):
+    """The sub-tables of every principal ideal and of a generated sublattice,
+    gathered through the inverse embedding, equal the per-row dict loop bit
+    for bit."""
+    subs = [generated_sublattice(L, data.draw(st.lists(st.integers(0, L.n - 1), max_size=3)))]
+    for a in L.nonzero():
+        try:
+            subs.append(principal_ideal(L, int(a)))
+        except LatticeError as exc:  # the ideals of a non-orthomodular lattice
+            assert "relative complement" in str(exc)
+    for sub, embed in subs:
+        meet, join = loop_sub_tables(L, embed)
+        assert sub.meet_table.dtype == sub.join_table.dtype == np.int64
+        assert np.array_equal(sub.meet_table, meet) and np.array_equal(sub.join_table, join)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stonespec import io as sio
-from stonespec.corpus import corpus
+from stonespec.corpus import boolean_lattice, corpus
 from stonespec.errors import LatticeError, SchemaError
+from stonespec.lattice import FiniteOML
 from stonespec.spectral import make_spectral_family, observable_fn, random_spectral_family
 
 CORPUS = corpus()
@@ -90,6 +92,26 @@ class TestLatticeFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(SchemaError, match="5 elements need about .* GiB .* past the cap"):
             sio.load_lattice(path)
+
+    def test_load_holds_two_order_matrices(self, tmp_path):
+        """On the relabeled covering pairs of 2^10 the traced peak of a load
+        stays below 20.5 bytes a pair (20.0 traced); while the file's relation
+        stayed referenced next to the closure and the lattice's copy it was
+        21.0."""
+        L = boolean_lattice(10)
+        inv = np.random.default_rng(4).permutation(L.n)  # new index i is old inv[i]
+        M = FiniteOML([L.names[i] for i in inv], L.leq[np.ix_(inv, inv)],
+                      np.argsort(inv)[L.ortho[inv]])
+        path = tmp_path / "b10.json"
+        sio.save_lattice(M, path)  # the covering pairs only
+        tracemalloc.start()
+        try:
+            loaded = sio.load_lattice(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (loaded.leq == M.leq).all()
+        assert peak < 20.5 * L.n * L.n
 
     def test_non_unique_bottom(self, tmp_path):
         path = write(

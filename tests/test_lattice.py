@@ -11,6 +11,7 @@ from stonespec.lattice import (
     generated_sublattice,
     inspect_order,
     principal_ideal,
+    sublattice_from_members,
     verify_structure,
 )
 
@@ -253,6 +254,16 @@ class TestSublattices:
         assert int(embed[sub.top]) == 3
         rep = verify_structure(sub)
         assert rep.is_boolean
+
+    def test_member_set_not_closed_under_join(self):
+        """{0, e1, e2, 1} in 2^3 with a valid complement map lacks e1 v e2;
+        the gather through the inverse embedding names the pair instead of
+        raising a bare KeyError."""
+        C3 = CORPUS["2^3"]
+        e1, e2 = C3.index("e1"), C3.index("e2")
+        ortho_map = {C3.bottom: C3.top, C3.top: C3.bottom, e1: e2, e2: e1}
+        with pytest.raises(LatticeError, match="^join of 'e1' and 'e2' leaves the member set$"):
+            sublattice_from_members(C3, ortho_map, ortho_map)
 
     def test_principal_ideal_of_bottom_rejected(self):
         with pytest.raises(LatticeError):
