@@ -7,14 +7,20 @@ Run from the root of a checkout, with the package under test on the path:
 Each lattice is written once as a file of its covering pairs, with its
 elements relabeled by a permutation drawn from the seed: the Boolean
 lattices 2^9 to 2^12, MO256 and MO1024 (127 and 511 orthocomplementary atom
-pairs) and the chain of 2048 elements (its orthocomplement reverses the
-chain).  For each file it prints, as JSON, the median and the quartiles in
-ms of ``io.load_lattice`` on the file, ``io.transitive_closure`` on the
-reflexive relation of its pairs (what ``load_lattice`` closes),
-``_kernels.bound_tables`` on the closed order with the file's
-orthocomplement, and the ``FiniteOML`` constructor alone on the closed
-order (its checks and tables, without the file and the closure).  The
-first call of each is not timed.
+pairs), the chain of 2048 elements (its orthocomplement reverses the
+chain), and 2^11 with the identity as its orthocomplement ("2^11 direct":
+it reverses no order, so the meets are searched as the joins of the
+reversed order instead of read by De Morgan).  For each file it prints, as
+JSON, the median and the quartiles in ms of ``io.load_lattice`` on the
+file, ``io.transitive_closure`` on the reflexive relation of its pairs
+(what ``load_lattice`` closes), ``_kernels.bound_tables`` on the closed
+order with the file's orthocomplement, and the ``FiniteOML`` constructor
+alone on the closed order (its checks and tables, without the file and the
+closure).  The first call of each is not timed.  Two columns come from
+tracemalloc, in bytes per ordered pair of elements (bytes / n^2), over one
+more ``load_lattice`` call: its peak (``load_peak_bytes_per_pair``) and
+what the loaded lattice still holds when it returns
+(``held_bytes_per_pair``).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +42,11 @@ from table_ops import mo_lattice, timed  # this script's directory is on sys.pat
 def chain(n: int) -> FiniteOML:
     leq = np.triu(np.ones((n, n), dtype=bool))
     return FiniteOML([str(i) for i in range(n)], leq, np.arange(n)[::-1].copy())
+
+
+def without_reversal(L: FiniteOML) -> FiniteOML:
+    """L with the identity as its orthocomplement, which reverses no order."""
+    return FiniteOML(L.names, L.leq, np.arange(L.n))
 
 
 def relabeled_file(L: FiniteOML, rng: np.random.Generator, path: Path) -> None:
@@ -51,6 +63,18 @@ def relabeled_file(L: FiniteOML, rng: np.random.Generator, path: Path) -> None:
     path.write_text(json.dumps(doc))
 
 
+def traced_load(path: Path, n: int) -> tuple[float, float]:
+    """Peak and held bytes per pair of one load_lattice call, traced."""
+    tracemalloc.start()
+    try:
+        L = io.load_lattice(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del L
+    return round(peak / n**2, 2), round(held / n**2, 2)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=9)
@@ -61,6 +85,7 @@ def main() -> None:
     lattices["MO256"] = lambda: mo_lattice(127)
     lattices["MO1024"] = lambda: mo_lattice(511)
     lattices["chain2048"] = lambda: chain(2048)
+    lattices["2^11 direct"] = lambda: without_reversal(boolean_lattice(11))
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, build in lattices.items():
@@ -72,6 +97,7 @@ def main() -> None:
             i, j = np.array(doc["leq"]).T
             rel[i, j] = True
             L = io.load_lattice(path)
+            peak, held = traced_load(path, n)
             out[name] = {
                 "n": n,
                 "pairs": len(doc["leq"]),
@@ -80,6 +106,8 @@ def main() -> None:
                 "bound_tables": timed(lambda: _kernels.bound_tables(L.leq, L.ortho),
                                       args.repeats),
                 "finite_oml": timed(lambda: FiniteOML(L.names, L.leq, L.ortho), args.repeats),
+                "load_peak_bytes_per_pair": peak,
+                "held_bytes_per_pair": held,
             }
     print(json.dumps(out, indent=1))
 

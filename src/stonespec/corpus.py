@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import index_dtype
 from .lattice import FiniteOML
 
 
@@ -22,7 +23,7 @@ def boolean_lattice(m: int, atom_names: list[str] | None = None) -> FiniteOML:
     if len(atom_names) != m:
         raise ValueError("need one name per atom")
     n = 1 << m
-    masks = np.arange(n)
+    masks = np.arange(n, dtype=index_dtype(n))
     names = []
     for s in masks:
         if s == 0:
@@ -35,7 +36,7 @@ def boolean_lattice(m: int, atom_names: list[str] | None = None) -> FiniteOML:
     ortho = (n - 1) ^ masks
     meet = masks[:, None] & masks[None, :]
     join = masks[:, None] | masks[None, :]
-    return FiniteOML(names, leq, ortho, tables=(meet.astype(np.int64), join.astype(np.int64)))
+    return FiniteOML(names, leq, ortho, tables=(meet, join))
 
 
 def chain2() -> FiniteOML:

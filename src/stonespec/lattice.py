@@ -2,9 +2,12 @@
 
 Elements are integer indices into a fixed boolean order matrix ``leq``
 (``leq[i, j]`` means i <= j).  Meets and joins are precomputed into n x n
-tables at construction; construction fails fast if the order is not a
-partial order or some pair lacks a unique bound (transitivity is read from
-the join search's counts: one n^3 product).  The orthocomplement is
+tables at construction, of the narrowest integer type that holds n - 1
+(``_kernels.index_dtype``: int16, two bytes a pair, while n <= 2^15);
+construction fails fast if the order is not a partial order or some pair
+lacks a unique bound (transitivity is read from the join search's counts:
+one n^3 product).  Permutation gathers of the order and the tables take
+rows, then columns, never the 2-D ``np.ix_`` gather.  The orthocomplement is
 stored as a permutation but its axioms (involution, order reversal,
 complement laws, orthomodularity) are *verdicts* reported by
 :func:`verify_structure`, not construction requirements -- non-orthomodular
@@ -86,7 +89,8 @@ class FiniteOML:
         Permutation array, ``ortho[a]`` is the orthocomplement a'.
     tables:
         Optional precomputed ``(meet, join)`` tables for constructions whose
-        bounds are known analytically (e.g. subset lattices). They are
+        bounds are known analytically (e.g. subset lattices), cast to
+        ``_kernels.index_dtype(n)`` (int16 while n <= 2^15). They are
         trusted, and vouch for the transitivity of ``leq``; pass None to have
         them computed and the whole order checked.
     """
@@ -129,7 +133,7 @@ class FiniteOML:
             if status == _kernels.STATUS_NO_JOIN:
                 raise LatticeError(f"pair ({names[a]}, {names[b]}) has no unique join")
         else:
-            meet, join = (np.asarray(t, dtype=np.int64) for t in tables)
+            meet, join = (np.asarray(t, dtype=_kernels.index_dtype(n)) for t in tables)
         self.n = n
         self.names = tuple(names)
         self.leq = leq
@@ -268,7 +272,7 @@ def _ortho_complement_verdict(L: FiniteOML) -> tuple[bool, tuple[int, ...] | Non
     inv = o[o] != np.arange(L.n)
     if inv.any():
         return False, (int(np.argmax(inv)),)
-    rev = L.leq[np.ix_(o, o)]  # rev[a, b] = a' <= b'
+    rev = L.leq.take(o, axis=0).take(o, axis=1)  # rev[a, b] = a' <= b'
     bad = L.leq & ~rev.T  # a <= b but not b' <= a'
     if bad.any():
         a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -358,12 +362,12 @@ def sublattice_from_members(
     index).
     """
     mem = sorted({L._check(m) for m in members})
-    sub = L.leq[np.ix_(mem, mem)]
+    sub = L.leq.take(mem, axis=0).take(mem, axis=1)
     downsize = sub.sum(axis=0)
     order = sorted(range(len(mem)), key=lambda k: (int(downsize[k]), mem[k]))
     embed = np.array([mem[k] for k in order], dtype=np.int64)
     back = {int(p): i for i, p in enumerate(embed)}
-    sub_leq = L.leq[np.ix_(embed, embed)]
+    sub_leq = L.leq.take(embed, axis=0).take(embed, axis=1)
     if ortho_map is None:
         ortho_map = {int(p): int(L.ortho[p]) for p in embed}
     try:
@@ -373,9 +377,11 @@ def sublattice_from_members(
     names = [L.names[int(p)] for p in embed]
     # bounds within a closed member set are the parent bounds; -1 marks one
     # outside the set, which tables trusted by FiniteOML must not hold
-    inv = np.full(L.n, -1, np.int64)
+    inv = np.full(L.n, -1, _kernels.index_dtype(len(embed)))
     inv[embed] = np.arange(len(embed))
-    sub_meet, sub_join = (inv[t[np.ix_(embed, embed)]] for t in (L.meet_table, L.join_table))
+    sub_meet, sub_join = (
+        inv[t.take(embed, axis=0).take(embed, axis=1)] for t in (L.meet_table, L.join_table)
+    )
     for what, t in (("meet", sub_meet), ("join", sub_join)):
         if (t < 0).any():
             i, j = np.argwhere(t < 0)[0]

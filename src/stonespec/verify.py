@@ -129,7 +129,7 @@ def suite_lattice(seed: int = 7) -> list[Check]:
         inv = np.empty_like(perm)
         inv[perm] = np.arange(L.n)
         names2 = [L.names[int(inv[i])] for i in range(L.n)]
-        leq2 = L.leq[np.ix_(inv, inv)]
+        leq2 = L.leq.take(inv, axis=0).take(inv, axis=1)
         ortho2 = perm[L.ortho[inv]]
         L2 = FiniteOML(names2, leq2, ortho2)
         r1, r2 = verify_structure(L), verify_structure(L2)

@@ -486,7 +486,7 @@ def matrix_cli_text(runner) -> str:
 class TestMemory:
     def test_lattice_past_the_cap_exits_2(self, runner, tmp_path):
         """One element past the cap is refused before its n^2 order matrix
-        (40 MB) is allocated."""
+        (67 MB) is allocated."""
         n = math.isqrt(sio.LATTICE_BYTES_CAP // sio.LATTICE_PAIR_BYTES) + 1
         path = tmp_path / "big.json"
         path.write_text(json.dumps(
@@ -501,7 +501,7 @@ class TestMemory:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.output == (
-            f"schema error: {path}: 6307 elements need about 1.00 GiB for the n^2 "
+            f"schema error: {path}: 8193 elements need about 1.00 GiB for the n^2 "
             "tables, past the cap of 1 GiB\n"
         )
         assert peak < n * n

@@ -43,7 +43,14 @@ from stonespec.lattice import (
     principal_ideal,
     verify_structure,
 )
-from stonespec.spectral import ObservableTable, observable_fn, random_spectral_family
+from stonespec.spectral import (
+    ObservableTable,
+    SpectralFamily,
+    make_spectral_family,
+    mirrored_fn,
+    observable_fn,
+    random_spectral_family,
+)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -707,8 +714,69 @@ def test_sublattice_tables_match_row_loop(L, data):
             assert "relative complement" in str(exc)
     for sub, embed in subs:
         meet, join = loop_sub_tables(L, embed)
-        assert sub.meet_table.dtype == sub.join_table.dtype == np.int64
+        assert sub.meet_table.dtype == sub.join_table.dtype == np.int16
+        assert _kernels.index_dtype(sub.n) == np.int16
         assert np.array_equal(sub.meet_table, meet) and np.array_equal(sub.join_table, join)
+
+
+def widened(L):
+    """L with int64 copies of its tables, the type every builder made before."""
+    W = object.__new__(FiniteOML)
+    for slot in FiniteOML.__slots__:
+        setattr(W, slot, getattr(L, slot))
+    W.meet_table, W.join_table = (t.astype(np.int64) for t in (L.meet_table, L.join_table))
+    return W
+
+
+def outcome(fn, L, t):
+    """fn(L, t) as text, with tables as bytes and families as their jumps, or
+    the type and message of the error it raised."""
+    try:
+        out = fn(L, t)
+    except LatticeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, ObservableTable):
+        return out.values.tobytes()
+    return repr(out.jumps() if isinstance(out, SpectralFamily) else out)
+
+
+def test_index_dtype_holds_every_index():
+    """int16 up to 2^15 elements, the next type past it; no n^2 array is built."""
+    for n, want in ((2, np.int16), (1 << 15, np.int16), (1 << 15 | 1, np.int32)):
+        dt = _kernels.index_dtype(n)
+        assert dt == want
+        assert np.iinfo(dt).max >= n - 1 and np.iinfo(dt).min < 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=tables(), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_int16_tables_match_int64_oracle(tmp_path_factory, case, m, seed):
+    """The int16 tables of FiniteOML (De Morgan and direct meets), load_lattice
+    and boolean_lattice equal the int64 row-scan oracle, and the spectral and
+    recon results on them equal those on int64 copies of the same tables."""
+    L, t = case
+    want = row_scan_bound_tables(L.leq)[:2]
+    path = tmp_path_factory.mktemp("tables") / "L.json"
+    save_lattice(L, path)
+    B = boolean_lattice(m)
+    for M, (meet, join) in (
+        (L, want),
+        (FiniteOML(L.names, L.leq, np.arange(L.n)), want),  # the identity reverses no order
+        (load_lattice(path), want),
+        (B, row_scan_bound_tables(B.leq)[:2]),
+    ):
+        assert M.meet_table.dtype == M.join_table.dtype == np.int16
+        assert np.array_equal(M.meet_table, meet) and np.array_equal(M.join_table, join)
+    W = widened(L)
+    E = random_spectral_family(L, np.random.default_rng(seed))
+    EW = make_spectral_family(W, E.jumps())
+    for fn in (observable_fn, mirrored_fn):
+        assert fn(E).values.tobytes() == fn(EW).values.tobytes()
+    tw = ObservableTable(W, t.values)
+    for fn in (recon.is_completely_increasing, recon.is_abstract_observable,
+               recon.verify_sublevel_ideals, recon.f_from_r, recon.reconstruct):
+        assert outcome(fn, L, t) == outcome(fn, W, tw)
+    assert verify_structure(L) == verify_structure(W)
 
 
 @settings(max_examples=60, deadline=None)

@@ -95,9 +95,9 @@ class TestLatticeFiles:
 
     def test_load_holds_two_order_matrices(self, tmp_path):
         """On the relabeled covering pairs of 2^10 the traced peak of a load
-        stays below 20.5 bytes a pair (20.0 traced); while the file's relation
-        stayed referenced next to the closure and the lattice's copy it was
-        21.0."""
+        stays below 13.25 bytes a pair (12.73 traced); with int64 tables it
+        was 20.0, and 21.0 while the file's relation stayed referenced next to
+        the closure and the lattice's copy."""
         L = boolean_lattice(10)
         inv = np.random.default_rng(4).permutation(L.n)  # new index i is old inv[i]
         M = FiniteOML([L.names[i] for i in inv], L.leq[np.ix_(inv, inv)],
@@ -111,7 +111,27 @@ class TestLatticeFiles:
         finally:
             tracemalloc.stop()
         assert (loaded.leq == M.leq).all()
-        assert peak < 20.5 * L.n * L.n
+        assert peak < 13.25 * L.n * L.n
+
+    def test_loaded_lattice_holds_six_bytes_a_pair(self, tmp_path):
+        """A lattice loaded from the relabeled covering pairs of 2^10 holds its
+        order and two int16 tables: 5.1 bytes a pair traced, 17.1 with int64
+        tables."""
+        L = boolean_lattice(10)
+        perm = np.random.default_rng(5).permutation(L.n)  # new index perm[i] is old i
+        inv = np.argsort(perm)
+        M = FiniteOML([L.names[i] for i in inv], L.leq.take(inv, axis=0).take(inv, axis=1),
+                      perm[L.ortho[inv]])
+        path = tmp_path / "b10.json"
+        sio.save_lattice(M, path)
+        tracemalloc.start()
+        try:
+            loaded = sio.load_lattice(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.join_table, M.join_table)
+        assert held <= 6 * L.n * L.n
 
     def test_non_unique_bottom(self, tmp_path):
         path = write(
