@@ -14,13 +14,19 @@ reversed order instead of read by De Morgan).  For each file it prints, as
 JSON, the median and the quartiles in ms of ``io.load_lattice`` on the
 file, ``io.transitive_closure`` on the reflexive relation of its pairs
 (what ``load_lattice`` closes), ``_kernels.bound_tables`` on the closed
-order with the file's orthocomplement, and the ``FiniteOML`` constructor
+order with the file's orthocomplement, the ``FiniteOML`` constructor
 alone on the closed order (its checks and tables, without the file and the
-closure).  The first call of each is not timed.  Two columns come from
-tracemalloc, in bytes per ordered pair of elements (bytes / n^2), over one
-more ``load_lattice`` call: its peak (``load_peak_bytes_per_pair``) and
+closure), and ``lattice.verify_structure`` on the loaded lattice (its n^2
+law scans).  The first call of each is not timed.  Three columns come from
+tracemalloc, in bytes per ordered pair of elements (bytes / n^2): over one
+more ``load_lattice`` call, its peak (``load_peak_bytes_per_pair``) and
 what the loaded lattice still holds when it returns
-(``held_bytes_per_pair``).
+(``held_bytes_per_pair``); over one more ``verify_structure`` call, its
+peak (``verify_peak_bytes_per_pair``).  Both ``verify_structure`` columns
+are null on the 2048-chain and on "2^11 direct": their orthocomplement
+fails its test, so distributivity is not decided by the commuting
+criterion, and the O(n^3) triple scan runs to its end on these
+distributive lattices (about 160 s a call at n = 2048).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 
 from stonespec import _kernels, io
 from stonespec.corpus import boolean_lattice
-from stonespec.lattice import FiniteOML
+from stonespec.lattice import FiniteOML, verify_structure
 from table_ops import mo_lattice, timed  # this script's directory is on sys.path
 
 
@@ -75,6 +81,17 @@ def traced_load(path: Path, n: int) -> tuple[float, float]:
     return round(peak / n**2, 2), round(held / n**2, 2)
 
 
+def traced_verify(L: FiniteOML) -> float:
+    """Peak bytes per pair of one verify_structure call, traced."""
+    tracemalloc.start()
+    try:
+        verify_structure(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / L.n**2, 2)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=9)
@@ -86,6 +103,7 @@ def main() -> None:
     lattices["MO1024"] = lambda: mo_lattice(511)
     lattices["chain2048"] = lambda: chain(2048)
     lattices["2^11 direct"] = lambda: without_reversal(boolean_lattice(11))
+    full_triple_scan = ("chain2048", "2^11 direct")
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, build in lattices.items():
@@ -98,6 +116,7 @@ def main() -> None:
             rel[i, j] = True
             L = io.load_lattice(path)
             peak, held = traced_load(path, n)
+            verify = name not in full_triple_scan
             out[name] = {
                 "n": n,
                 "pairs": len(doc["leq"]),
@@ -106,8 +125,11 @@ def main() -> None:
                 "bound_tables": timed(lambda: _kernels.bound_tables(L.leq, L.ortho),
                                       args.repeats),
                 "finite_oml": timed(lambda: FiniteOML(L.names, L.leq, L.ortho), args.repeats),
+                "verify_structure": timed(lambda: verify_structure(L), args.repeats)
+                if verify else None,
                 "load_peak_bytes_per_pair": peak,
                 "held_bytes_per_pair": held,
+                "verify_peak_bytes_per_pair": traced_verify(L) if verify else None,
             }
     print(json.dumps(out, indent=1))
 

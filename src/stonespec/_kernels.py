@@ -17,7 +17,9 @@ has found its bit, and mirrored (table and test are symmetric).  The counts
 first decide transitivity in O(n^2): a reflexive relation is transitive iff
 every a <= b has |up(b)| common upper bounds.  Meets are joins too: when the
 orthocomplement is an involution that reverses the order, a ^ b = (a' v b')'
-(De Morgan); otherwise they are the joins of the reversed order.
+(De Morgan); otherwise they are the joins of the reversed order.  One test
+decides the reversal (:func:`_ortho_witness`), here and in
+``lattice.verify_structure``.
 
 The tables hold element indices in the narrowest integer type that holds
 n - 1 (:func:`index_dtype`): int16, two bytes a pair, while n <= 2^15.
@@ -27,7 +29,8 @@ Permutation gathers of n x n bool and index arrays take rows, then columns
 
 The n^2 law scans run in row blocks of at most ``_SCAN_BYTES`` per
 temporary, so no scan allocates an n x n array; blocks that small are
-served from the heap rather than from fresh pages.
+served from the heap rather than from fresh pages.  One function walks the
+blocks for every scan (:func:`_first_pair`), given the test of one block.
 """
 
 from __future__ import annotations
@@ -53,6 +56,18 @@ def row_blocks(n: int, row_bytes: int):
     step = max(1, _SCAN_BYTES // max(1, row_bytes))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
+
+
+def _first_pair(n: int, row_bytes: int, bad) -> tuple[int, int] | None:
+    """First (i, j), in row-major order, set in the boolean blocks bad(rows)
+    over the slices of :func:`row_blocks` (row k of a block is row
+    rows.start + k), else None; stops at the first block with a pair set."""
+    for rows in row_blocks(n, row_bytes):
+        block = bad(rows)
+        if block.any():
+            i, j = np.unravel_index(int(np.argmax(block)), block.shape)
+            return rows.start + int(i), int(j)
+    return None
 
 
 def index_dtype(n: int) -> np.dtype:
@@ -133,9 +148,9 @@ def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     common = f @ f.T  # [i, j] -> number of common upper bounds
     del f
     up = up[by_up].astype(np.float32)  # exact, and compared with counts of the same type
-    for rows in row_blocks(n, n):  # i <= j must give |up(i) & up(j)| == |up(j)|
-        if (unpacked_rows(words[rows], n) & (common[rows] != up)).any():
-            return None
+    # i <= j must give |up(i) & up(j)| == |up(j)|
+    if _first_pair(n, n, lambda rows: unpacked_rows(words[rows], n) & (common[rows] != up)):
+        return None
     # positions, not labels, in the search order
     at = np.empty((n, n), index_dtype(n))
     ok = np.empty((n, n), bool)
@@ -154,14 +169,17 @@ def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     return by_up.astype(at.dtype)[at.take(pos, axis=0).take(pos, axis=1)], ok, pos
 
 
-def _reverses_order(leq: np.ndarray, ortho: np.ndarray) -> bool:
-    """Whether ortho is an involution with a <= b iff b' <= a'."""
+def _ortho_witness(leq: np.ndarray, ortho: np.ndarray) -> tuple[int, ...] | None:
+    """None when the permutation ortho is an involution that reverses the
+    order; else (a,) for the first a with a'' != a, else the first pair
+    (a, b), in row-major order, with a <= b but not b' <= a'.  Each block
+    gathers its n x rows slice of the order, columns first."""
     n = leq.shape[0]
-    if not (ortho[ortho] == np.arange(n)).all():
-        return False
-    return all(
-        (leq.take(ortho[rows], axis=0).take(ortho, axis=1) == leq[:, rows].T).all()
-        for rows in row_blocks(n, n)
+    inv = ortho[ortho] != np.arange(n)
+    if inv.any():
+        return (int(np.argmax(inv)),)
+    return _first_pair(
+        n, n, lambda rows: leq[rows] & ~leq.take(ortho[rows], axis=1).take(ortho, axis=0).T
     )
 
 
@@ -183,7 +201,7 @@ def bound_tables(leq: np.ndarray, ortho=None):
     if (joins := _joins(leq)) is None:
         return None, None, STATUS_NOT_TRANSITIVE, -1, -1
     join, ok, pos = joins
-    if ortho is not None and _reverses_order(leq, o := np.asarray(ortho, np.int64)):
+    if ortho is not None and _ortho_witness(leq, o := np.asarray(ortho, np.int64)) is None:
         meet = join.take(o, axis=0).take(o, axis=1)
         for rows in row_blocks(n, 8 * n):
             meet[rows] = o[meet[rows]]
@@ -209,13 +227,10 @@ def distributivity_witness(meet, join):
     n = meet.shape[0]
     for a in range(n):
         ma = meet[a]
-        for rows in row_blocks(n, 8 * n):
-            lhs = ma[join[rows]]  # [b, c] -> a ^ (b v c)
-            rhs = join[ma[rows, None], ma[None, :]]
-            bad = lhs != rhs
-            if bad.any():
-                b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                return a, rows.start + int(b), int(c)
+        # [b, c] -> a ^ (b v c) against (a ^ b) v (a ^ c)
+        bc = _first_pair(n, 8 * n, lambda rows: ma[join[rows]] != join[ma[rows, None], ma])
+        if bc:
+            return a, *bc
     return -1, -1, -1
 
 
@@ -227,23 +242,17 @@ def all_commute(meet, join, ortho) -> bool:
     """
     n = meet.shape[0]
     ortho = np.asarray(ortho, np.int64)
-    for rows in row_blocks(n, 8 * n):
-        m = meet[rows]
-        rel = join[m, m[:, ortho]]  # [a, b] -> (a ^ b) v (a ^ b')
-        if not (rel == np.arange(n)[rows, None]).all():
-            return False
-    return True
+    # [a, b] -> (a ^ b) v (a ^ b') != a
+    return _first_pair(
+        n, 8 * n, lambda rows: join[meet[rows], meet[rows][:, ortho]] != np.arange(n)[rows, None]
+    ) is None
 
 
 def orthomodularity_witness(leq, meet, join, ortho):
     """First pair a <= b with b != a v (b ^ a'), else (-1, -1)."""
     n = leq.shape[0]
     ortho = np.asarray(ortho, np.int64)
-    for rows in row_blocks(n, 8 * n):
-        c = meet[:, ortho[rows]].T  # [a, b] -> b ^ a'
-        rel = np.take_along_axis(join[rows], c, axis=1)  # a v (b ^ a')
-        bad = leq[rows] & (rel != np.arange(n))
-        if bad.any():
-            a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return rows.start + int(a), int(b)
-    return -1, -1
+    # meet[:, ortho[rows]].T is [a, b] -> b ^ a'
+    return _first_pair(n, 8 * n, lambda rows: leq[rows] & (
+        np.take_along_axis(join[rows], meet[:, ortho[rows]].T, axis=1) != np.arange(n)
+    )) or (-1, -1)

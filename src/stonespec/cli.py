@@ -38,20 +38,20 @@ def _fail(code: int, message: str):
 def _load_lattice(path):
     try:
         return sio.load_lattice(path)
-    except SchemaError as exc:
-        _fail(EXIT_SCHEMA, f"schema error: {exc}")
     except LatticeError as exc:
         _fail(EXIT_MATH, f"lattice error: {exc}")
 
 
 class _Main(click.Group):
-    """The command group; running out of memory exits 2 instead of a traceback.
-    Inputs whose size is known up front are refused by their caps before
-    this backstop is reached."""
+    """The command group; an input file that breaks its schema, and running out
+    of memory, exit 2 instead of a traceback.  Inputs whose size is known up
+    front are refused by their caps before the memory backstop is reached."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except SchemaError as exc:
+            _fail(EXIT_SCHEMA, f"schema error: {exc}")
         except MemoryError as exc:
             _fail(EXIT_SCHEMA, f"input error: out of memory ({exc or 'no details'})")
 
@@ -130,8 +130,6 @@ def obsfn(lattice_file, family_file, fmt):
     L = _load_lattice(lattice_file)
     try:
         E = sio.load_family(family_file, L)
-    except SchemaError as exc:
-        _fail(EXIT_SCHEMA, f"schema error: {exc}")
     except LatticeError as exc:
         _fail(EXIT_MATH, f"family error: {exc}")
     table = spectral_mod.observable_fn(E)
@@ -154,8 +152,6 @@ def reconstruct(lattice_file, fn_file, out_file):
     try:
         table = sio.load_table(fn_file, L)
         E = reconstruct_fn(L, table)
-    except SchemaError as exc:
-        _fail(EXIT_SCHEMA, f"schema error: {exc}")
     except LatticeError as exc:
         _fail(EXIT_MATH, f"validation error: {exc}")
     payload = json.dumps(sio.family_to_dict(E), indent=2)
@@ -171,13 +167,6 @@ def reconstruct(lattice_file, fn_file, out_file):
 @main.group()
 def matrix():
     """Operations on Hermitian matrix files."""
-
-
-def _load_matrix(matrix_file):
-    try:
-        return sio.load_matrix(matrix_file)
-    except SchemaError as exc:
-        _fail(EXIT_SCHEMA, f"schema error: {exc}")
 
 
 def _eig_of(A):
@@ -209,7 +198,7 @@ def _over_lattice(fn, d, *args):
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def spectral(matrix_file, fmt):
     """Spectral family of a Hermitian matrix over its generated lattice."""
-    E = _over_lattice(matrix_mod.spectral_family_of, _eig_of(_load_matrix(matrix_file)))
+    E = _over_lattice(matrix_mod.spectral_family_of, _eig_of(sio.load_matrix(matrix_file)))
     if fmt == "json":
         click.echo(json.dumps(sio.family_to_dict(E), indent=2))
     elif fmt == "csv":
@@ -236,7 +225,7 @@ def _sweep(n: int, seed: int):
 @click.option("--matrix", "matrix_file", required=True, type=click.Path(exists=True))
 @click.option("--ray", "ray_file", type=click.Path(exists=True), default=None,
               help="evaluate a single ray file instead of the probe sweep")
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="csv")
 def rays(matrix_file, ray_file, seed, fmt):
     """Ray table (observable, mirrored, expectation) on a probe set.
@@ -244,7 +233,7 @@ def rays(matrix_file, ray_file, seed, fmt):
     The sweep evaluates n^2 + 2n probes at two n x n products each, about 2 n^4
     complex multiply-adds; past SWEEP_CAP it is refused (exit 2) before the
     eigendecomposition.  Rows are written one block of probes at a time."""
-    A = _load_matrix(matrix_file)
+    A = sio.load_matrix(matrix_file)
     n = A.shape[0]
     if ray_file is None:
         cost = 2 * n * n * (n * n + 2 * n)
@@ -256,10 +245,7 @@ def rays(matrix_file, ray_file, seed, fmt):
     if ray_file is None:
         blocks = _sweep(n, seed)
     else:
-        try:
-            x = sio.load_ray(ray_file)
-        except SchemaError as exc:
-            _fail(EXIT_SCHEMA, f"schema error: {exc}")
+        x = sio.load_ray(ray_file)
         if len(x) != n:
             _fail(EXIT_SCHEMA, f"ray has {len(x)} entries, matrix has {n}")
         blocks = [(["ray"], x[None, :])]
@@ -286,7 +272,7 @@ def rays(matrix_file, ray_file, seed, fmt):
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text")
 def gelfand(matrix_file, fmt):
     """Gelfand transform of a (diagonalizable) matrix."""
-    A = _load_matrix(matrix_file)
+    A = sio.load_matrix(matrix_file)
     try:
         U, entries = gelfand_mod.diagonalize(A)
     except LatticeError as exc:
@@ -308,7 +294,7 @@ def gelfand(matrix_file, fmt):
 @click.option("--eps", type=float, required=True)
 def approx(matrix_file, eps):
     """Step-operator approximation report at mesh eps."""
-    d = _eig_of(_load_matrix(matrix_file))
+    d = _eig_of(sio.load_matrix(matrix_file))
     if eps <= 0:
         _fail(EXIT_SCHEMA, "eps must be positive")
     _, rep = _over_lattice(matrix_mod.step_approx, d, eps)
@@ -324,11 +310,11 @@ def approx(matrix_file, eps):
     "--suite",
     "suites",
     multiple=True,
-    type=click.Choice(["lattice", "stone", "spectral", "recon", "matrix", "gelfand", "all"]),
+    type=click.Choice([*verify_mod.SUITES, "all"]),
     default=("all",),
     show_default=True,
 )
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text")
 def verify(suites, seed, fmt):
     """Run the verification corpus; exit 0 iff every check passes."""

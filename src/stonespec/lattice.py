@@ -44,11 +44,14 @@ def _reflexive_antisymmetric_problem(leq: np.ndarray) -> tuple[str, tuple[int, .
     if not diag.all():
         i = int(np.argmin(diag))
         return "not reflexive", (i,)
-    sym = leq & leq.T & ~np.eye(n, dtype=bool)
-    if sym.any():
-        i, j = np.unravel_index(int(np.argmax(sym)), sym.shape)
-        return "not antisymmetric", (int(i), int(j))
-    return None
+
+    def sym(rows):  # i <= j and j <= i with i != j
+        out = leq[rows] & leq[:, rows].T
+        np.fill_diagonal(out[:, rows], False)
+        return out
+
+    pair = _kernels._first_pair(n, n, sym)
+    return None if pair is None else ("not antisymmetric", pair)
 
 
 def check_partial_order(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
@@ -269,14 +272,8 @@ class StructureReport:
 
 def _ortho_complement_verdict(L: FiniteOML) -> tuple[bool, tuple[int, ...] | None]:
     o = L.ortho
-    inv = o[o] != np.arange(L.n)
-    if inv.any():
-        return False, (int(np.argmax(inv)),)
-    rev = L.leq.take(o, axis=0).take(o, axis=1)  # rev[a, b] = a' <= b'
-    bad = L.leq & ~rev.T  # a <= b but not b' <= a'
-    if bad.any():
-        a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        return False, (int(a), int(b))
+    if (wit := _kernels._ortho_witness(L.leq, o)) is not None:
+        return False, wit
     idx = np.arange(L.n)
     bad_meet = L.meet_table[idx, o] != L.bottom
     if bad_meet.any():

@@ -357,16 +357,16 @@ def random_rays(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _block_f(d: EigenDecomposition, X: np.ndarray) -> np.ndarray:
-    """f of the rays in the columns of X, by one ray_table call; the block's band
-    hits warn once, with their count."""
-    t = ray_table(d, X)
-    warn_band(int(np.count_nonzero(t.band)), len(t.band))
-    return t.f
+    """f of the rays in the columns of X, the rows of ray_table without g and
+    <Ax,x>; the block's band hits warn once, with their count."""
+    f, _, band = _ray_values(d, normalize_rays(X.T))
+    warn_band(int(np.count_nonzero(band)), len(band))
+    return f
 
 
-def random_hermitian(n: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (g + g.conj().T) / 2
+    return (g + g.conj().T) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -65,17 +65,17 @@ def _max_law_witness(L: FiniteOML, values) -> tuple[int, int] | None:
     first argument.  The n^2 pairs are compared in row blocks of the kernels'
     scan budget, so no n x n temporary is built."""
     v = np.asarray(values, dtype=np.float64)
-    for rows in _kernels.row_blocks(L.n, 8 * L.n):
+
+    def bad(rows):
         # np.fmax(x, y) is max(x, y) unless x is NaN, where (x, x) fails anyway;
         # bad is symmetric, so its first entry in row-major order has a <= b
-        bad = v[L.join_table[rows]] != np.fmax(v[rows, None], v[None, :])
-        bad[:, L.bottom] = False
+        out = v[L.join_table[rows]] != np.fmax(v[rows, None], v[None, :])
+        out[:, L.bottom] = False
         if rows.start <= L.bottom < rows.stop:
-            bad[L.bottom - rows.start] = False
-        if bad.any():
-            a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return rows.start + int(a), int(b)
-    return None
+            out[L.bottom - rows.start] = False
+        return out
+
+    return _kernels._first_pair(L.n, 8 * L.n, bad)
 
 
 def is_completely_increasing(
@@ -220,15 +220,16 @@ def _monotone_continuous(L: FiniteOML, values) -> bool:
     Python's min fails exactly when f(q) <= f(p) does not hold (a NaN on
     either side fails).  Compared in row blocks of the kernels' scan budget."""
     v = np.asarray(values, dtype=np.float64)
-    for rows in _kernels.row_blocks(L.n, L.n):
-        bad = L.leq[rows] & ~(v[rows, None] <= v[None, :])  # [q, p]
-        bad[np.arange(bad.shape[0]), np.arange(rows.start, rows.stop)] = False
-        bad[:, L.bottom] = False
+
+    def bad(rows):
+        out = L.leq[rows] & ~(v[rows, None] <= v[None, :])  # [q, p]
+        np.fill_diagonal(out[:, rows], False)
+        out[:, L.bottom] = False
         if rows.start <= L.bottom < rows.stop:
-            bad[L.bottom - rows.start] = False
-        if bad.any():
-            return False
-    return True
+            out[L.bottom - rows.start] = False
+        return out
+
+    return _kernels._first_pair(L.n, L.n, bad) is None
 
 
 def verify_reconstruction_steps(L: FiniteOML, f: ObservableTable) -> StepReport:

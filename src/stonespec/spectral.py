@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -409,18 +409,17 @@ class UscReport:
     failures: list[tuple[int, float]] = field(default_factory=list)
 
 
-def verify_upper_semicontinuity(
-    E: SpectralFamily, eps_grid: Sequence[float] = (1.0, 0.5, 0.25)
-) -> UscReport:
-    """For every ideal J0 and epsilon, the family value at f(J0) + eps/2
-    witnesses a basis neighbourhood on which f stays below f(J0) + eps."""
+def verify_upper_semicontinuity(E: SpectralFamily) -> UscReport:
+    """For every ideal J0 and epsilon in (1, 1/2, 1/4), the family value at
+    f(J0) + eps/2 witnesses a basis neighbourhood on which f stays below
+    f(J0) + eps."""
     L = E.lattice
     f = observable_fn(E)
     rep = UscReport(passed=True, checked=0)
     for g in L.nonzero():
         g = int(g)
         f0 = float(f.values[g])
-        for eps in eps_grid:
+        for eps in (1.0, 0.5, 0.25):
             witness = E.value_at(f0 + eps / 2)
             rep.checked += 1
             if not L.leq[g, witness]:  # witness must lie in J0
@@ -496,14 +495,12 @@ def verify_germ_equivalence(
 # random generation (used by the verification suites)
 
 
-def random_spectral_family(
-    L: FiniteOML, rng: np.random.Generator, max_jumps: int = 6
-) -> SpectralFamily:
-    """Random ascending chain of elements reaching top, with sorted random
-    thresholds."""
+def random_spectral_family(L: FiniteOML, rng: np.random.Generator) -> SpectralFamily:
+    """Random ascending chain of at most six elements reaching top, with sorted
+    random thresholds."""
     chain = [L.top]
     cur = L.top
-    while len(chain) < max_jumps:
+    while len(chain) < 6:
         below = [int(b) for b in np.flatnonzero(L.leq[:, cur]) if b != cur and b != L.bottom]
         if not below or rng.random() < 0.35:
             break

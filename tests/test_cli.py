@@ -447,6 +447,14 @@ class TestMatrixCommands:
             "tolerance band; their support decisions are ill-conditioned\n"
         )
 
+    def test_negative_seed_exits_2(self, runner, matrix_file):
+        """A usage error, not NumPy's traceback from default_rng."""
+        args = ["matrix", "rays", "--matrix", str(matrix_file), "--seed", "-1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--seed'" in result.output
+
     def test_zero_ray_exits_2(self, runner, matrix_file, tmp_path):
         ray = tmp_path / "zero.json"
         ray.write_text(json.dumps({"re": [0.0, 0.0, 0.0]}))
@@ -532,6 +540,13 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--suite", "stone", "--seed", "7"])
         assert result.exit_code == 0
         assert "PASS stone-structure" in result.output
+
+    def test_negative_seed_exits_2(self, runner):
+        """A usage error, not NumPy's traceback from default_rng."""
+        result = runner.invoke(main, ["verify", "--suite", "lattice", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--seed'" in result.output
 
     def test_deterministic_output(self, runner):
         args = ["verify", "--suite", "lattice", "--suite", "stone", "--seed", "11"]

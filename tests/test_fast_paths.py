@@ -38,6 +38,7 @@ from stonespec.errors import LatticeError, NotObservableError
 from stonespec.io import load_lattice, save_lattice, transitive_closure
 from stonespec.lattice import (
     FiniteOML,
+    _reflexive_antisymmetric_problem,
     check_partial_order,
     generated_sublattice,
     principal_ideal,
@@ -115,6 +116,31 @@ def one_shot_all_commute(meet, join, ortho):
     """_kernels.all_commute as one n x n gather."""
     rel = join[meet, meet[:, ortho]]
     return bool((rel == np.arange(meet.shape[0])[:, None]).all())
+
+
+def one_shot_ortho_witness(leq, o):
+    """_kernels._ortho_witness as one n x n gather of the reversed order."""
+    inv = o[o] != np.arange(len(o))
+    if inv.any():
+        return (int(np.argmax(inv)),)
+    rev = leq[np.ix_(o, o)]  # rev[a, b] = a' <= b'
+    bad = leq & ~rev.T  # a <= b but not b' <= a'
+    if bad.any():
+        a, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return int(a), int(b)
+    return None
+
+
+def one_shot_order_problem(leq):
+    """lattice._reflexive_antisymmetric_problem with one n x n mask."""
+    diag = np.diagonal(leq)
+    if not diag.all():
+        return "not reflexive", (int(np.argmin(diag)),)
+    sym = leq & leq.T & ~np.eye(leq.shape[0], dtype=bool)
+    if sym.any():
+        i, j = np.unravel_index(int(np.argmax(sym)), sym.shape)
+        return "not antisymmetric", (int(i), int(j))
+    return None
 
 
 def unscaled_diagonalize(A):
@@ -991,7 +1017,7 @@ def test_de_morgan_matches_direct_path_on_orthoposets(block_words, case):
     permuted, the witness row taken from the join mask first, a triangle
     or its ok mask left unmirrored."""
     leq, ortho = case
-    assert _kernels._reverses_order(leq, ortho)
+    assert _kernels._ortho_witness(leq, ortho) is None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_BLOCK_WORDS", block_words)
         fast = _kernels.bound_tables(leq, ortho)
@@ -1004,7 +1030,7 @@ def test_de_morgan_matches_direct_path_on_orthoposets(block_words, case):
 @given(L=relabeled())
 def test_de_morgan_matches_direct_path_on_ortholattices(block_words, L):
     """Caught: a triangle or its ok mask left unmirrored."""
-    assert _kernels._reverses_order(L.leq, L.ortho)
+    assert _kernels._ortho_witness(L.leq, L.ortho) is None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_BLOCK_WORDS", block_words)
         fast = _kernels.bound_tables(L.leq, L.ortho)
@@ -1017,7 +1043,7 @@ def test_non_involutive_ortho_takes_the_direct_path():
     """The identity is an involution that keeps the order, and an atom cycle
     after the complement of MO3 reverses the order without being an
     involution; De Morgan would give wrong meets for both.  Caught: dropping
-    either half of _reverses_order."""
+    either half of _ortho_witness."""
     L = mo(3)
     want = row_scan_bound_tables(L.leq)
     a1, a2, a3 = L.atoms()[:3]
@@ -1027,7 +1053,7 @@ def test_non_involutive_ortho_takes_the_direct_path():
     assert not (turned[turned] == np.arange(L.n)).all()
     assert (L.leq[np.ix_(turned, turned)] == L.leq.T).all()
     for ortho in (np.arange(L.n), turned):
-        assert not _kernels._reverses_order(L.leq, ortho)
+        assert _kernels._ortho_witness(L.leq, ortho) is not None
         assert_same_bounds(_kernels.bound_tables(L.leq, ortho), want)
         M = FiniteOML(L.names, L.leq, ortho)
         assert np.array_equal(M.meet_table, want[0]) and np.array_equal(M.join_table, want[1])
@@ -1044,7 +1070,10 @@ def check_blocked_scans(L, t):
     assert _kernels.all_commute(L.meet_table, L.join_table, o) == one_shot_all_commute(
         L.meet_table, L.join_table, o
     )
-    assert _kernels._reverses_order(L.leq, o) == bool((L.leq[np.ix_(o, o)] == L.leq.T).all())
+    assert (_kernels._ortho_witness(L.leq, o) is None) == bool(
+        (L.leq[np.ix_(o, o)] == L.leq.T).all())
+    assert _kernels._ortho_witness(L.leq, o) == one_shot_ortho_witness(L.leq, o)
+    assert _reflexive_antisymmetric_problem(L.leq) == one_shot_order_problem(L.leq)
     meet, join, status, *_ = _kernels.bound_tables(L.leq, o)
     assert status == _kernels.STATUS_OK
     assert np.array_equal(meet, L.meet_table) and np.array_equal(join, L.join_table)
@@ -1062,6 +1091,51 @@ def test_blocked_scans_match_one_shot(rows, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_SCAN_BYTES", rows * 8 * L.n)
         check_blocked_scans(L, t)
+
+
+@st.composite
+def ortho_cases(draw):
+    """An orthoposet or a reflexive relation (antisymmetric or not), with its
+    own ortho, the identity, or an involution pairing the first entries of
+    its own ortho."""
+    leq, ortho = draw(st.one_of(orthoposets(), reflexive_relations()))
+    n = leq.shape[0]
+    kind = draw(st.sampled_from(["own", "identity", "involution"]))
+    if kind == "identity":
+        ortho = np.arange(n)
+    elif kind == "involution":
+        k = draw(st.integers(0, n // 2))
+        o = np.arange(n)
+        o[ortho[:k]], o[ortho[k:2 * k]] = ortho[k:2 * k], ortho[:k]
+        ortho = o
+    return leq, ortho
+
+
+def mo3_orthos():
+    """The orthos of test_non_involutive_ortho_takes_the_direct_path on MO3: the
+    identity, and the complement after an atom cycle."""
+    L = mo(3)
+    a1, a2, a3 = L.atoms()[:3]
+    cycle = np.arange(L.n)
+    cycle[[a1, a2, a3]] = [a2, a3, a1]
+    return [(L.leq, np.arange(L.n)), (L.leq, L.ortho[cycle])]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@settings(max_examples=150, deadline=None)
+@given(case=ortho_cases())
+@example(case=mo3_orthos()[0])
+@example(case=mo3_orthos()[1])
+def test_order_witnesses_match_one_shot(rows, case):
+    """_ortho_witness and the antisymmetry witness, in blocks of 1 and 3 rows of
+    n bytes, against their one-shot n x n forms.  Caught: the gather of the
+    reversed order taken rows first (b' <= a' read as a' <= b'), the diagonal
+    cleared at rows not offset by the block start."""
+    leq, ortho = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_BYTES", rows * leq.shape[0])
+        assert _kernels._ortho_witness(leq, ortho) == one_shot_ortho_witness(leq, ortho)
+        assert _reflexive_antisymmetric_problem(leq) == one_shot_order_problem(leq)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -1097,6 +1171,16 @@ def test_law_scans_build_no_square_temporary():
     assert traced_peak(verify_structure, L) < 1 << 20
     assert traced_peak(recon.reconstruct, L, f) < 1 << 20
     assert traced_peak(recon.f_from_r, L, f) < 1 << 20
+
+
+def test_order_scans_build_no_square_temporary():
+    """On a relabeled 2^10 lattice, verify_structure and the reflexivity and
+    antisymmetry check allocate at most 0.5 bytes a pair; the one-shot
+    orthocomplement verdict and antisymmetry mask took 2.0 (n x n bool
+    temporaries)."""
+    L = relabel(boolean_lattice(10), np.random.default_rng(3).permutation(1024))
+    assert traced_peak(verify_structure, L) <= 0.5 * L.n**2
+    assert traced_peak(_reflexive_antisymmetric_problem, L.leq) <= 0.5 * L.n**2
 
 
 def test_distributivity_scan_builds_no_square_temporary():
