@@ -6,12 +6,14 @@ criterion; the same checks back ``stonespec verify --suite all``.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
 from stonespec import verify
 
 SEED = 7
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _report(number, check, seconds=None):
@@ -61,8 +63,10 @@ def test_criterion_8_stone_structure():
 
 
 def test_full_synthesis_exit_condition():
-    """The CLI-facing aggregate: every criterion green in one sweep."""
+    """The CLI-facing aggregate: every criterion green in one sweep, with the
+    pinned text."""
     checks = verify.acceptance(SEED)
     assert len(checks) == 8
     failed = [c.name for c in checks if not c.passed]
     assert not failed, f"failing criteria: {failed}"
+    assert verify.render_text(checks) == (GOLDEN / "acceptance-seed7.txt").read_text()

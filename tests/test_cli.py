@@ -555,12 +555,16 @@ class TestVerify:
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("env", [{}, {"OBS_EPS": "-1"}], ids=["default", "OBS_EPS=-1"])
-    def test_all_suites_match_golden_text(self, runner, env):
-        """The matrix tolerances are fixed: no environment variable moves them."""
-        result = runner.invoke(main, ["verify", "--suite", "all", "--seed", "7"], env=env)
+    def test_all_suites_match_golden_text(self, runner, env, fmt):
+        """Every format of the full run is pinned; the matrix tolerances are
+        fixed: no environment variable moves them."""
+        args = ["verify", "--suite", "all", "--seed", "7", "--format", fmt]
+        result = runner.invoke(main, args, env=env)
         assert result.exit_code == 0
-        assert result.stdout_bytes == (GOLDEN / "verify-all-seed7.txt").read_bytes()
+        suffix = {"text": "txt"}.get(fmt, fmt)
+        assert result.stdout_bytes == (GOLDEN / f"verify-all-seed7.{suffix}").read_bytes()
 
     def test_json_format(self, runner):
         result = runner.invoke(
