@@ -70,3 +70,18 @@ def test_full_synthesis_exit_condition():
     failed = [c.name for c in checks if not c.passed]
     assert not failed, f"failing criteria: {failed}"
     assert verify.render_text(checks) == (GOLDEN / "acceptance-seed7.txt").read_text()
+
+
+def test_raising_criterion_reports_error_and_the_rest_run(monkeypatch):
+    """A criterion that raises is one ERROR line; the other seven still run."""
+
+    def boom(seed, **kw):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "criterion_ray_layer", boom)
+    checks = verify.acceptance(SEED)
+    assert [c.passed for c in checks] == [True] * 5 + [False] + [True] * 2
+    want = (GOLDEN / "acceptance-seed7.txt").read_text().splitlines()
+    want[5] = "ERROR ray-layer [RuntimeError: boom]"
+    want[-1] = "7/8 checks passed"
+    assert verify.render_text(checks).splitlines() == want

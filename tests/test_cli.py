@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from stonespec import io as sio
 from stonespec import matrix as matrix_mod
+from stonespec import stone
 from stonespec.cli import main
 from stonespec.corpus import corpus
 from stonespec.spectral import make_spectral_family, observable_fn
@@ -565,6 +566,40 @@ class TestVerify:
         assert result.exit_code == 0
         suffix = {"text": "txt"}.get(fmt, fmt)
         assert result.stdout_bytes == (GOLDEN / f"verify-all-seed7.{suffix}").read_bytes()
+
+    def test_raising_check_reports_error_and_the_run_goes_on(self, runner, monkeypatch):
+        """Each check that raises prints one ERROR line in place of its PASS line,
+        every other line is unchanged, and the run exits 1 without a traceback."""
+        args = ["verify", "--suite", "stone", "--seed", "7"]
+        clean = runner.invoke(main, args).output.splitlines()
+
+        def boom(L, a):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(stone, "complement_covers", boom)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        want = [
+            f"ERROR {line[5:]} [RuntimeError: boom]"
+            if line.startswith("PASS stone/complement-cover/") else line
+            for line in clean[:-1]
+        ]
+        assert sum(w != c for w, c in zip(want, clean)) == 6
+        assert result.output.splitlines() == [*want, "10/16 checks passed"]
+
+    def test_out_of_memory_in_a_check_still_exits_2(self, runner, monkeypatch):
+        """The runner turns exceptions into ERROR lines, but not MemoryError:
+        the CLI's backstop still reports it."""
+
+        def exhausted(L, a):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(stone, "complement_covers", exhausted)
+        result = runner.invoke(main, ["verify", "--suite", "stone", "--seed", "7"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "input error: out of memory (no room)\n"
 
     def test_json_format(self, runner):
         result = runner.invoke(
