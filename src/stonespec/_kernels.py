@@ -31,6 +31,12 @@ The n^2 law scans run in row blocks of at most ``_SCAN_BYTES`` per
 temporary, so no scan allocates an n x n array; blocks that small are
 served from the heap rather than from fresh pages.  One function walks the
 blocks for every scan (:func:`_first_pair`), given the test of one block.
+
+Distributivity is decided on every lattice from its join-primes
+(:func:`_distributive`): one row-blocked pass finds them, and one O(n) fold
+per prime checks that every element is the join of those below it.  The
+O(n^3) triple scan (:func:`distributivity_witness`) runs only to name the
+witness of a lattice that fails.
 """
 
 from __future__ import annotations
@@ -234,18 +240,31 @@ def distributivity_witness(meet, join):
     return -1, -1, -1
 
 
-def all_commute(meet, join, ortho) -> bool:
-    """Whether a == (a ^ b) v (a ^ b') for every pair (a, b).
+def _joins_below(leq: np.ndarray, join: np.ndarray, elements, bottom: int) -> np.ndarray:
+    """[x] -> the join of the given elements below x (bottom if none), folded
+    in their order for every x at once."""
+    acc = np.full(leq.shape[0], bottom)
+    for t in elements:
+        above = leq[t]
+        acc[above] = join[acc[above], t]
+    return acc
 
-    By Foulis-Holland theory (Kalmbach, *Orthomodular Lattices*, 1983) an
-    orthomodular lattice is Boolean, hence distributive, iff this holds.
-    """
-    n = meet.shape[0]
-    ortho = np.asarray(ortho, np.int64)
-    # [a, b] -> (a ^ b) v (a ^ b') != a
-    return _first_pair(
-        n, 8 * n, lambda rows: join[meet[rows], meet[rows][:, ortho]] != np.arange(n)[rows, None]
-    ) is None
+
+def _distributive(leq: np.ndarray, join: np.ndarray) -> bool:
+    """Whether the lattice is distributive: exactly when every element is the
+    join of the join-primes below it (Birkhoff; Davey & Priestley,
+    *Introduction to Lattices and Order*, 2002).  p != 0 is join-prime iff
+    {x : p </= x} is a principal ideal, that is, iff the member of that set
+    with the largest down-set has a down-set as large as the set."""
+    n = leq.shape[0]
+    down = leq.sum(axis=0)  # |{y : y <= x}| per element x
+    primes = []
+    for rows in row_blocks(n, 8 * n):
+        outside = ~leq[rows]  # [p, x] -> p </= x
+        top = np.where(outside, down, -1).argmax(axis=1)
+        primes.append(rows.start + np.flatnonzero(down[top] == outside.sum(axis=1)))
+    acc = _joins_below(leq, join, np.concatenate(primes), int(np.argmin(down)))
+    return bool((acc == np.arange(n)).all())
 
 
 def orthomodularity_witness(leq, meet, join, ortho):

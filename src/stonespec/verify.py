@@ -505,12 +505,10 @@ def suite_spectral(seed: int = 7) -> list[Check]:
         return True
 
     def table_determines_family():  # identical tables only for identical families
-        for L in lattices.values():
-            for _ in range(8):
-                E = random_spectral_family(L, rng)
-                F = random_spectral_family(L, rng)
-                if (observable_fn(E) == observable_fn(F)) != (E == F):
-                    return False
+        for L, E in families(8):
+            F = random_spectral_family(L, rng)
+            if (observable_fn(E) == observable_fn(F)) != (E == F):
+                return False
         return True
 
     def germ_equivalence():  # germ equivalence forces equal values

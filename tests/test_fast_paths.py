@@ -112,12 +112,6 @@ def one_shot_orthomodularity(leq, meet, join, ortho):
     return -1, -1
 
 
-def one_shot_all_commute(meet, join, ortho):
-    """_kernels.all_commute as one n x n gather."""
-    rel = join[meet, meet[:, ortho]]
-    return bool((rel == np.arange(meet.shape[0])[:, None]).all())
-
-
 def one_shot_ortho_witness(leq, o):
     """_kernels._ortho_witness as one n x n gather of the reversed order."""
     inv = o[o] != np.arange(len(o))
@@ -551,6 +545,32 @@ def relabeled(draw):
     return relabel(L, draw(st.permutations(range(L.n))))
 
 
+@st.composite
+def set_lattices(draw):
+    """Drawn subsets of {0, ..., k-1} (k <= 5), closed under intersection, with
+    the full set added (and the empty set, if nothing else was drawn): a
+    lattice under inclusion, and every finite lattice arises so.  Half the time also closed under union, which makes it
+    distributive (but Boolean only by chance).  The identity is its ortho, so
+    no orthocomplement test passes; relabeled."""
+    k = draw(st.integers(1, 5))
+    sets = set(draw(st.lists(st.integers(0, 2**k - 1), min_size=1, max_size=12)))
+    sets.add(2**k - 1)
+    if len(sets) == 1:
+        sets.add(0)
+    union = draw(st.booleans())
+    while True:
+        grown = sets | {a & b for a in sets for b in sets}
+        if union:
+            grown |= {a | b for a in sets for b in sets}
+        if grown == sets:
+            break
+        sets = grown
+    members = sorted(sets)
+    perm = draw(st.permutations(members))
+    leq = np.array([[a & b == a for b in perm] for a in perm], dtype=bool)
+    return FiniteOML([str(a) for a in perm], leq, np.arange(len(perm)))
+
+
 SPECIALS = (np.nan, np.inf, -np.inf)
 
 
@@ -826,6 +846,43 @@ def test_structure_matches_triple_scan(L):
     assert L.cover_pairs() == covers
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@settings(max_examples=150, deadline=None)
+@given(L=set_lattices())
+def test_join_prime_test_matches_triple_scan(rows, L):
+    """Distributivity from the join-primes, in blocks of 1 and 3 rows, against
+    the triple loop on lattices of sets with no orthocomplement, distributive or
+    not; verify_structure's verdict and witness too.  Caught: primes taken
+    without their block offset, a fold that skips the last block's primes,
+    and up-set sizes read as down-set sizes."""
+    witness = triple_scan(L.meet_table, L.join_table)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_BYTES", rows * 8 * L.n)
+        assert _kernels._distributive(L.leq, L.join_table) == (witness is None)
+        rep = verify_structure(L)
+    assert rep.is_distributive == (witness is None)
+    assert rep.witnesses.get("is_distributive") == witness
+
+
+def test_distributive_lattices_run_no_triple_scan(monkeypatch):
+    """A chain and 2^6 with the identity as ortho fail the orthocomplement
+    test; the triple scan ran to its end on such lattices (about 160 s a call
+    at n = 2048).  Now it runs only to name a failure."""
+
+    def scan(meet, join):
+        raise AssertionError("the triple scan ran on a distributive lattice")
+
+    monkeypatch.setattr(_kernels, "distributivity_witness", scan)
+    n = 64
+    chain = FiniteOML([str(i) for i in range(n)], np.triu(np.ones((n, n), bool)),
+                      np.arange(n)[::-1].copy())
+    cube = boolean_lattice(6)
+    for L in (chain, FiniteOML(cube.names, cube.leq, np.arange(cube.n))):
+        rep = verify_structure(L)
+        assert rep.is_distributive and not rep.is_ortho_complemented
+        assert "is_distributive" not in rep.witnesses
+
+
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_corpus_and_products_match_triple_scan(name):
     L = BASES[name]
@@ -1067,9 +1124,8 @@ def check_blocked_scans(L, t):
     assert _kernels.orthomodularity_witness(
         L.leq, L.meet_table, L.join_table, o
     ) == one_shot_orthomodularity(L.leq, L.meet_table, L.join_table, o)
-    assert _kernels.all_commute(L.meet_table, L.join_table, o) == one_shot_all_commute(
-        L.meet_table, L.join_table, o
-    )
+    assert _kernels._distributive(L.leq, L.join_table) == (
+        triple_scan(L.meet_table, L.join_table) is None)
     assert (_kernels._ortho_witness(L.leq, o) is None) == bool(
         (L.leq[np.ix_(o, o)] == L.leq.T).all())
     assert _kernels._ortho_witness(L.leq, o) == one_shot_ortho_witness(L.leq, o)
@@ -1184,12 +1240,14 @@ def test_order_scans_build_no_square_temporary():
 
 
 def test_distributivity_scan_builds_no_square_temporary():
-    """On the non-orthomodular 2^6 x O6 (n = 384) verify_structure runs the
-    triple scan, which held three n x n int64 arrays per row a (3.6 MB traced)."""
+    """On the non-distributive 2^6 x O6 (n = 384) verify_structure runs the
+    triple scan, which held three n x n int64 arrays per row a (3.6 MB traced);
+    the join-prime test that runs before it holds row blocks only."""
     L = product(boolean_lattice(6), benzene())
     assert verify_structure(L).witnesses["is_distributive"] == triple_scan(
         L.meet_table, L.join_table)
     assert traced_peak(_kernels.distributivity_witness, L.meet_table, L.join_table) < 1 << 20
+    assert traced_peak(_kernels._distributive, L.leq, L.join_table) < 1 << 20
 
 
 def test_bound_tables_hold_one_bit_block_and_one_count_table():
