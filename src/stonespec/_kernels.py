@@ -257,9 +257,9 @@ def _distributive(leq: np.ndarray, join: np.ndarray) -> bool:
     {x : p </= x} is a principal ideal, that is, iff the member of that set
     with the largest down-set has a down-set as large as the set."""
     n = leq.shape[0]
-    down = leq.sum(axis=0)  # |{y : y <= x}| per element x
+    down = leq.sum(axis=0).astype(index_dtype(n + 1))  # |{y : y <= x}| per element x
     primes = []
-    for rows in row_blocks(n, 8 * n):
+    for rows in row_blocks(n, down.itemsize * n):
         outside = ~leq[rows]  # [p, x] -> p </= x
         top = np.where(outside, down, -1).argmax(axis=1)
         primes.append(rows.start + np.flatnonzero(down[top] == outside.sum(axis=1)))

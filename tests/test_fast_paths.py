@@ -549,7 +549,8 @@ def relabeled(draw):
 def set_lattices(draw):
     """Drawn subsets of {0, ..., k-1} (k <= 5), closed under intersection, with
     the full set added (and the empty set, if nothing else was drawn): a
-    lattice under inclusion, and every finite lattice arises so.  Half the time also closed under union, which makes it
+    lattice under inclusion (every finite lattice arises so, given k large
+    enough).  Half the time also closed under union, which makes it
     distributive (but Boolean only by chance).  The identity is its ortho, so
     no orthocomplement test passes; relabeled."""
     k = draw(st.integers(1, 5))
@@ -850,14 +851,15 @@ def test_structure_matches_triple_scan(L):
 @settings(max_examples=150, deadline=None)
 @given(L=set_lattices())
 def test_join_prime_test_matches_triple_scan(rows, L):
-    """Distributivity from the join-primes, in blocks of 1 and 3 rows, against
-    the triple loop on lattices of sets with no orthocomplement, distributive or
-    not; verify_structure's verdict and witness too.  Caught: primes taken
+    """Distributivity from the join-primes, in blocks of 1 and 3 rows (of 2n
+    bytes: int16 down-set sizes), against the triple loop on lattices of sets
+    with no orthocomplement, distributive or not; verify_structure's verdict
+    and witness too.  Caught: primes taken
     without their block offset, a fold that skips the last block's primes,
     and up-set sizes read as down-set sizes."""
     witness = triple_scan(L.meet_table, L.join_table)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "_SCAN_BYTES", rows * 8 * L.n)
+        mp.setattr(_kernels, "_SCAN_BYTES", rows * 2 * L.n)
         assert _kernels._distributive(L.leq, L.join_table) == (witness is None)
         rep = verify_structure(L)
     assert rep.is_distributive == (witness is None)
