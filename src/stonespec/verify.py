@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -137,9 +137,10 @@ _EXPECTED = {
 def suite_lattice(seed: int = 7) -> list[Check]:
     lattices = corpus()
     rng = _rng(seed, 1)
+    report = cache(verify_structure)  # one report per corpus lattice, read by several checks
 
     def verdicts(L, expected):
-        rep = verify_structure(L)
+        rep = report(L)
         oc, om, di = expected
         ok = (
             rep.is_lattice
@@ -152,7 +153,7 @@ def suite_lattice(seed: int = 7) -> list[Check]:
         return ok, str(rep.to_dict()["witnesses"])
 
     def orthomodular_witness(L):
-        a, b = verify_structure(L).witnesses["is_orthomodular"]
+        a, b = report(L).witnesses["is_orthomodular"]
         lhs = L.join(a, L.meet(b, L.complement(a)))
         return (
             L.le(a, b) and lhs != b,
@@ -160,7 +161,7 @@ def suite_lattice(seed: int = 7) -> list[Check]:
         )
 
     def distributive_witness(L):
-        a, b, c = verify_structure(L).witnesses["is_distributive"]
+        a, b, c = report(L).witnesses["is_distributive"]
         return L.meet(a, L.join(b, c)) != L.join(L.meet(a, b), L.meet(a, c))
 
     def bound_universality(L):
@@ -190,7 +191,7 @@ def suite_lattice(seed: int = 7) -> list[Check]:
         leq2 = L.leq.take(inv, axis=0).take(inv, axis=1)
         L2 = FiniteOML([L.names[int(i)] for i in inv], leq2, perm[L.ortho[inv]])
         # the verdicts, not the witnesses: those name relabeled elements
-        r1, r2 = verify_structure(L).to_dict(), verify_structure(L2).to_dict()
+        r1, r2 = report(L).to_dict(), verify_structure(L2).to_dict()
         return r1 | {"witnesses": None} == r2 | {"witnesses": None}
 
     def atomicity(L):  # every nonzero element dominates an atom
