@@ -556,8 +556,11 @@ class TestVerify:
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
 
-    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    @pytest.mark.parametrize("env", [{}, {"OBS_EPS": "-1"}], ids=["default", "OBS_EPS=-1"])
+    @pytest.mark.parametrize("env, fmt", [
+        pytest.param(env, fmt, id=name if fmt == "text" else f"{name}-{fmt}")
+        for name, env in (("default", {}), ("OBS_EPS=-1", {"OBS_EPS": "-1"}))
+        for fmt in ("text", "json", "csv")
+    ])
     def test_all_suites_match_golden_text(self, runner, env, fmt):
         """Every format of the full run is pinned; the matrix tolerances are
         fixed: no environment variable moves them."""
