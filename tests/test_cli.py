@@ -590,6 +590,9 @@ class TestVerify:
         ]
         assert sum(w != c for w, c in zip(want, clean)) == 6
         assert result.output.splitlines() == [*want, "10/16 checks passed"]
+        rows = json.loads(runner.invoke(main, [*args, "--format", "json"]).output)
+        errors = [r for r in rows if r["name"].startswith("stone/complement-cover/")]
+        assert [(r["passed"], r["detail"]) for r in errors] == [(False, "RuntimeError: boom")] * 6
 
     def test_out_of_memory_in_a_check_still_exits_2(self, runner, monkeypatch):
         """The runner turns exceptions into ERROR lines, but not MemoryError:
