@@ -18,8 +18,9 @@ first decide transitivity in O(n^2): a reflexive relation is transitive iff
 every a <= b has |up(b)| common upper bounds.  Meets are joins too: when the
 orthocomplement is an involution that reverses the order, a ^ b = (a' v b')'
 (De Morgan); otherwise they are the joins of the reversed order.  One test
-decides the reversal (:func:`_ortho_witness`), here and in
-``lattice.verify_structure``.
+decides the reversal (:func:`_reverses_order`), here and in
+``lattice.verify_structure``, where :func:`_ortho_witness` runs only to name
+the witness of a map that fails it.
 
 The tables hold element indices in the narrowest integer type that holds
 n - 1 (:func:`index_dtype`): int16, two bytes a pair, while n <= 2^15.
@@ -31,15 +32,27 @@ The n^2 law scans run in row blocks of at most ``_SCAN_BYTES`` per
 temporary, so no scan allocates an n x n array; blocks that small are
 served from the heap rather than from fresh pages.  One function walks the
 blocks for every scan (:func:`_first_pair`), given the test of one block.
+A test of a symmetric relation that would read columns of the order (its
+transpose) walks square tiles of at most ``_SCAN_BYTES`` instead
+(:func:`_first_upper_pair`): the first pair lies on or above the diagonal,
+so only the tiles on or right of it are read, each gathered by rows.  This
+decides antisymmetry and order reversal.
 
 Distributivity is decided on every lattice from its join-primes
 (:func:`_distributive`): one row-blocked pass finds them, and one O(n) fold
 per prime checks that every element is the join of those below it.  The
 O(n^3) triple scan (:func:`distributivity_witness`) runs only to name the
-witness of a lattice that fails.
+witness of a lattice that fails, and skips the rows of the elements
+comparable to every element, which cannot fail.  Orthomodularity is decided
+on every ortholattice in one O(n^2) row-blocked pass (:func:`_orthomodular`):
+no a < b may have a' ^ b = 0.  The gather of all a v (b ^ a')
+(:func:`orthomodularity_witness`) runs only on a lattice that fails the
+orthocomplement test or that decision.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -73,6 +86,31 @@ def _first_pair(n: int, row_bytes: int, bad) -> tuple[int, int] | None:
         if block.any():
             i, j = np.unravel_index(int(np.argmax(block)), block.shape)
             return rows.start + int(i), int(j)
+    return None
+
+
+def _first_upper_pair(n: int, bad) -> tuple[int, int] | None:
+    """First (i, j), in row-major order, set in a symmetric boolean relation
+    on 0..n given tile by tile as bad(rows, cols), else None.
+
+    Its first pair lies on or above the diagonal (the mirror of a pair below
+    it comes in an earlier row), so only the square tiles of w x w pairs
+    (w^2 <= ``_SCAN_BYTES``) on or right of the diagonal are read, one band
+    of w rows at a time; a band's pair is the least row set over all its
+    tiles, then that row's least column.
+    """
+    w = max(1, math.isqrt(_SCAN_BYTES))
+    for i in range(0, n, w):
+        rows = slice(i, min(i + w, n))
+        first = None
+        for j in range(i, n, w):
+            block = bad(rows, slice(j, min(j + w, n)))
+            if block.any():
+                r = int(np.argmax(block.any(axis=1)))
+                if first is None or r < first[0]:
+                    first = r, j + int(np.argmax(block[r]))
+        if first is not None:
+            return i + first[0], first[1]
     return None
 
 
@@ -175,11 +213,26 @@ def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     return by_up.astype(at.dtype)[at.take(pos, axis=0).take(pos, axis=1)], ok, pos
 
 
+def _reverses_order(leq: np.ndarray, ortho: np.ndarray) -> bool:
+    """Whether the permutation ortho is an involution that reverses the order.
+
+    An involution o reverses the order iff S[c, b] = leq[o[c], b] is
+    symmetric (put a = o[c] in a <= b => o[b] <= o[a]), which the tiles of
+    :func:`_first_upper_pair` decide, each gathered by rows of the order.
+    """
+    n = leq.shape[0]
+    if (ortho[ortho] != np.arange(n)).any():
+        return False
+    return _first_upper_pair(
+        n, lambda rows, cols: leq[ortho[rows], cols] != leq[ortho[cols], rows].T) is None
+
+
 def _ortho_witness(leq: np.ndarray, ortho: np.ndarray) -> tuple[int, ...] | None:
     """None when the permutation ortho is an involution that reverses the
     order; else (a,) for the first a with a'' != a, else the first pair
     (a, b), in row-major order, with a <= b but not b' <= a'.  Each block
-    gathers its n x rows slice of the order, columns first."""
+    gathers its n x rows slice of the order, columns first; the decision
+    alone is :func:`_reverses_order`."""
     n = leq.shape[0]
     inv = ortho[ortho] != np.arange(n)
     if inv.any():
@@ -207,7 +260,7 @@ def bound_tables(leq: np.ndarray, ortho=None):
     if (joins := _joins(leq)) is None:
         return None, None, STATUS_NOT_TRANSITIVE, -1, -1
     join, ok, pos = joins
-    if ortho is not None and _ortho_witness(leq, o := np.asarray(ortho, np.int64)) is None:
+    if ortho is not None and _reverses_order(leq, o := np.asarray(ortho, np.int64)):
         meet = join.take(o, axis=0).take(o, axis=1)
         for rows in row_blocks(n, 8 * n):
             meet[rows] = o[meet[rows]]
@@ -229,10 +282,18 @@ def bound_tables(leq: np.ndarray, ortho=None):
 
 def distributivity_witness(meet, join):
     """First triple violating a ^ (b v c) == (a ^ b) v (a ^ c), in row-major
-    order, else (-1,)*3."""
+    order, else (-1,)*3.
+
+    Skips the row of each a comparable to every element (meet[a, x] is a or
+    x), bottom and top among them: if a <= b or a <= c both sides are a, and
+    if b, c <= a both are b v c.
+    """
     n = meet.shape[0]
+    idx = np.arange(n)
     for a in range(n):
         ma = meet[a]
+        if ((ma == a) | (ma == idx)).all():
+            continue
         # [b, c] -> a ^ (b v c) against (a ^ b) v (a ^ c)
         bc = _first_pair(n, 8 * n, lambda rows: ma[join[rows]] != join[ma[rows, None], ma])
         if bc:
@@ -265,6 +326,22 @@ def _distributive(leq: np.ndarray, join: np.ndarray) -> bool:
         primes.append(rows.start + np.flatnonzero(down[top] == outside.sum(axis=1)))
     acc = _joins_below(leq, join, np.concatenate(primes), int(np.argmin(down)))
     return bool((acc == np.arange(n)).all())
+
+
+def _orthomodular(leq: np.ndarray, meet: np.ndarray, ortho: np.ndarray, bottom: int) -> bool:
+    """Whether an ortholattice is orthomodular: exactly when a <= b and
+    a' ^ b = 0 force a = b (Kalmbach, *Orthomodular Lattices*, 1983), that
+    is, when no pair a < b has meet[a', b] == bottom.  Each block gathers
+    rows of the meet table only.  The equivalence rests on the ortholattice
+    axioms; on any other map :func:`orthomodularity_witness` decides."""
+    n = leq.shape[0]
+
+    def bad(rows):  # [a, b] -> a < b and a' ^ b == 0
+        out = leq[rows] & (meet.take(ortho[rows], axis=0) == bottom)
+        np.fill_diagonal(out[:, rows], False)
+        return out
+
+    return _first_pair(n, meet.itemsize * n, bad) is None
 
 
 def orthomodularity_witness(leq, meet, join, ortho):

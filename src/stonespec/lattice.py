@@ -6,12 +6,15 @@ tables at construction, of the narrowest integer type that holds n - 1
 (``_kernels.index_dtype``: int16, two bytes a pair, while n <= 2^15);
 construction fails fast if the order is not a partial order or some pair
 lacks a unique bound (transitivity is read from the join search's counts:
-one n^3 product).  Permutation gathers of the order and the tables take
-rows, then columns, never the 2-D ``np.ix_`` gather.  The orthocomplement is
-stored as a permutation but its axioms (involution, order reversal,
-complement laws, orthomodularity) are *verdicts* reported by
-:func:`verify_structure`, not construction requirements -- non-orthomodular
-examples such as the benzene hexagon must be representable.
+one n^3 product; antisymmetry from square tiles on and right of the
+diagonal, ``_kernels._first_upper_pair``, never from column slabs).
+Permutation gathers of the order and the tables take rows, then columns,
+never the 2-D ``np.ix_`` gather.  The orthocomplement is stored as a
+permutation but its axioms (involution, order reversal, complement laws,
+orthomodularity) are *verdicts* reported by :func:`verify_structure`, not
+construction requirements -- non-orthomodular examples such as the benzene
+hexagon must be representable.  Each verdict is a fast decision; the law
+scans behind the witnesses run only on a lattice that fails it.
 
 A lattice is immutable after construction and safe to share between
 threads; all operations are pure.  Indices are never mixed between
@@ -45,12 +48,13 @@ def _reflexive_antisymmetric_problem(leq: np.ndarray) -> tuple[str, tuple[int, .
         i = int(np.argmin(diag))
         return "not reflexive", (i,)
 
-    def sym(rows):  # i <= j and j <= i with i != j
-        out = leq[rows] & leq[:, rows].T
-        np.fill_diagonal(out[:, rows], False)
+    def sym(rows, cols):  # i <= j and j <= i with i != j
+        out = leq[rows, cols] & leq[cols, rows].T
+        if rows == cols:
+            np.fill_diagonal(out, False)
         return out
 
-    pair = _kernels._first_pair(n, n, sym)
+    pair = _kernels._first_upper_pair(n, sym)
     return None if pair is None else ("not antisymmetric", pair)
 
 
@@ -272,8 +276,8 @@ class StructureReport:
 
 def _ortho_complement_verdict(L: FiniteOML) -> tuple[bool, tuple[int, ...] | None]:
     o = L.ortho
-    if (wit := _kernels._ortho_witness(L.leq, o)) is not None:
-        return False, wit
+    if not _kernels._reverses_order(L.leq, o):
+        return False, _kernels._ortho_witness(L.leq, o)
     idx = np.arange(L.n)
     bad_meet = L.meet_table[idx, o] != L.bottom
     if bad_meet.any():
@@ -296,17 +300,23 @@ def verify_structure(L: FiniteOML) -> StructureReport:
 
     Distributivity is decided on every lattice by its join-primes in O(n^2)
     plus one fold per prime; the O(n^3) triple scan runs only to find the
-    witness of a failure.
+    witness of a failure.  Orthomodularity is decided on an ortholattice by
+    one O(n^2) row test (``_kernels._orthomodular``); the gather of every
+    a v (b ^ a') runs only when the orthocomplement test or that decision
+    fails, to name the witness (and to decide, off the ortholattice axioms).
     """
     rep = StructureReport(is_lattice=True)
     ok, wit = _ortho_complement_verdict(L)
     rep.is_ortho_complemented = ok
     if wit is not None:
         rep.witnesses["is_ortho_complemented"] = wit
-    a, b = _kernels.orthomodularity_witness(L.leq, L.meet_table, L.join_table, L.ortho)
-    rep.is_orthomodular = a < 0
-    if a >= 0:
-        rep.witnesses["is_orthomodular"] = (a, b)
+    if ok and _kernels._orthomodular(L.leq, L.meet_table, L.ortho, L.bottom):
+        rep.is_orthomodular = True
+    else:
+        a, b = _kernels.orthomodularity_witness(L.leq, L.meet_table, L.join_table, L.ortho)
+        rep.is_orthomodular = a < 0
+        if a >= 0:
+            rep.witnesses["is_orthomodular"] = (a, b)
     rep.is_distributive = _kernels._distributive(L.leq, L.join_table)
     if not rep.is_distributive:
         rep.witnesses["is_distributive"] = _kernels.distributivity_witness(

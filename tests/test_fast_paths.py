@@ -2,7 +2,8 @@
 
 The oracles below are the straightforward loops the kernels replace: the
 row-scan meet/join search with integer counts, the one-shot n x n forms of
-the law scans that now run in row blocks, the full distributivity
+the law scans that now run in row blocks or square tiles (and of the
+decisions that now run before them), the full distributivity
 triple scan, the per-element atom join, the pairwise max-law loop, the
 filter-minimum loops, Warshall's closure, the transitivity loop and the
 order of the construction checks, the per-row loop of the sub-tables of a
@@ -38,6 +39,7 @@ from stonespec.errors import LatticeError, NotObservableError
 from stonespec.io import load_lattice, save_lattice, transitive_closure
 from stonespec.lattice import (
     FiniteOML,
+    _ortho_complement_verdict,
     _reflexive_antisymmetric_problem,
     check_partial_order,
     generated_sublattice,
@@ -885,6 +887,97 @@ def test_distributive_lattices_run_no_triple_scan(monkeypatch):
         assert "is_distributive" not in rep.witnesses
 
 
+@pytest.mark.parametrize("name", ["MO3", "2^2xO6"])
+def test_triple_scan_skips_rows_comparable_to_all(monkeypatch, name):
+    """With bottom and top relabeled to rows 0 and 1 (the only elements
+    comparable to every element here), distributivity_witness walks the
+    rows from 2 to its witness's row, one _first_pair walk each, and never
+    the rows of bottom and top; the witness is the triple loop's."""
+    base = BASES[name]
+    rest = np.setdiff1d(np.arange(base.n), [base.bottom, base.top])
+    perm = np.empty(base.n, np.int64)
+    perm[[base.bottom, base.top]] = 0, 1
+    perm[rest] = 2 + np.random.default_rng(4).permutation(rest.size)
+    L = relabel(base, perm)
+    assert np.flatnonzero((L.leq | L.leq.T).all(axis=1)).tolist() == [0, 1]
+    witness = triple_scan(L.meet_table, L.join_table)
+    walks = []
+    first_pair = _kernels._first_pair
+    monkeypatch.setattr(_kernels, "_first_pair",
+                        lambda *args: walks.append(args) or first_pair(*args))
+    assert _kernels.distributivity_witness(L.meet_table, L.join_table) == witness
+    assert len(walks) == witness[0] - 1
+
+
+def test_ortholattices_run_no_orthomodularity_scan(monkeypatch):
+    """The gather of every a v (b ^ a') ran on every lattice; now it runs only
+    when the orthocomplement test or the row test fails: not on 2^6, MO3 and
+    2^2 x MO2, once on the benzene hexagon, with the one-shot witness."""
+    calls = []
+    scan = _kernels.orthomodularity_witness
+    monkeypatch.setattr(_kernels, "orthomodularity_witness",
+                        lambda *args: calls.append(args) or scan(*args))
+    for L in (boolean_lattice(6), mo(3), BASES["2^2xMO2"]):
+        rep = verify_structure(L)
+        assert rep.is_ortho_complemented and rep.is_orthomodular
+    assert not calls
+    L = benzene()
+    rep = verify_structure(L)
+    assert len(calls) == 1
+    assert rep.witnesses["is_orthomodular"] == one_shot_orthomodularity(
+        L.leq, L.meet_table, L.join_table, L.ortho) == (1, 2)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_orthomodular_decision_matches_one_shot(rows, name):
+    """On every lattice of the corpus and the products with MO2 and O6 (all
+    ortholattices), as given and relabeled, the row test (no a < b with
+    a' ^ b = 0) in blocks of 1 and 3 rows agrees with the one-shot gather of
+    a v (b ^ a'), and verify_structure keeps its verdict and witness.
+    Caught: the diagonal left set (every ortholattice fails), cleared at
+    rows not offset by the block start."""
+    base = BASES[name]
+    rng = np.random.default_rng(rows)
+    for L in (base, *(relabel(base, rng.permutation(base.n)) for _ in range(2))):
+        assert _ortho_complement_verdict(L) == (True, None)
+        a, b = one_shot_orthomodularity(L.leq, L.meet_table, L.join_table, L.ortho)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_SCAN_BYTES", rows * L.meet_table.itemsize * L.n)
+            assert _kernels._orthomodular(L.leq, L.meet_table, L.ortho, L.bottom) == (a < 0)
+            rep = verify_structure(L)
+        assert rep.is_orthomodular == (a < 0)
+        assert rep.witnesses.get("is_orthomodular") == (None if a < 0 else (a, b))
+
+
+def test_maps_that_are_no_orthocomplement_keep_the_scan():
+    """The identity, and random involutions that swap bottom and top, as
+    ortho on the corpus and the products: the row test rests on the
+    ortholattice axioms and passes on some of these maps where the scan
+    fails, so verify_structure keeps the scan's verdict and witness."""
+    rng = np.random.default_rng(8)
+    wrong = 0
+    for name, L in sorted(BASES.items()):
+        rest = rng.permutation(np.setdiff1d(np.arange(L.n), [L.bottom, L.top]))
+        orthos = [np.arange(L.n)]
+        for _ in range(4):
+            k = int(rng.integers(0, rest.size // 2 + 1))
+            o = np.arange(L.n)
+            o[rest[:k]], o[rest[k:2 * k]] = rest[k:2 * k], rest[:k]
+            o[[L.bottom, L.top]] = L.top, L.bottom
+            orthos.append(o)
+            rest = rng.permutation(rest)
+        for o in orthos:
+            M = FiniteOML(L.names, L.leq, o)
+            a, b = one_shot_orthomodularity(M.leq, M.meet_table, M.join_table, o)
+            rep = verify_structure(M)
+            assert rep.is_orthomodular == (a < 0)
+            assert rep.witnesses.get("is_orthomodular") == (None if a < 0 else (a, b))
+            if not rep.is_ortho_complemented:
+                wrong += _kernels._orthomodular(M.leq, M.meet_table, o, M.bottom) != (a < 0)
+    assert wrong > 0
+
+
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_corpus_and_products_match_triple_scan(name):
     L = BASES[name]
@@ -1131,6 +1224,7 @@ def check_blocked_scans(L, t):
     assert (_kernels._ortho_witness(L.leq, o) is None) == bool(
         (L.leq[np.ix_(o, o)] == L.leq.T).all())
     assert _kernels._ortho_witness(L.leq, o) == one_shot_ortho_witness(L.leq, o)
+    assert _kernels._reverses_order(L.leq, o) == (one_shot_ortho_witness(L.leq, o) is None)
     assert _reflexive_antisymmetric_problem(L.leq) == one_shot_order_problem(L.leq)
     meet, join, status, *_ = _kernels.bound_tables(L.leq, o)
     assert status == _kernels.STATUS_OK
@@ -1153,10 +1247,11 @@ def test_blocked_scans_match_one_shot(rows, case):
 
 @st.composite
 def ortho_cases(draw):
-    """An orthoposet or a reflexive relation (antisymmetric or not), with its
-    own ortho, the identity, or an involution pairing the first entries of
-    its own ortho."""
-    leq, ortho = draw(st.one_of(orthoposets(), reflexive_relations()))
+    """An orthoposet, a relabeled lattice of the corpus or the products, or a
+    reflexive relation (antisymmetric or not), with its own ortho, the
+    identity, or an involution pairing the first entries of its own ortho."""
+    leq, ortho = draw(st.one_of(orthoposets(), reflexive_relations(),
+                                relabeled().map(lambda L: (L.leq, L.ortho))))
     n = leq.shape[0]
     kind = draw(st.sampled_from(["own", "identity", "involution"]))
     if kind == "identity":
@@ -1179,20 +1274,34 @@ def mo3_orthos():
     return [(L.leq, np.arange(L.n)), (L.leq, L.ortho[cycle])]
 
 
+def two_tile_cycles():
+    """Six elements with the 2-cycles 1 <-> 2 and 0 <-> 4: in tiles 3 wide the
+    first band holds row 1 in its diagonal tile and row 0 in the next."""
+    leq = np.eye(6, dtype=bool)
+    leq[[1, 2, 0, 4], [2, 1, 4, 0]] = True
+    return leq, np.arange(6)
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 @settings(max_examples=150, deadline=None)
 @given(case=ortho_cases())
 @example(case=mo3_orthos()[0])
 @example(case=mo3_orthos()[1])
+@example(case=two_tile_cycles())
 def test_order_witnesses_match_one_shot(rows, case):
-    """_ortho_witness and the antisymmetry witness, in blocks of 1 and 3 rows of
-    n bytes, against their one-shot n x n forms.  Caught: the gather of the
-    reversed order taken rows first (b' <= a' read as a' <= b'), the diagonal
-    cleared at rows not offset by the block start."""
+    """_ortho_witness in blocks of 1 and 3 rows of n bytes, and the
+    antisymmetry witness and the reversal decision in square tiles 1 and 3
+    elements wide, against their one-shot n x n forms.  Caught: the gather
+    of the reversed order taken rows first (b' <= a' read as a' <= b'), the
+    diagonal cleared at rows not offset by the block start, a band's pair
+    taken from its first tile with a pair set instead of its least row."""
     leq, ortho = case
+    want = one_shot_ortho_witness(leq, ortho)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_SCAN_BYTES", rows * leq.shape[0])
-        assert _kernels._ortho_witness(leq, ortho) == one_shot_ortho_witness(leq, ortho)
+        assert _kernels._ortho_witness(leq, ortho) == want
+        mp.setattr(_kernels, "_SCAN_BYTES", rows * rows)
+        assert _kernels._reverses_order(leq, ortho) == (want is None)
         assert _reflexive_antisymmetric_problem(leq) == one_shot_order_problem(leq)
 
 
