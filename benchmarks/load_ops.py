@@ -22,7 +22,13 @@ tracemalloc, in bytes per ordered pair of elements (bytes / n^2): over one
 more ``load_lattice`` call, its peak (``load_peak_bytes_per_pair``) and
 what the loaded lattice still holds when it returns
 (``held_bytes_per_pair``); over one more ``verify_structure`` call, its
-peak (``verify_peak_bytes_per_pair``).
+peak (``verify_peak_bytes_per_pair``).  Four columns say how
+``bound_tables`` took the tables: the numbers of meet- and of
+join-irreducibles (``meet_irreducibles``, ``join_irreducibles``: the |S| of
+its signature path for the joins and for the joins of the reversed order),
+and where the joins and the meets came from (``joins``: "signatures" or
+"search"; ``meets``: "de-morgan" when the orthocomplement reverses the
+order, else "signatures" or "search").
 """
 
 from __future__ import annotations
@@ -88,6 +94,24 @@ def traced_verify(L: FiniteOML) -> float:
     return round(peak / L.n**2, 2)
 
 
+def irreducibles(leq: np.ndarray) -> int:
+    """How many a have some c >= a with |up(c)| = |up(a)| - 1: in a lattice,
+    the meet-irreducibles, which sign the joins."""
+    up = leq.sum(axis=1)
+    return int((leq & (up == up[:, None] - 1)).any(axis=1).sum())
+
+
+def paths(L: FiniteOML) -> dict:
+    """The signature counts of L and the path bound_tables takes for each table."""
+    def source(dual: bool) -> str:
+        return "search" if _kernels._signature_joins(L.leq, dual) is None else "signatures"
+
+    reverses = _kernels._reverses_order(L.leq, L.ortho)
+    return {"meet_irreducibles": irreducibles(L.leq),
+            "join_irreducibles": irreducibles(np.ascontiguousarray(L.leq.T)),
+            "joins": source(False), "meets": "de-morgan" if reverses else source(True)}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=9)
@@ -123,6 +147,7 @@ def main() -> None:
                 "load_peak_bytes_per_pair": peak,
                 "held_bytes_per_pair": held,
                 "verify_peak_bytes_per_pair": traced_verify(L),
+                **paths(L),
             }
     print(json.dumps(out, indent=1))
 

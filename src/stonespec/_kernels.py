@@ -4,10 +4,23 @@ Counting identities over an order matrix run as float32 matrix products,
 which numpy hands to BLAS (integer products it computes itself).  Every
 count is at most n, so the products are exact while n < 2**24.
 
-The join table comes from bit rows: the join candidate of (a, b) is the
-common upper bound with the largest up-set, the lowest bit set in both
-packed rows when the elements are sorted by up-set size (largest first) and
-packed little-endian.  In a partial order it is the join exactly when its
+The join table comes first from meet-irreducible signatures (Birkhoff's
+representation; Ganter and Wille, *Formal Concept Analysis*, 1999): every
+element of a finite lattice is the meet of the meet-irreducibles above it,
+so a v b is the element whose set of them is the intersection of theirs
+(:func:`_signature_joins`).  The sets are bit masks, and a table of 2^|S|
+entries, taken only while 2^|S| <= n^2, finds the element of each mask; one
+O(n^2) row-blocked pass checks that the masks embed the order, which
+proves it transitive, and fills the table.  On the Boolean algebras that
+spectral families generate, S is the m coatoms.  No product runs.  The
+path declines (MOk, chains: |S| is about n) when |S| is too large, the
+check fails or a lookup misses, and then the search below runs and decides
+every status and witness.
+
+The search takes the join table from bit rows: the join candidate of
+(a, b) is the common upper bound with the largest up-set, the lowest bit
+set in both packed rows when the elements are sorted by up-set size
+(largest first) and packed little-endian.  In a partial order it is the join exactly when its
 up-set is as large as the number of common upper bounds, which one BLAS
 product counts for all pairs at once.  In that order the relation is upper
 triangular, so the common upper bounds of positions i <= j lie at j or
@@ -17,8 +30,10 @@ has found its bit, and mirrored (table and test are symmetric).  The counts
 first decide transitivity in O(n^2): a reflexive relation is transitive iff
 every a <= b has |up(b)| common upper bounds.  Meets are joins too: when the
 orthocomplement is an involution that reverses the order, a ^ b = (a' v b')'
-(De Morgan); otherwise they are the joins of the reversed order.  One test
-decides the reversal (:func:`_reverses_order`), here and in
+(De Morgan), gathered in row blocks; otherwise they are the joins of the
+reversed order, from its signatures (the join-irreducibles, read from rows
+of the order) or its search.  One test decides the reversal
+(:func:`_reverses_order`), here and in
 ``lattice.verify_structure``, where :func:`_ortho_witness` runs only to name
 the witness of a map that fails it.
 
@@ -213,6 +228,67 @@ def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     return by_up.astype(at.dtype)[at.take(pos, axis=0).take(pos, axis=1)], ok, pos
 
 
+def _signature_joins(leq: np.ndarray, dual: bool = False) -> np.ndarray | None:
+    """The join table of the order leq (of its reverse leq.T when ``dual``)
+    from meet-irreducible signatures, or None to decline.
+
+    S holds each a with some c >= a whose up-set has |up(a)| - 1 elements:
+    in a partial order, the a whose strict up-set has a least element, the
+    meet-irreducibles of a lattice (of the reverse, the join-irreducibles).
+    sig(a) = {s in S : a <= s} is one int64 mask.  If a <= b iff sig(b) is
+    a subset of sig(a), for every pair, the relation is transitive and, as
+    it is antisymmetric, sig is injective; then the k with sig(k) = sig(a) &
+    sig(b) lies above a and b and below each of their common upper bounds c
+    (sig(c) is in sig(k)): k = a v b.  That holds for any S, so S only
+    decides whether the path answers.  The masks are looked up in a direct
+    table of 2^|S| entries, taken only while 2^|S| <= n^2, and the scan for
+    S stops once |S| passes that.  The check and the lookup are one
+    row-blocked pass: a <= b iff the k looked up for (a, b) is b, which over
+    all pairs, the diagonal included, is the embedding and the injectivity
+    at once; on the reverse, by the symmetry of the lookup, leq[a, b] iff k
+    is a, so every pass reads rows of leq.  Declines when |S| is too large,
+    the check fails or a lookup misses.  ``leq`` must be reflexive,
+    antisymmetric and C-contiguous.
+    """
+    n = leq.shape[0]
+    limit = (n * n).bit_length() - 1  # the largest |S| with 2^|S| <= n^2
+    up = leq.sum(axis=0 if dual else 1).astype(index_dtype(n + 1))  # |up(a)|
+    signed = np.zeros(n, bool)
+    for rows in row_blocks(n, n):
+        if dual:  # [c, a] -> c <= a, |down(c)| = |down(a)| - 1
+            signed |= (leq[rows] & (up[rows, None] == up - 1)).any(axis=0)
+        else:  # [a, c] -> a <= c, |up(c)| = |up(a)| - 1
+            signed[rows] = (leq[rows] & (up == up[rows, None] - 1)).any(axis=1)
+        if np.count_nonzero(signed) > limit:
+            return None
+    s = np.flatnonzero(signed)
+    bits = np.int64(1) << np.arange(s.size, dtype=np.int64)
+    sig = bits @ leq[s] if dual else leq[:, s] @ bits
+    dtype = index_dtype(n)
+    ids = np.arange(n, dtype=dtype)
+    where = np.full(1 << s.size, -1, dtype)
+    where[sig] = ids
+    join = np.empty((n, n), dtype)
+    for rows in row_blocks(n, sig.itemsize * n):
+        k = join[rows]
+        where.take(sig[rows, None] & sig, out=k, mode="clip")  # indices < 2^|S|
+        wrong = k == (ids[rows, None] if dual else ids)
+        np.not_equal(wrong, leq[rows], out=wrong)
+        if wrong.any() or k.min() < 0:
+            return None
+    return join
+
+
+def _bounds(leq: np.ndarray, dual: bool = False):
+    """(join, ok, pos) of leq (of leq.T when ``dual``) as :func:`_joins` gives
+    them, or (join, None, None) from :func:`_signature_joins`, which tries
+    first: every pair has its join."""
+    join = _signature_joins(leq, dual)
+    if join is not None:
+        return join, None, None
+    return _joins(leq.T if dual else leq)
+
+
 def _reverses_order(leq: np.ndarray, ortho: np.ndarray) -> bool:
     """Whether the permutation ortho is an involution that reverses the order.
 
@@ -249,29 +325,36 @@ def bound_tables(leq: np.ndarray, ortho=None):
     ``index_dtype(n)``; status != STATUS_OK flags the first
     pair (a, b), in row-major order, without a unique bound (a missing meet
     reported before a missing join in the same row); the tables are then
-    not valid.  ``leq`` must be reflexive and antisymmetric; if it is not
-    transitive the status is STATUS_NOT_TRANSITIVE, with no tables or pair.
-    When ``ortho`` (a permutation) is an involution that reverses the order,
-    meets are read from the join table by De Morgan, a ^ b = (a' v b')';
-    otherwise they are searched as the joins of the reversed order.
+    not valid.  ``leq`` must be reflexive and antisymmetric (the signature
+    path's lookup relies on it); if it is not transitive the status is
+    STATUS_NOT_TRANSITIVE, with no tables or pair.  Joins come from
+    :func:`_signature_joins` when it answers, else from the search of
+    :func:`_joins`, which decides every status and witness.  When ``ortho``
+    (a permutation) is an involution that reverses the order, meets are read
+    from the join table by De Morgan, a ^ b = (a' v b')'; otherwise they
+    are the joins of the reversed order, taken the same way.
     """
     leq = np.ascontiguousarray(leq, dtype=bool)
     n = leq.shape[0]
-    if (joins := _joins(leq)) is None:
+    if (joins := _bounds(leq)) is None:
         return None, None, STATUS_NOT_TRANSITIVE, -1, -1
     join, ok, pos = joins
     if ortho is not None and _reverses_order(leq, o := np.asarray(ortho, np.int64)):
-        meet = join.take(o, axis=0).take(o, axis=1)
-        for rows in row_blocks(n, 8 * n):
-            meet[rows] = o[meet[rows]]
-        meet_ok, meet_pos = ok, pos[o]  # (a, b) has a meet iff (a', b') has a join
+        oi = o.astype(join.dtype)
+        meet = np.empty_like(join)
+        for rows in row_blocks(n, join.itemsize * n):
+            meet[rows] = oi.take(join.take(o[rows], axis=0).take(o, axis=1))
+        # (a, b) has a meet iff (a', b') has a join
+        meet_ok, meet_pos = ok, None if pos is None else pos[o]
     else:
-        meet, meet_ok, meet_pos = _joins(leq.T)
-    bad = ~(meet_ok.all(axis=1)[meet_pos] & ok.all(axis=1)[pos])
+        meet, meet_ok, meet_pos = _bounds(leq, dual=True)
+    meet_rows = np.ones(n, bool) if meet_ok is None else meet_ok.all(axis=1)[meet_pos]
+    join_rows = np.ones(n, bool) if ok is None else ok.all(axis=1)[pos]
+    bad = ~(meet_rows & join_rows)
     if not bad.any():
         return meet, join, STATUS_OK, -1, -1
     r = int(np.argmax(bad))
-    if not meet_ok[meet_pos[r]].all():
+    if not meet_rows[r]:
         return meet, join, STATUS_NO_MEET, r, int(np.argmin(meet_ok[meet_pos[r], meet_pos]))
     return meet, join, STATUS_NO_JOIN, r, int(np.argmin(ok[pos[r], pos]))
 

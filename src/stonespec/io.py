@@ -26,15 +26,19 @@ from .spectral import ObservableTable, SpectralFamily, make_spectral_family, tab
 
 # Bytes per ordered pair of elements that loading and checking a lattice holds
 # at once, at most.  Two order matrices: the closure and the lattice's copy
-# (1 + 1); the file's relation is freed when the closure returns.  The join
-# table, int16 while n <= 2^15, and its ok mask (2 + 1).  When the meets are
-# searched as the joins of the reversed order, that search's float32 cast and
-# counts (4 + 4) at its product: 13 in all.  De Morgan meets skip the search,
-# and the join search holds 10 at its product.  On top come the packed rows
-# (1/8) and the search's word blocks and the closure's pair index arrays,
-# which do not grow with n^2.  16 bounds this (13.98 bytes per pair traced on
-# 2^11 with a direct search, 15.74 on 2^10, where the fixed blocks weigh
-# more), so the cap admits n <= 8192.
+# (1 + 1); the file's relation is freed when the closure returns.  A lattice
+# with few irreducibles takes its tables from signatures (two int16 tables,
+# 2 + 2, while n <= 2^15, and row blocks): 6.59 bytes per pair traced on
+# 2^11, 6.55 with the meets from the reversed order's signatures, 7.24 on
+# 2^10.  The join search, which runs where the signatures decline, holds the
+# join table and its ok mask (2 + 1).  When the meets are searched as the
+# joins of the reversed order, that search's float32 cast and counts (4 + 4)
+# at its product: 13 in all.  De Morgan meets skip the search, and the join
+# search holds 10 at its product.  On top come the packed rows (1/8) and the
+# search's word blocks and the closure's pair index arrays, which do not grow
+# with n^2.  16 bounds the search (13.98 bytes per pair traced on 2^11 with
+# a direct search, 15.74 on 2^10, where the fixed blocks weigh more), so the
+# cap admits n <= 8192.
 LATTICE_PAIR_BYTES = 16
 # A lattice file whose n^2 tables would pass this many bytes is refused before
 # anything of size n^2 is allocated: 1 GiB admits n <= 8192 elements.

@@ -5,9 +5,11 @@ Elements are integer indices into a fixed boolean order matrix ``leq``
 tables at construction, of the narrowest integer type that holds n - 1
 (``_kernels.index_dtype``: int16, two bytes a pair, while n <= 2^15);
 construction fails fast if the order is not a partial order or some pair
-lacks a unique bound (transitivity is read from the join search's counts:
-one n^3 product; antisymmetry from square tiles on and right of the
-diagonal, ``_kernels._first_upper_pair``, never from column slabs).
+lacks a unique bound.  Transitivity is proved by the meet-irreducible
+signatures that give the joins in O(n^2) (``_kernels._signature_joins``)
+when the lattice has few irreducibles, else read from the join search's
+counts (one n^3 product); antisymmetry from square tiles on and right of
+the diagonal, ``_kernels._first_upper_pair``, never from column slabs.
 Permutation gathers of the order and the tables take rows, then columns,
 never the 2-D ``np.ix_`` gather.  The orthocomplement is stored as a
 permutation but its axioms (involution, order reversal, complement laws,
@@ -60,7 +62,8 @@ def _reflexive_antisymmetric_problem(leq: np.ndarray) -> tuple[str, tuple[int, .
 
 def check_partial_order(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     """Return (problem, witness) if leq is not a partial order, else None;
-    :class:`FiniteOML` decides transitivity without this n^3 product and
+    :class:`FiniteOML` decides transitivity without this n^3 product (by
+    the signatures of ``bound_tables`` or its join search's counts) and
     calls it only to name the witness of a failure."""
     problem = _reflexive_antisymmetric_problem(leq)
     if problem is not None:

@@ -566,7 +566,6 @@ def suite_spectral(seed: int = 7) -> list[Check]:
         ("spectral/table-determines-family", table_determines_family),
         ("spectral/germ-equivalence", germ_equivalence),
         ("spectral/germ-examples", germ_examples),
-        ("translation-and-step-approximation", lambda: criterion_translation_and_step_approx(seed)),
     ])
 
 

@@ -30,7 +30,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stonespec import _kernels, gelfand, matrix, recon
@@ -91,6 +91,19 @@ def row_scan_bound_tables(leq):
             return meet, join, _kernels.STATUS_NO_JOIN, a, int(bad[0])
         join[a] = hits.argmax(axis=0)
     return meet, join, _kernels.STATUS_OK, -1, -1
+
+
+def least_upper_bounds(leq):
+    """[a, b] -> the common upper bound below every other, else -1."""
+    n = leq.shape[0]
+    join = np.full((n, n), -1, np.int64)
+    for a in range(n):
+        for b in range(n):
+            ub = np.flatnonzero(leq[a] & leq[b])
+            least = [c for c in ub if leq[c, ub].all()]
+            if len(least) == 1:
+                join[a, b] = least[0]
+    return join
 
 
 def one_shot_increasing(L, r):
@@ -602,14 +615,109 @@ def tables(draw):
 # tests
 
 
+def decline_signatures(mp):
+    """Make bound_tables take the join search of _joins on every input."""
+    mp.setattr(_kernels, "_signature_joins", lambda leq, dual=False: None)
+
+
 @settings(max_examples=300, deadline=None)
 @given(posets())
 def test_bound_tables_match_row_scan(leq):
-    fast = _kernels.bound_tables(leq)
+    """The join search, with the signature path declined."""
+    with pytest.MonkeyPatch.context() as mp:
+        decline_signatures(mp)
+        fast = _kernels.bound_tables(leq)
     slow = row_scan_bound_tables(leq)
     assert fast[2:] == slow[2:]
     if fast[2] == _kernels.STATUS_OK:
         assert (fast[0] == slow[0]).all() and (fast[1] == slow[1]).all()
+
+
+@st.composite
+def bound_inputs(draw):
+    """A reflexive antisymmetric relation and an ortho permutation or None:
+    a random poset, an orthoposet, a relabeled corpus lattice or product
+    (2^m x MO2, 2^m x O6), or a random acyclic relation, intransitive or a
+    non-lattice more often than not."""
+    kind = draw(st.sampled_from(["poset", "orthoposet", "lattice", "relation"]))
+    if kind == "poset":
+        return draw(posets()), None
+    if kind == "orthoposet":
+        return draw(orthoposets())
+    if kind == "lattice":
+        L = draw(relabeled())
+        return L.leq, L.ortho
+    leq, ortho = draw(reflexive_relations())
+    assume(_reflexive_antisymmetric_problem(leq) is None)
+    return leq, ortho
+
+
+def reverse_inclusion(masks):
+    """[a, b] -> masks[b] is a subset of masks[a]."""
+    m = np.array(masks)
+    return (m[None, :] & ~m[:, None]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=bound_inputs())
+@example(case=(np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool), None))
+@example(case=(reverse_inclusion([7, 11, 0, 1, 2, 4, 8, 15]), None))
+def test_signature_path_matches_search(case):
+    """Whenever the signature path answers, for the order or its reverse,
+    its table is the least upper bounds of that order, which is transitive;
+    bound_tables gives the status, the witness pair and, on success, the
+    tables of the search alone and of the row scan.  The examples: the
+    intransitive 0 <= 1 <= 2, where S = {1} signs 0 and 1 alike and the
+    diagonal of the lookup check declines; and the masks 7, 11, 0, 1, 2,
+    4, 8 and 15 by reverse inclusion, signed by the four one-bit masks:
+    7 and 11 have the meet 15 but no join (the lookup of 7 & 11 = 3
+    misses), so the search reports NO_JOIN at (0, 1) before the missing
+    meet of 1 and 2.  Caught: the miss test dropped."""
+    leq, ortho = case
+    for dual in (False, True):
+        join = _kernels._signature_joins(leq, dual)
+        if join is not None:
+            assert transitivity_gap(leq) is None
+            assert np.array_equal(join, least_upper_bounds(leq.T if dual else leq))
+    got = _kernels.bound_tables(leq, ortho)
+    with pytest.MonkeyPatch.context() as mp:
+        decline_signatures(mp)
+        assert_same_bounds(got, _kernels.bound_tables(leq, ortho))
+    if transitivity_gap(leq) is None:
+        assert_same_bounds(got, row_scan_bound_tables(leq))
+
+
+def test_signatures_or_search_by_lattice(tmp_path):
+    """Relabeled files of 2^6 and 2^3 x MO2 (6 and 7 meet-irreducibles) load
+    with no call of the join search, their meets by De Morgan, and 2^6 with
+    the identity as ortho from the dual signatures; MO8 (16 atoms past the
+    bound of 8 at n = 18) and the 64-chain (63) call it once.  Caught: the dual
+    check compared with the columns, which declines the dual signatures."""
+    rng = np.random.default_rng(16)
+    chain = FiniteOML([str(i) for i in range(64)], np.triu(np.ones((64, 64), bool)),
+                      np.arange(64)[::-1])
+    B6 = boolean_lattice(6)
+    cases = {"2^6": (B6, False), "2^3xMO2": (product(boolean_lattice(3), mo(2)), False),
+             "2^6 direct": (FiniteOML(B6.names, B6.leq, np.arange(64)), False),
+             "MO8": (mo(8), True), "chain64": (chain, True)}
+    files = {}
+    for name, (L, _) in cases.items():
+        files[name] = relabel(L, rng.permutation(L.n)), tmp_path / f"{name}.json"
+        save_lattice(*files[name])
+    joins, calls = _kernels._joins, []
+
+    def search(leq):
+        calls.append(leq.shape[0])
+        return joins(leq)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_joins", search)
+        for name, (M, path) in files.items():
+            calls.clear()
+            got = load_lattice(path)
+            assert calls == ([M.n] if cases[name][1] else []), name
+            assert np.array_equal(got.meet_table, M.meet_table)
+            assert np.array_equal(got.join_table, M.join_table)
 
 
 @settings(max_examples=100, deadline=None)
@@ -718,7 +826,8 @@ def test_join_search_decides_transitivity(rows, case):
 def test_construction_runs_one_cubic_product(tmp_path):
     """With bool_matmul raising, acyclic covering-pair files load, relabeled
     corpus orders construct, and the builders that pass tables (2^m, ideals,
-    generated sublattices) run: the count table of the join search is the
+    generated sublattices) run: the count table of the join search, which
+    runs only where the signature path declines (MO4 and MO8 here), is the
     only n^3 product of a valid lattice.  check_partial_order ran a second
     one on every order, the trusted ones included."""
     rng = np.random.default_rng(12)
@@ -1171,6 +1280,7 @@ def test_de_morgan_matches_direct_path_on_orthoposets(block_words, case):
     leq, ortho = case
     assert _kernels._ortho_witness(leq, ortho) is None
     with pytest.MonkeyPatch.context() as mp:
+        decline_signatures(mp)
         mp.setattr(_kernels, "_BLOCK_WORDS", block_words)
         fast = _kernels.bound_tables(leq, ortho)
         assert_same_bounds(fast, _kernels.bound_tables(leq))
@@ -1184,6 +1294,7 @@ def test_de_morgan_matches_direct_path_on_ortholattices(block_words, L):
     """Caught: a triangle or its ok mask left unmirrored."""
     assert _kernels._ortho_witness(L.leq, L.ortho) is None
     with pytest.MonkeyPatch.context() as mp:
+        decline_signatures(mp)
         mp.setattr(_kernels, "_BLOCK_WORDS", block_words)
         fast = _kernels.bound_tables(L.leq, L.ortho)
         assert fast[2] == _kernels.STATUS_OK
@@ -1361,13 +1472,27 @@ def test_distributivity_scan_builds_no_square_temporary():
     assert traced_peak(_kernels._distributive, L.leq, L.join_table) < 1 << 20
 
 
-def test_bound_tables_hold_one_bit_block_and_one_count_table():
-    """Beyond its two int64 output tables, bound_tables at n = 512 holds at most
-    one block of ANDed bit rows and one float32 count table (3 MiB); with both
-    count tables and their casts it took 4.8 MB."""
+def test_signature_path_holds_its_table_and_row_blocks():
+    """On relabeled 2^9 (n = 512) the signature path, for the joins and for
+    the joins of the reverse, holds its int16 table and row blocks of
+    _SCAN_BYTES (2.82 bytes a pair traced); one more n x n int16 temporary
+    would pass the bound."""
     L = relabel(boolean_lattice(9), np.random.default_rng(2).permutation(512))
     n = L.n
-    peak = traced_peak(_kernels.bound_tables, L.leq, L.ortho)
+    for dual in (False, True):
+        assert traced_peak(_kernels._signature_joins, L.leq, dual) < 2 * n * n + 8 * _kernels._SCAN_BYTES
+
+
+def test_bound_tables_hold_one_bit_block_and_one_count_table():
+    """Beyond its two int64 output tables, the join search of bound_tables
+    (the signature path declined) at n = 512 holds at most one block of
+    ANDed bit rows and one float32 count table (3 MiB); with both count
+    tables and their casts it took 4.8 MB."""
+    L = relabel(boolean_lattice(9), np.random.default_rng(2).permutation(512))
+    n = L.n
+    with pytest.MonkeyPatch.context() as mp:
+        decline_signatures(mp)
+        peak = traced_peak(_kernels.bound_tables, L.leq, L.ortho)
     assert peak - 2 * 8 * n * n < 8 * _kernels._BLOCK_WORDS + 4 * n * n
 
 

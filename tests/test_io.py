@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stonespec import _kernels
 from stonespec import io as sio
 from stonespec.corpus import boolean_lattice, corpus
 from stonespec.errors import LatticeError, SchemaError
@@ -95,23 +96,29 @@ class TestLatticeFiles:
 
     def test_load_holds_two_order_matrices(self, tmp_path):
         """On the relabeled covering pairs of 2^10 the traced peak of a load
-        stays below 13.25 bytes a pair (12.73 traced); with int64 tables it
-        was 20.0, and 21.0 while the file's relation stayed referenced next to
-        the closure and the lattice's copy."""
+        stays below 13.25 bytes a pair, with the tables from signatures (7.25
+        traced) and from the join search (12.73 traced, the signatures
+        declined); with int64 tables the search took 20.0, and 21.0 while the
+        file's relation stayed referenced next to the closure and the
+        lattice's copy."""
         L = boolean_lattice(10)
         inv = np.random.default_rng(4).permutation(L.n)  # new index i is old inv[i]
         M = FiniteOML([L.names[i] for i in inv], L.leq[np.ix_(inv, inv)],
                       np.argsort(inv)[L.ortho[inv]])
         path = tmp_path / "b10.json"
         sio.save_lattice(M, path)  # the covering pairs only
-        tracemalloc.start()
-        try:
-            loaded = sio.load_lattice(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (loaded.leq == M.leq).all()
-        assert peak < 13.25 * L.n * L.n
+        for signatures in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not signatures:
+                    mp.setattr(_kernels, "_signature_joins", lambda leq, dual=False: None)
+                tracemalloc.start()
+                try:
+                    loaded = sio.load_lattice(path)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert (loaded.leq == M.leq).all()
+            assert peak < 13.25 * L.n * L.n
 
     def test_loaded_lattice_holds_six_bytes_a_pair(self, tmp_path):
         """A lattice loaded from the relabeled covering pairs of 2^10 holds its
