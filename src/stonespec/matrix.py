@@ -145,9 +145,10 @@ def eig(a) -> EigenDecomposition:
     ctol = CLUSTER_SCALE * max(1.0, norm)
     starts = _cluster_starts(w, ctol)
     clusters = np.split(np.arange(n), starts[1:])
-    # the mean of halves, doubled: a cluster sum may overflow where its mean does
-    # not, and halving is exact in the normal range
-    values = np.array([2 * float(np.mean(w[c] / 2)) for c in clusters])
+    # k * mean(w / k), k a power of two above the cluster size: the cluster sum may
+    # overflow where its mean does not, and such scaling is exact in the normal range
+    values = np.array([k * float(np.mean(w[c] / k)) for c in clusters
+                       for k in [2 ** len(c).bit_length()]])
     if not (np.linalg.norm(V.conj().T @ V - np.eye(n)) <= 1e-9):
         raise EigenError("eigenbasis is not orthonormal")
     recon = (V * np.repeat(values, [len(c) for c in clusters])) @ V.conj().T
@@ -606,8 +607,8 @@ def step_approx(a, eps: float) -> tuple[np.ndarray, StepApproxReport]:
     evaluation of the step observable through the quasipoints of the
     generated lattice.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     d = _as_decomp(a)
     # Python floats: past the float limit a width is inf, not a numpy warning
     bottom, top = float(d.values.min()), float(d.values.max())

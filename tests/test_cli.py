@@ -240,6 +240,19 @@ class TestMatrixCommands:
         assert result.exit_code == 0
         assert calls == [str(path)]
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+    def test_bad_eps_exits_2_before_loading(self, runner, matrix_file, monkeypatch, eps):
+        calls = []
+        load = sio.load_matrix
+        monkeypatch.setattr(sio, "load_matrix", lambda p: calls.append(p) or load(p))
+        result = runner.invoke(
+            main, ["matrix", "approx", "--matrix", str(matrix_file), "--eps", eps]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "eps must be positive and finite\n"
+        assert calls == []
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("command", ["spectral", "rays", "gelfand", "approx"])
     def test_non_finite_entries_exit_2(self, runner, tmp_path, command, bad):

@@ -61,6 +61,12 @@ class TestEig:
         d = M.eig(base)
         assert d.m == 2
 
+    def test_cluster_whose_sum_overflows(self):
+        """Four eigenvalues of 1e308 sum past the float limit; their mean does not."""
+        with np.errstate(all="raise"):
+            d = M.eig(np.diag([1e308, 1e308, 1e308, 1e308, 1.0]))
+        assert d.values.tolist() == [1.0, 1e308]
+
     def test_mixed_eigenbasis_fails_the_gram_test(self, monkeypatch):
         # column 0 leans 1e-6 into column 2: P_0 P_2 != 0, yet the residual
         # is exact, since the eigenvalue of column 0 is zero
@@ -297,8 +303,9 @@ class TestStepApprox:
                 assert rep.passed, (eps, rep)
 
     def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            M.step_approx(np.eye(2), 0.0)
+        for eps in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                M.step_approx(np.eye(2), eps)
 
 
 class TestRankOne:
