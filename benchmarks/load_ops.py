@@ -16,8 +16,9 @@ file, ``io.transitive_closure`` on the reflexive relation of its pairs
 (what ``load_lattice`` closes), ``_kernels.bound_tables`` on the closed
 order with the file's orthocomplement, the ``FiniteOML`` constructor
 alone on the closed order (its checks and tables, without the file and the
-closure), and ``lattice.verify_structure`` on the loaded lattice (its n^2
-law scans).  The first call of each is not timed.  Three columns come from
+closure), ``lattice.verify_structure`` on the loaded lattice (its n^2
+law scans) and ``FiniteOML.cover_pairs`` on it (what ``save_lattice``
+writes).  The first call of each is not timed.  Three columns come from
 tracemalloc, in bytes per ordered pair of elements (bytes / n^2): over one
 more ``load_lattice`` call, its peak (``load_peak_bytes_per_pair``) and
 what the loaded lattice still holds when it returns
@@ -29,6 +30,13 @@ its signature path for the joins and for the joins of the reversed order),
 and where the joins and the meets came from (``joins``: "signatures" or
 "search"; ``meets``: "de-morgan" when the orthocomplement reverses the
 order, else "signatures" or "search").
+
+Then chains of 1024, 2048 and 4096 elements are written as cyclic files,
+relabeled the same way: their covering pairs plus one back edge, from the
+top to the element below it ("cyclic chain<n> top") or from the top to the
+bottom ("cyclic chain<n> bottom").  For each it prints the median and the
+quartiles in ms of ``io.load_lattice`` up to its refusal (``refusal``) and
+the refusal's message.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import numpy as np
 
 from stonespec import _kernels, io
 from stonespec.corpus import boolean_lattice
+from stonespec.errors import LatticeError
 from stonespec.lattice import FiniteOML, verify_structure
 from table_ops import mo_lattice, timed  # this script's directory is on sys.path
 
@@ -57,8 +66,9 @@ def without_reversal(L: FiniteOML) -> FiniteOML:
     return FiniteOML(L.names, L.leq, np.arange(L.n))
 
 
-def relabeled_file(L: FiniteOML, rng: np.random.Generator, path: Path) -> None:
-    """Write L's covering pairs with element i renamed to position p[i]."""
+def relabeled_file(L: FiniteOML, rng: np.random.Generator, path: Path, extra=()) -> None:
+    """Write L's covering pairs and the pairs ``extra`` with element i
+    renamed to position p[i]."""
     p = rng.permutation(L.n)
     names = [""] * L.n
     for i, name in enumerate(L.names):
@@ -66,9 +76,18 @@ def relabeled_file(L: FiniteOML, rng: np.random.Generator, path: Path) -> None:
     ortho = np.empty(L.n, np.int64)
     ortho[p] = p[L.ortho]
     doc = {"elements": names,
-           "leq": [[int(p[i]), int(p[j])] for i, j in L.cover_pairs()],
+           "leq": [[int(p[i]), int(p[j])] for i, j in [*L.cover_pairs(), *extra]],
            "ortho": ortho.tolist()}
     path.write_text(json.dumps(doc))
+
+
+def refusal(path: Path) -> str:
+    """The message of the LatticeError that load_lattice raises on the file."""
+    try:
+        io.load_lattice(path)
+    except LatticeError as exc:
+        return str(exc)
+    raise AssertionError(f"{path} loaded")
 
 
 def traced_load(path: Path, n: int) -> tuple[float, float]:
@@ -144,11 +163,20 @@ def main() -> None:
                                       args.repeats),
                 "finite_oml": timed(lambda: FiniteOML(L.names, L.leq, L.ortho), args.repeats),
                 "verify_structure": timed(lambda: verify_structure(L), args.repeats),
+                "cover_pairs": timed(L.cover_pairs, args.repeats),
                 "load_peak_bytes_per_pair": peak,
                 "held_bytes_per_pair": held,
                 "verify_peak_bytes_per_pair": traced_verify(L),
                 **paths(L),
             }
+        for n in (1024, 2048, 4096):
+            C = chain(n)
+            for name, back in (("top", (n - 1, n - 2)), ("bottom", (n - 1, 0))):
+                path = Path(tmp) / f"cyclic{n}{name}.json"
+                relabeled_file(C, rng, path, [back])
+                out[f"cyclic chain{n} {name}"] = {
+                    "n": n, "pairs": n, "refusal": timed(lambda: refusal(path), args.repeats),
+                    "message": refusal(path)}
     print(json.dumps(out, indent=1))
 
 

@@ -1,8 +1,8 @@
-"""Hot order-theoretic kernels, vectorized with numpy and shaped for BLAS.
+"""Hot order-theoretic kernels, vectorized with numpy.
 
-Counting identities over an order matrix run as float32 matrix products,
-which numpy hands to BLAS (integer products it computes itself).  Every
-count is at most n, so the products are exact while n < 2**24.
+The lattice layer runs one n x n product, the common-upper-bound counts of
+the join search below, in float32, which numpy hands to BLAS.  Every count
+is at most n, so it is exact while n < 2**24.
 
 The join table comes first from meet-irreducible signatures (Birkhoff's
 representation; Ganter and Wille, *Formal Concept Analysis*, 1999): every
@@ -28,7 +28,8 @@ after: the 64 columns of each word are searched against the rows before
 their end only, one word at a time from their own word on, until every pair
 has found its bit, and mirrored (table and test are symmetric).  The counts
 first decide transitivity in O(n^2): a reflexive relation is transitive iff
-every a <= b has |up(b)| common upper bounds.  Meets are joins too: when the
+every a <= b has |up(b)| common upper bounds; one OR of packed rows then
+names the first gap (:func:`_upper_counts`).  Meets are joins too: when the
 orthocomplement is an involution that reverses the order, a ^ b = (a' v b')'
 (De Morgan), gathered in row blocks; otherwise they are the joins of the
 reversed order, from its signatures (the join-irreducibles, read from rows
@@ -136,12 +137,6 @@ def index_dtype(n: int) -> np.dtype:
     return np.dtype(np.int16 if n <= 1 << 15 else np.int32)
 
 
-def bool_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Boolean product: out[i, j] iff x[i, k] and y[k, j] for some k, from
-    the counts |{k : x[i, k] and y[k, j]}| of one float32 BLAS product."""
-    return x.astype(np.float32) @ y.astype(np.float32) > 0
-
-
 # ---------------------------------------------------------------------------
 # meet/join tables
 
@@ -184,17 +179,14 @@ def _first_common(rows: np.ndarray, cols: np.ndarray, w0: int) -> np.ndarray:
     return out
 
 
-def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Join candidates of every pair, whether each is the join, and the
-    position of each element in the search order; None if not transitive.
-
-    The search runs on the order relabeled by up-set size, largest first,
-    where it is upper triangular: the common upper bounds of the positions
-    i <= j lie at j or after.  So the 64 columns of word w are searched
-    against the rows before their end, from word w on, and mirrored.
-    Returns (join, ok, pos): join[a, b] is the candidate for (a, b), and
-    ok[pos[a], pos[b]] says whether it is the join.
-    """
+def _upper_counts(leq: np.ndarray):
+    """(by_up, pos, up, words, common, gap) of a reflexive relation: its
+    elements by up-set size, largest first, the position of each, and by
+    position the up-set sizes, packed rows and common-upper-bound counts;
+    gap is the first pair of leq.leq & ~leq in row-major order, or None.  Row
+    i has a gap iff some j >= i has fewer than |up(j)| common upper bounds
+    with i; the least such i is its row, its column the first j in the rows
+    of up(i) but not in row i."""
     n = leq.shape[0]
     up = leq.sum(axis=1)  # |{c : i <= c}| per row i
     by_up = np.argsort(-up, kind="stable")
@@ -207,9 +199,32 @@ def _joins(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     common = f @ f.T  # [i, j] -> number of common upper bounds
     del f
     up = up[by_up].astype(np.float32)  # exact, and compared with counts of the same type
-    # i <= j must give |up(i) & up(j)| == |up(j)|
-    if _first_pair(n, n, lambda rows: unpacked_rows(words[rows], n) & (common[rows] != up)):
-        return None
+    failed = np.concatenate([(unpacked_rows(words[rows], n) & (common[rows] != up)).any(axis=1)
+                             for rows in row_blocks(n, n)])
+    if not failed.any():
+        return by_up, pos, up, words, common, None
+    i = int(by_up[failed].min())
+    reach = np.bitwise_or.reduce(words[pos[leq[i]]])  # by position
+    return by_up, pos, up, words, common, (
+        i, int(np.argmax(unpacked_rows(reach[None], n)[0, pos] & ~leq[i])))
+
+
+def _joins(leq: np.ndarray):
+    """Join candidates of every pair, whether each is the join, and the
+    position of each element in the search order; if not transitive, the
+    first pair of leq.leq & ~leq instead (see :func:`_upper_counts`).
+
+    The search runs on the order relabeled by up-set size, largest first,
+    where it is upper triangular: the common upper bounds of the positions
+    i <= j lie at j or after.  So the 64 columns of word w are searched
+    against the rows before their end, from word w on, and mirrored.
+    Returns (join, ok, pos): join[a, b] is the candidate for (a, b), and
+    ok[pos[a], pos[b]] says whether it is the join; or the pair (i, j).
+    """
+    by_up, pos, up, words, common, gap = _upper_counts(leq)
+    if gap is not None:
+        return gap
+    n = leq.shape[0]
     # positions, not labels, in the search order
     at = np.empty((n, n), index_dtype(n))
     ok = np.empty((n, n), bool)
@@ -280,9 +295,9 @@ def _signature_joins(leq: np.ndarray, dual: bool = False) -> np.ndarray | None:
 
 
 def _bounds(leq: np.ndarray, dual: bool = False):
-    """(join, ok, pos) of leq (of leq.T when ``dual``) as :func:`_joins` gives
-    them, or (join, None, None) from :func:`_signature_joins`, which tries
-    first: every pair has its join."""
+    """(join, ok, pos), or the intransitive pair, of leq (of leq.T when
+    ``dual``) as :func:`_joins` gives them, or (join, None, None) from
+    :func:`_signature_joins`, which tries first: every pair has its join."""
     join = _signature_joins(leq, dual)
     if join is not None:
         return join, None, None
@@ -327,7 +342,8 @@ def bound_tables(leq: np.ndarray, ortho=None):
     reported before a missing join in the same row); the tables are then
     not valid.  ``leq`` must be reflexive and antisymmetric (the signature
     path's lookup relies on it); if it is not transitive the status is
-    STATUS_NOT_TRANSITIVE, with no tables or pair.  Joins come from
+    STATUS_NOT_TRANSITIVE, with no tables, and (a, b) is the first pair of
+    leq.leq & ~leq, named by :func:`_upper_counts`.  Joins come from
     :func:`_signature_joins` when it answers, else from the search of
     :func:`_joins`, which decides every status and witness.  When ``ortho``
     (a permutation) is an involution that reverses the order, meets are read
@@ -336,8 +352,9 @@ def bound_tables(leq: np.ndarray, ortho=None):
     """
     leq = np.ascontiguousarray(leq, dtype=bool)
     n = leq.shape[0]
-    if (joins := _bounds(leq)) is None:
-        return None, None, STATUS_NOT_TRANSITIVE, -1, -1
+    joins = _bounds(leq)
+    if len(joins) == 2:
+        return None, None, STATUS_NOT_TRANSITIVE, *joins
     join, ok, pos = joins
     if ortho is not None and _reverses_order(leq, o := np.asarray(ortho, np.int64)):
         oi = o.astype(join.dtype)

@@ -71,8 +71,9 @@ def _is_number(x) -> bool:
     return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
-def _has_bool(x) -> bool:
-    return isinstance(x, bool) or isinstance(x, list) and any(map(_has_bool, x))
+def _all_numbers(x) -> bool:
+    """Every leaf of the nested lists x is an int (not a bool) or a float."""
+    return isinstance(x, list) and all(map(_all_numbers, x)) or _is_int(x) or isinstance(x, float)
 
 
 def _number_blocks(re, im, path, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -82,7 +83,8 @@ def _number_blocks(re, im, path, what: str) -> tuple[np.ndarray, np.ndarray]:
         im_arr = np.zeros_like(re_arr) if im is None else np.asarray(im, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: {what} entries must be numbers") from exc
-    if _has_bool([re, im]):  # numpy accepted the nesting, so the recursion is shallow
+    # numpy accepted the nesting, so the recursion is shallow; it parses strings and null
+    if not (_all_numbers(re) and (im is None or _all_numbers(im))):
         raise SchemaError(f"{path}: {what} entries must be numbers")
     if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):
         raise SchemaError(f"{path}: {what} entries must be finite")
@@ -100,10 +102,10 @@ def _ranges(ptr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
 
 
-def _close_rows(rows: np.ndarray, rel: np.ndarray) -> int:
+def _close_rows(rows: np.ndarray, rel: np.ndarray) -> None:
     """OR into each packed row of ``rel`` the rows of its successors, in
-    reverse topological order, one round per level; returns how many rows
-    became final (the others are on or above a cycle)."""
+    reverse topological order, one round per level; the rows that never
+    become final, those on or above a cycle, go to :func:`_close_cycles`."""
     n = rel.shape[0]
     src, dst = np.divmod(np.flatnonzero(rel), n)  # the pairs, sorted by src
     keep = src != dst
@@ -113,20 +115,60 @@ def _close_rows(rows: np.ndarray, rel: np.ndarray) -> int:
     pred_ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
     left = np.diff(succ_ptr)  # successors not yet final
     level = np.flatnonzero(left == 0)  # the rows of sinks are final as they are
-    final = level.size
     while True:
         done = np.bincount(pred[_ranges(pred_ptr, level)], minlength=n)
         left -= done
         level = np.flatnonzero((left == 0) & (done > 0))
         if not level.size:
-            return final
-        final += level.size
+            break
         edges = _ranges(succ_ptr, level)
         for block in _kernels.row_blocks(edges.size, 8 * rows.shape[1]):
             e = edges[block]
             x = src[e]
             heads = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
             rows[x[heads]] |= np.bitwise_or.reduceat(rows[dst[e]], heads, axis=0)
+    if left.any():
+        _close_cycles(rows, dst, succ_ptr, left > 0)
+
+
+def _close_cycles(rows: np.ndarray, dst: np.ndarray, ptr: np.ndarray, stuck: np.ndarray) -> None:
+    """Close the packed rows of the elements where ``stuck`` is set, whose
+    successors are dst[ptr[v]:ptr[v + 1]], every other row being closed.  An
+    iterative Tarjan pass over them (Tarjan, SIAM J. Comput., 1972) emits
+    their strongly connected components in reverse topological order, and a
+    component's row is the OR of the rows of its members and their
+    successors, which holds every member when it has more than one."""
+    n = ptr.size - 1
+    succ, first, end = dst.tolist(), ptr[:-1].tolist(), ptr[1:].tolist()
+    # index[v]: v's place on the stack, which orders the elements it holds;
+    # low[v] = n once v's component is closed (closed rows count as done)
+    index, low, stack = np.where(stuck, -1, 0).tolist(), [n] * n, []
+    for root in range(n):
+        work = [] if index[root] >= 0 else [(root, first[root])]
+        while work:
+            v, e = work.pop()
+            if index[v] < 0:
+                index[v] = low[v] = len(stack)
+                stack.append(v)
+            if e < end[v]:  # the next successor of v
+                work.append((v, e + 1))
+                if index[w := succ[e]] < 0:
+                    work.append((w, first[w]))
+                else:
+                    low[v] = min(low[v], low[w])
+                continue
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                members = np.array(stack[index[v]:])
+                del stack[index[v]:]
+                take = np.concatenate((members, dst[_ranges(ptr, members)]))
+                rows[members] = np.bitwise_or.reduce([
+                    np.bitwise_or.reduce(rows[take[b]])
+                    for b in _kernels.row_blocks(take.size, 8 * rows.shape[1])])
+                for x in members.tolist():
+                    low[x] = n
 
 
 def transitive_closure(leq: np.ndarray) -> np.ndarray:
@@ -138,21 +180,14 @@ def transitive_closure(leq: np.ndarray) -> np.ndarray:
     every successor of x is final, row x becomes its own row ORed with theirs.
     The successor rows of a level are gathered in blocks of at most
     ``_kernels._SCAN_BYTES``.  Elements on or above a cycle never become
-    final; if any remain, the propagated relation is finished by repeated
-    squaring (such a relation is refused as not antisymmetric).
+    final; one Tarjan pass over them alone closes their strongly connected
+    components (such a relation is refused as not antisymmetric).  No step
+    runs a matrix product.
     """
     rel = np.asarray(leq, dtype=bool)
-    n = rel.shape[0]
     rows = _kernels.packed_rows(rel)
-    final = _close_rows(rows, rel)
-    out = _kernels.unpacked_rows(rows, n)
-    if final == n:
-        return out
-    while True:  # a cycle remains: finish by squaring
-        grown = out | _kernels.bool_matmul(out, out)
-        if (grown == out).all():
-            return out
-        out = grown
+    _close_rows(rows, rel)
+    return _kernels.unpacked_rows(rows, rel.shape[0])
 
 
 def _order_pairs(pairs, n: int, path) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,9 @@ construction fails fast if the order is not a partial order or some pair
 lacks a unique bound.  Transitivity is proved by the meet-irreducible
 signatures that give the joins in O(n^2) (``_kernels._signature_joins``)
 when the lattice has few irreducibles, else read from the join search's
-counts (one n^3 product); antisymmetry from square tiles on and right of
-the diagonal, ``_kernels._first_upper_pair``, never from column slabs.
+counts (the one n^3 product), which also name the witness of an
+intransitive order; antisymmetry from square tiles on and right of the
+diagonal, ``_kernels._first_upper_pair``, never from column slabs.
 Permutation gathers of the order and the tables take rows, then columns,
 never the 2-D ``np.ix_`` gather.  The orthocomplement is stored as a
 permutation but its axioms (involution, order reversal, complement laws,
@@ -62,17 +63,13 @@ def _reflexive_antisymmetric_problem(leq: np.ndarray) -> tuple[str, tuple[int, .
 
 def check_partial_order(leq: np.ndarray) -> tuple[str, tuple[int, ...]] | None:
     """Return (problem, witness) if leq is not a partial order, else None;
-    :class:`FiniteOML` decides transitivity without this n^3 product (by
-    the signatures of ``bound_tables`` or its join search's counts) and
-    calls it only to name the witness of a failure."""
+    the transitivity witness, the first pair of leq.leq & ~leq, is named by
+    the join search's count test (``_kernels._upper_counts``)."""
     problem = _reflexive_antisymmetric_problem(leq)
     if problem is not None:
         return problem
-    gap = _kernels.bool_matmul(leq, leq) & ~leq
-    if gap.any():
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        return "not transitive", (int(i), int(j))
-    return None
+    gap = _kernels._upper_counts(leq)[-1]
+    return None if gap is None else ("not transitive", gap)
 
 
 def _find_bounds(leq: np.ndarray) -> tuple[int, int]:
@@ -130,7 +127,7 @@ class FiniteOML:
         if problem is None and tables is None:
             meet, join, status, a, b = _kernels.bound_tables(leq, ortho)
             if status == _kernels.STATUS_NOT_TRANSITIVE:
-                problem = check_partial_order(leq)
+                problem = "not transitive", (a, b)
         if problem is not None:
             what, wit = problem
             raise LatticeError(f"order is {what}, witness {wit}")
@@ -230,9 +227,23 @@ class FiniteOML:
         return self._nonzero
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with j covering i."""
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        cov = lt & ~_kernels.bool_matmul(lt, lt)
+        """Pairs (i, j) with j covering i, in row-major order.  With the
+        elements sorted by up-set size, largest first, whatever lies below a
+        candidate comes at a lower bit; so each round, every row takes its
+        lowest candidate left as a cover k, and clears k and up(k)."""
+        by_up = np.argsort(-self.leq.sum(axis=1), kind="stable")
+        le = self.leq.take(by_up, axis=0).take(by_up, axis=1)
+        up = _kernels.packed_rows(le)  # [i, k]: by_up[i] <= by_up[k]
+        np.fill_diagonal(le, False)
+        left, cov = _kernels.packed_rows(le), np.zeros_like(le)
+        rows = np.flatnonzero(left.any(axis=1))
+        while rows.size:
+            w = (left[rows] != 0).argmax(axis=1)
+            low = left[rows, w] & -left[rows, w]
+            k = np.bitwise_count(low - np.uint64(1)) + 64 * w
+            cov[by_up[rows], by_up[k]] = True
+            left[rows] &= ~up[k]
+            rows = rows[left[rows].any(axis=1)]
         return [(int(i), int(j)) for i, j in zip(*np.nonzero(cov))]
 
     def __repr__(self) -> str:

@@ -341,17 +341,21 @@ class TestMatrixCommands:
 
     @pytest.mark.parametrize("which", ["matrix", "ray"])
     def test_boolean_entries_exit_2(self, runner, matrix_file, tmp_path, which):
-        bad = tmp_path / "bool.json"
-        if which == "matrix":
-            bad.write_text(json.dumps({"n": 1, "re": [[True]]}))
-            args = ["spectral", "--matrix", str(bad)]
-        else:
-            bad.write_text(json.dumps({"re": [True, 0, 0]}))
-            args = ["rays", "--matrix", str(matrix_file), "--ray", str(bad)]
-        result = runner.invoke(main, ["matrix", *args])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "entries must be numbers" in result.output
+        """Booleans, strings (which numpy would parse) and null are no numbers."""
+        bad = tmp_path / "bad.json"
+        docs = {"matrix": [{"n": 1, "re": [[True]]}, {"n": 2, "re": [["1", 0], [0, "2.5"]]},
+                           {"n": 1, "re": [[None]]}],
+                "ray": [{"re": [x, 0, 0]} for x in (True, "1", None)]}
+        for doc in docs[which]:
+            bad.write_text(json.dumps(doc))
+            if which == "matrix":
+                args = ["spectral", "--matrix", str(bad)]
+            else:
+                args = ["rays", "--matrix", str(matrix_file), "--ray", str(bad)]
+            result = runner.invoke(main, ["matrix", *args])
+            assert result.exit_code == 2, doc
+            assert isinstance(result.exception, SystemExit)
+            assert "entries must be numbers" in result.output
 
     def test_fixtures_match_golden_text(self, runner):
         assert matrix_cli_text(runner).encode() == (GOLDEN / "matrix-cli.txt").read_bytes()

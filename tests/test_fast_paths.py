@@ -25,6 +25,7 @@ matrices with repeated eigenvalues, rotated or diagonal.
 """
 
 import itertools
+import json
 import tracemalloc
 import warnings
 
@@ -746,19 +747,28 @@ def cover_relation(L):
 def closure_cases():
     """Relations the level closure must get right, relabeled by a fixed draw:
     a 300-element chain of covers (300 levels), a DAG with a 3-cycle inside
-    (rows on and above the cycle are finished by squaring), the closed
-    order of 2^6 (every pair listed), and the covers of 2^6 and of the chain
-    without their diagonals."""
+    (rows on and above the cycle are closed by the Tarjan pass), the closed
+    order of 2^6 (every pair listed), the covers of 2^6 and of the chain
+    without their diagonals, the chain with a back edge at its top (every
+    row on or above the cycle, 299 components), and two 3-cycles joined
+    through an acyclic node (the first component is closed after its
+    successor component, and the node between them)."""
     rng = np.random.default_rng(10)
     dag = np.triu(rng.random((40, 40)) < 0.08, 1)
     dag[[20, 25, 31], [25, 31, 20]] = True
     chain = chain_covers(300)
+    back = chain.copy()
+    back[299, 298] = True
+    joined = np.zeros((9, 9), bool)
+    joined[[0, 1, 2, 2, 3, 4, 5, 6, 7], [1, 2, 0, 3, 4, 5, 6, 4, 0]] = True
     cases = {
         "chain300": chain,
         "cycle in a DAG": dag,
         "closed 2^6": boolean_lattice(6).leq,
         "covers of 2^6 without diagonal": cover_relation(boolean_lattice(6)),
         "chain300 without diagonal": chain & ~np.eye(300, dtype=bool),
+        "chain300 with a back edge at its top": back,
+        "two 3-cycles joined through a node": joined,
     }
     for name, rel in cases.items():
         perm = rng.permutation(rel.shape[0])
@@ -815,47 +825,69 @@ def test_construction_errors_keep_their_order(case):
 @given(case=reflexive_relations())
 def test_join_search_decides_transitivity(rows, case):
     """The count comparison of _joins, in blocks of 1 and 3 rows, against
-    the transitivity loop, on reflexive relations cyclic or not.  Caught:
-    the comparison run on the first block only."""
+    the transitivity loop, on reflexive relations cyclic or not: it returns
+    the loop's first gap exactly when there is one.  Caught: the comparison
+    run on the first block only."""
     leq, _ = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_SCAN_BYTES", rows * leq.shape[0])
-        assert (_kernels._joins(leq) is None) == (transitivity_gap(leq) is not None)
+        got = _kernels._joins(leq)
+    assert (got if len(got) == 2 else None) == transitivity_gap(leq)
 
 
 def test_construction_runs_one_cubic_product(tmp_path):
-    """With bool_matmul raising, acyclic covering-pair files load, relabeled
-    corpus orders construct, and the builders that pass tables (2^m, ideals,
-    generated sublattices) run: the count table of the join search, which
-    runs only where the signature path declines (MO4 and MO8 here), is the
-    only n^3 product of a valid lattice.  check_partial_order ran a second
-    one on every order, the trusted ones included."""
+    """The join search, whose count table is the only n^3 product of the
+    lattice layer, runs once on the acyclic covering-pair files of MO4 and MO8
+    (where the signatures decline) and on no other file, at most once per
+    relabeled corpus order, never in the builders that pass tables (2^m,
+    ideals, generated sublattices), and never on a cyclic file, which the
+    closure refuses as not antisymmetric; every table equals the original's."""
     rng = np.random.default_rng(12)
-    bases = [boolean_lattice(m) for m in (1, 3, 6)] + [mo(k) for k in (1, 4, 8)]
-    bases += [product(boolean_lattice(m), q) for m in (1, 2, 3) for q in (mo(2), benzene())]
-    files = []
-    for k, L in enumerate(bases):  # save_lattice writes the covering pairs only
-        files.append((relabel(L, rng.permutation(L.n)), tmp_path / f"{k}.json"))
-        save_lattice(*files[-1])
+    bases = {f"2^{m}": boolean_lattice(m) for m in (1, 3, 6)}
+    bases |= {f"MO{k}": mo(k) for k in (1, 4, 8)}
+    bases |= {f"2^{m}x{q}": product(boolean_lattice(m), Q)
+              for m in (1, 2, 3) for q, Q in (("MO2", mo(2)), ("O6", benzene()))}
+    files = {}
+    for name, L in bases.items():  # save_lattice writes the covering pairs only
+        files[name] = relabel(L, rng.permutation(L.n)), tmp_path / f"{name}.json"
+        save_lattice(*files[name])
+    cyclic = tmp_path / "cyclic.json"
+    cyclic.write_text(json.dumps({"elements": [str(i) for i in range(64)], "ortho": list(range(64)),
+                                  "leq": [[i, i + 1] for i in range(63)] + [[63, 62]]}))
+    joins, calls = _kernels._joins, []
 
-    def no_product(*args):
-        raise AssertionError("bool_matmul ran")
+    def search(leq):
+        calls.append(leq.shape[0])
+        return joins(leq)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "bool_matmul", no_product)
-        for M, path in files:
+        mp.setattr(_kernels, "_joins", search)
+        for name, (M, path) in files.items():
+            calls.clear()
             L = load_lattice(path)
+            assert calls == ([L.n] if name in ("MO4", "MO8") else []), name
             assert np.array_equal(L.leq, M.leq)
             assert np.array_equal(L.meet_table, M.meet_table)
             assert np.array_equal(L.join_table, M.join_table)
+        calls.clear()
+        with pytest.raises(LatticeError, match=r"not antisymmetric, witness \(62, 63\)"):
+            load_lattice(cyclic)
+        assert calls == []
         for L in BASES.values():
-            relabel(L, rng.permutation(L.n))
+            calls.clear()
+            perm = rng.permutation(L.n)
+            M = relabel(L, perm)
+            assert len(calls) <= 1
+            for got, want in ((M.meet_table, L.meet_table), (M.join_table, L.join_table)):
+                assert np.array_equal(got.take(perm, axis=0).take(perm, axis=1), perm[want])
+        calls.clear()
         for m in range(1, 10):
             boolean_lattice(m)
         for L in (boolean_lattice(6), mo(3), product(boolean_lattice(2), mo(2))):
             for a in L.nonzero():
                 principal_ideal(L, int(a))
             generated_sublattice(L, rng.choice(L.n, 2))
+        assert calls == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -299,7 +299,9 @@ class TestBooleansAndNonFiniteNumbers:
         [{"n": True, "re": [[1.0]]}]
         + [{"n": 2, "re": [[1.0, 0.0], [0.0, x]]} for x in OUTSIDE_FLOATS]
         + [{"n": 1, "re": [[1.0]], "im": [[x]]} for x in OUTSIDE_FLOATS]
-        + [{"n": 1, "re": [[True]]}, {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, False], [0, 0]]}],
+        + [{"n": 1, "re": [[True]]}, {"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, False], [0, 0]]}]
+        + [{"n": 2, "re": [["1", 0], [0, "2.5"]]}, {"n": 1, "re": [[None]]},
+           {"n": 1, "re": [[1.0]], "im": [["0"]]}, {"n": 1, "re": [[1.0]], "im": [[None]]}],
     )
     def test_matrix(self, tmp_path, payload):
         path = write(tmp_path, "m.json", payload)
@@ -307,7 +309,8 @@ class TestBooleansAndNonFiniteNumbers:
             sio.load_matrix(path)
 
     @pytest.mark.parametrize(
-        "x", [*OUTSIDE_FLOATS, True], ids=["nan", "inf", "-inf", "1e400", "true"]
+        "x", [*OUTSIDE_FLOATS, True, "1", None],
+        ids=["nan", "inf", "-inf", "1e400", "true", "string", "null"],
     )
     def test_ray(self, tmp_path, x):
         for payload in ({"re": [1.0, x]}, {"re": [1.0, 0.0], "im": [x, 0.0]}):
