@@ -22,9 +22,9 @@ from .recon import reconstruct as reconstruct_fn
 
 EXIT_MATH = 1
 EXIT_SCHEMA = 2
-# complex multiply-adds of the default `matrix rays` sweep, about 2 n^4: n = 512
-# takes about 40 s on a 2-core x86_64 VM, and n = 562 is the first size refused
-SWEEP_CAP = 2 * 10**11
+# largest n of the default `matrix rays` sweep, whose n^2 + 2n rows cost O(n) each:
+# n = 1024 takes about 33 s and writes 70 MB on a 2-core x86_64 VM
+SWEEP_CAP = 1024
 
 
 def _fail(code: int, message: str):
@@ -210,16 +210,16 @@ def spectral(matrix_file, fmt):
 
 
 def _sweep(n: int, seed: int):
-    """The default probes in output order, as (labels, rows) blocks of at most
-    matrix.ray_block_size(n) rays: the unit probes, then 2n random rays drawn
-    from the seed."""
+    """The default probes in output order, as (labels, rays) blocks of at most
+    matrix.ray_block_size(n) rays for ray_table: the unit probes, then 2n random
+    rays drawn from the seed, as columns."""
     from . import matrix as matrix_mod
     size = matrix_mod.ray_block_size(n)
     yield from matrix_mod.unit_probes(n, size)
     rng = np.random.default_rng(seed)
     for start in range(0, 2 * n, size):
         k = min(size, 2 * n - start)
-        yield [f"r{start + q}" for q in range(k)], matrix_mod.random_rays(n, k, rng)
+        yield [f"r{start + q}" for q in range(k)], matrix_mod.random_rays(n, k, rng).T
 
 
 @matrix.command()
@@ -231,18 +231,16 @@ def _sweep(n: int, seed: int):
 def rays(matrix_file, ray_file, seed, fmt):
     """Ray table (observable, mirrored, expectation) on a probe set.
 
-    The sweep evaluates n^2 + 2n probes at two n x n products each, about 2 n^4
-    complex multiply-adds; past SWEEP_CAP it is refused (exit 2) before the
+    The sweep evaluates the n^2 unit probes in O(n) each, from two rows of the
+    eigenbasis and a 2 x 2 block of the matrix, and 2n random rays as dense
+    blocks: O(n^3) in all.  Past n = SWEEP_CAP it is refused (exit 2) before the
     eigendecomposition.  Rows are written one block of probes at a time."""
     from . import matrix as matrix_mod
     A = sio.load_matrix(matrix_file)
     n = A.shape[0]
-    if ray_file is None:
-        cost = 2 * n * n * (n * n + 2 * n)
-        if cost > SWEEP_CAP:
-            _fail(EXIT_SCHEMA, f"input error: the probe sweep at n = {n} takes about "
-                  f"{cost:.4g} complex multiply-adds, past the cap of {SWEEP_CAP:.0e}; "
-                  "evaluate single rays with --ray")
+    if ray_file is None and n > SWEEP_CAP:
+        _fail(EXIT_SCHEMA, f"input error: the probe sweep at n = {n} writes {n * n + 2 * n} "
+              f"rows, past the cap of n = {SWEEP_CAP}; evaluate single rays with --ray")
     d = _eig_of(A)
     if ray_file is None:
         blocks = _sweep(n, seed)
@@ -250,10 +248,10 @@ def rays(matrix_file, ray_file, seed, fmt):
         x = sio.load_ray(ray_file)
         if len(x) != n:
             _fail(EXIT_SCHEMA, f"ray has {len(x)} entries, matrix has {n}")
-        blocks = [(["ray"], x[None, :])]
-    for b, (labels, rows) in enumerate(blocks):
+        blocks = [(["ray"], x[:, None])]
+    for b, (labels, block) in enumerate(blocks):
         try:
-            t = matrix_mod.ray_table(d, rows.T)
+            t = matrix_mod.ray_table(d, block)
         except ValueError as exc:  # a zero ray, or one whose norm overflows
             _fail(EXIT_SCHEMA, f"input error: {exc}")
         hits = int(np.count_nonzero(t.band))

@@ -8,8 +8,10 @@ The verification helpers compare ray and eigenvalues within ``MAT_TOL``.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,19 +219,21 @@ def verify_spectrum_identity(a) -> SpectrumReport:
 
 
 def normalize_ray(x) -> np.ndarray:
+    """x scaled to unit norm.  The norm is np.linalg.norm's own sum, sqrt(re.re +
+    im.im), so it is the same bit for bit, without its argument handling."""
     x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    nrm = float(np.linalg.norm(x))
+    re, im = x.real, x.imag
+    nrm = math.sqrt(re.dot(re) + im.dot(im))
     if nrm == 0.0:
         raise ValueError("the zero vector spans no ray")
-    if not np.isfinite(nrm):
+    if not math.isfinite(nrm):
         raise ValueError("the norm of the ray is not finite")
     return x / nrm
 
 
 def normalize_rays(rows) -> np.ndarray:
-    """Each row scaled to unit norm, bit for bit as normalize_ray: np.linalg.norm
-    takes two strided dot products, and the batched matmul below makes the same
-    two per row."""
+    """Each row scaled to unit norm, bit for bit as normalize_ray: the batched
+    matmul below makes its two dot products per row."""
     rows = np.ascontiguousarray(rows, dtype=np.complex128)
     re, im = rows.real, rows.imag
     with np.errstate(over="ignore"):  # an overflowing norm is refused below
@@ -247,11 +251,21 @@ def ray_block_size(n: int) -> int:
     return max(1, RAY_BLOCK_BYTES // (16 * n))
 
 
+def _cluster_norms(d: EigenDecomposition, xv: np.ndarray) -> np.ndarray:
+    """||P_c x|| for each cluster c from xv = x^H V, of one ray or one row per ray:
+    the square roots of the cluster sums of |xv|^2, squared and rooted in place,
+    with no sum where every cluster is one column."""
+    comps = np.abs(xv)
+    comps *= comps
+    if d.m < d.n:
+        comps = np.add.reduceat(comps, d.starts, axis=-1)
+    return np.sqrt(comps, out=comps)
+
+
 def _component_norms(d: EigenDecomposition, x: np.ndarray) -> np.ndarray:
-    """||P_c x|| for each cluster c, of a ray or of each row of a block of rays,
-    read as the norms of the cluster slices of x^H V: one product with x
-    conjugated, so the eigenbasis is read in place and never copied."""
-    return np.sqrt(np.add.reduceat(np.abs(x.conj() @ d.basis) ** 2, d.starts, axis=-1))
+    """||P_c x|| of a ray or of each row of a block of rays, from one product with
+    x conjugated, so the eigenbasis is read in place and never copied."""
+    return _cluster_norms(d, x.conj() @ d.basis)
 
 
 def _supports(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,16 +275,22 @@ def _supports(comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return comps > RAY_TOL, ((comps >= lo) & (comps <= hi)).any(axis=-1)
 
 
-def _support(d: EigenDecomposition, x) -> np.ndarray:
-    """Clusters the ray has a component in; warns on the conditioning band."""
-    support, band = _supports(_component_norms(d, normalize_ray(x)))
+def _ray(a, x, end: int | None) -> float:
+    """One ray's value: the eigenvalue of its support at index end (-1 for f, 0 for
+    g), warning when the support is ill-conditioned, or for end None <Ax,x>, as
+    np.vdot(x, A @ x) of the normalized x.  Each runs one product: x^H V or A x."""
+    d = _as_decomp(a)
+    x = normalize_ray(x)
+    if end is None:
+        return float(np.vdot(x, d.matrix @ x).real)
+    support, band = _supports(_component_norms(d, x))
     if band:
         warnings.warn(
             "ray component within the tolerance band; the support decision is "
             "ill-conditioned",
             stacklevel=3,
         )
-    return np.flatnonzero(support)
+    return float(d.values[support.nonzero()[0][end]])
 
 
 def warn_band(hits: int, total: int) -> None:
@@ -286,19 +306,22 @@ def warn_band(hits: int, total: int) -> None:
 
 def ray_obs(a, x) -> float:
     """Largest eigenvalue whose spectral component of the ray is nonzero."""
-    d = _as_decomp(a)
-    return float(d.values[_support(d, x)[-1]])
+    return _ray(a, x, -1)
 
 
 def mirrored_ray(a, x) -> float:
     """Smallest eigenvalue whose spectral component of the ray is nonzero."""
-    d = _as_decomp(a)
-    return float(d.values[_support(d, x)[0]])
+    return _ray(a, x, 0)
 
 
-def _ray_values(d: EigenDecomposition, rows: np.ndarray):
-    """f, g and the band hits of unit rays given as rows."""
-    support, band = _supports(_component_norms(d, rows))
+def expectation(a, x) -> float:
+    """<Ax, x> for the normalized representative of the ray."""
+    return _ray(a, x, None)
+
+
+def _ray_values(d: EigenDecomposition, comps: np.ndarray):
+    """f, g and the band hits of rays, one row of cluster norms each."""
+    support, band = _supports(comps)
     top = d.m - 1 - np.argmax(support[:, ::-1], axis=1)
     return d.values[top], d.values[np.argmax(support, axis=1)], band
 
@@ -314,28 +337,47 @@ class RayTable:
 
 
 def ray_table(a, X) -> RayTable:
-    """f, g, <Ax,x> and the band hits of the rays in the columns of an n x k block.
+    """f, g, <Ax,x> and the band hits of the rays in the columns of an n x k block,
+    or of a block of unit probes from unit_probes.
 
     Each column is normalized as by normalize_ray.  The supports of all k rays
     come from one product X^H V (X conjugated, V read in place) reduced over the
-    clusters.  <Ax,x> is one matrix-vector product and one dot product per ray,
-    batched by matmul, so it equals np.vdot(x, A @ x) bit for bit.  Band hits are
-    returned, not warned about: the caller reports them once per block."""
+    clusters, so each row equals ray_obs and mirrored_ray bit for bit.  <Ax,x>
+    is one matrix-vector product and one dot product per ray, batched by
+    matmul, so it equals np.vdot(x, A @ x) bit for bit.  A block of unit probes
+    is read in O(n) a probe instead (see _probe_table): the same supports up to
+    rounding, and <Ax,x> within a few ulp of ||A||.  Band hits are returned,
+    not warned about: the caller reports them once per block."""
     d = _as_decomp(a)
+    if isinstance(X, _UnitProbes):
+        return _probe_table(d, X)
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != d.n:
         raise ValueError(f"expected a block of {d.n}-dimensional rays, got shape {X.shape}")
     rows = normalize_rays(X.T)
-    f, g, band = _ray_values(d, rows)
+    f, g, band = _ray_values(d, _component_norms(d, rows))
     ax = np.matmul(d.matrix, rows[:, :, None])[:, :, 0]
     return RayTable(f, g, np.vecdot(rows, ax).real, band)
 
 
-def expectation(a, x) -> float:
-    """<Ax, x> for the normalized representative of the ray."""
-    d = _as_decomp(a)
-    x = normalize_ray(x)
-    return float(np.real(np.vdot(x, d.matrix @ x)))
+def _probe_table(d: EigenDecomposition, p: _UnitProbes) -> RayTable:
+    """ray_table of a block of unit probes in O(n) a probe.  The probe e_i + c e_j
+    (c = 0, 1 or i) has the norm sqrt(1 + |c|^2) exactly and normalizes to
+    u_i e_i + u_j e_j as normalize_rays makes it, so x^H V is u_i V_i +
+    conj(u_j) V_j from two rows of V, and <Ax,x> is the dense formula on the
+    2 x 2 block of A at i and j."""
+    nrm = np.sqrt(1 + np.abs(p.c) ** 2)
+    ui, uj = 1 / nrm, p.c / nrm
+    xv = d.basis[p.i]
+    xv *= ui[:, None]
+    vj = d.basis[p.j]
+    vj *= uj.conj()[:, None]
+    xv += vj
+    f, g, band = _ray_values(d, _cluster_norms(d, xv))
+    A = d.matrix
+    ax_i = A[p.i, p.i] * ui + A[p.i, p.j] * uj
+    ax_j = A[p.j, p.i] * ui + A[p.j, p.j] * uj
+    return RayTable(f, g, (ui * ax_i + uj.conj() * ax_j).real, band)
 
 
 def complex_observable(m, x) -> complex:
@@ -360,7 +402,7 @@ def random_rays(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 def _block_f(d: EigenDecomposition, X: np.ndarray) -> np.ndarray:
     """f of the rays in the columns of X, the rows of ray_table without g and
     <Ax,x>; the block's band hits warn once, with their count."""
-    f, _, band = _ray_values(d, normalize_rays(X.T))
+    f, _, band = _ray_values(d, _component_norms(d, normalize_rays(X.T)))
     warn_band(int(np.count_nonzero(band)), len(band))
     return f
 
@@ -397,9 +439,9 @@ def _span_law(d: EigenDecomposition, rng: np.random.Generator, k: int) -> tuple[
     c = g[:, 4 * n:]
     z = (c[:, :1] + 1j * c[:, 1:2]) * x + (c[:, 2:3] + 1j * c[:, 3:]) * y
     keep = np.linalg.norm(z, axis=1) >= 1e-9
-    fx, _, bx = _ray_values(d, x[keep])
-    fy, _, by = _ray_values(d, y[keep])
-    fz, _, bz = _ray_values(d, normalize_rays(z[keep]))
+    fx, _, bx = _ray_values(d, _component_norms(d, x[keep]))
+    fy, _, by = _ray_values(d, _component_norms(d, y[keep]))
+    fz, _, bz = _ray_values(d, _component_norms(d, normalize_rays(z[keep])))
     bad = np.count_nonzero(fz > np.maximum(fx, fy) + MAT_TOL)
     return int(bad), int(np.count_nonzero(bx | by | bz))
 
@@ -484,9 +526,27 @@ def projector_distance(f1: ProjectorFamily, f2: ProjectorFamily) -> float:
     )
 
 
+class _UnitProbes(NamedTuple):
+    """A block of unit probes e_i + c e_j as index arrays i, j and coefficients c;
+    e_j has i = j and c = 0."""
+
+    i: np.ndarray
+    j: np.ndarray
+    c: np.ndarray
+
+    def rows(self, n: int) -> np.ndarray:
+        """The probes as unnormalized n-dimensional rows."""
+        k = np.arange(len(self.i))
+        rows = np.zeros((len(k), n), dtype=np.complex128)
+        rows[k, self.i] = 1
+        rows[k, self.j] += self.c
+        return rows
+
+
 def unit_probes(n: int, size: int):
     """The unit probes e_j, then e_i + e_j and e_i + i e_j for i < j, as (labels,
-    rows) blocks of at most size unnormalized rays."""
+    probes) blocks of at most size rays.  A block is held by its index pairs and
+    coefficients, so ray_table reads it in O(n) a probe."""
     units = itertools.chain(
         ((f"e{j + 1}", j, j, 0) for j in range(n)),
         ((f"e{i + 1}+{unit}e{j + 1}", i, j, c)
@@ -494,15 +554,12 @@ def unit_probes(n: int, size: int):
     )
     while chunk := list(itertools.islice(units, size)):
         labels, i, j, c = zip(*chunk)
-        rows = np.zeros((len(chunk), n), dtype=np.complex128)
-        rows[np.arange(len(chunk)), i] = 1
-        rows[np.arange(len(chunk)), j] += c
-        yield labels, rows
+        yield labels, _UnitProbes(np.array(i), np.array(j), np.array(c, dtype=np.complex128))
 
 
 def default_probes(n: int, rng: np.random.Generator) -> list[np.ndarray]:
     """The unit probes, normalized, then 4n random rays."""
-    probes = [normalize_ray(x) for _, rows in unit_probes(n, n * n) for x in rows]
+    probes = [normalize_ray(x) for _, block in unit_probes(n, n * n) for x in block.rows(n)]
     return probes + [random_ray(n, rng) for _ in range(4 * n)]
 
 

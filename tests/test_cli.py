@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from stonespec import io as sio
 from stonespec import matrix as matrix_mod
 from stonespec import stone
-from stonespec.cli import main
+from stonespec.cli import SWEEP_CAP, main
 from stonespec.corpus import corpus
 from stonespec.spectral import make_spectral_family, observable_fn
 
@@ -417,17 +417,18 @@ class TestMatrixCommands:
             assert result.exit_code == 0, result.output
 
     def test_sweep_past_the_cap_exits_2(self, runner, tmp_path):
-        path = tmp_path / "n562.json"
-        path.write_text(json.dumps({"n": 562, "re": np.eye(562).tolist()}))
+        n = SWEEP_CAP + 1
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({"n": n, "re": np.eye(n).tolist()}))
         result = runner.invoke(main, ["matrix", "rays", "--matrix", str(path)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert result.output == (
-            "input error: the probe sweep at n = 562 takes about 2.002e+11 complex "
-            "multiply-adds, past the cap of 2e+11; evaluate single rays with --ray\n"
+            "input error: the probe sweep at n = 1025 writes 1052675 rows, past the "
+            "cap of n = 1024; evaluate single rays with --ray\n"
         )
         ray = tmp_path / "ray.json"
-        ray.write_text(json.dumps({"re": [1.0] + [0.0] * 561}))
+        ray.write_text(json.dumps({"re": [1.0] + [0.0] * (n - 1)}))
         result = runner.invoke(main, ["matrix", "rays", "--matrix", str(path), "--ray", str(ray)])
         assert result.exit_code == 0
         assert result.output == "ray_id,f,g,expectation\nray,1.0,1.0,1.0\n"

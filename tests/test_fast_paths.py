@@ -28,6 +28,7 @@ import itertools
 import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from hypothesis import strategies as st
 from stonespec import _kernels, gelfand, matrix, recon
 from stonespec.corpus import benzene, boolean_lattice, corpus, mo
 from stonespec.errors import LatticeError, NotObservableError
-from stonespec.io import load_lattice, save_lattice, transitive_closure
+from stonespec.io import load_lattice, load_matrix, save_lattice, transitive_closure
 from stonespec.lattice import (
     FiniteOML,
     _ortho_complement_verdict,
@@ -1630,13 +1631,13 @@ def test_band_rays_match_projectors(a, seed):
         support, band = projector_support(d, x)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = matrix._support(d, x)
-            f, g = matrix.ray_obs(d, x), matrix.mirrored_ray(d, x)
-        np.testing.assert_array_equal(got, support)
+            got = matrix._supports(matrix._component_norms(d, matrix.normalize_ray(x)))[0]
+            f, g = matrix._ray(d, x, -1), matrix._ray(d, x, 0)
+        np.testing.assert_array_equal(np.flatnonzero(got), support)
         assert f == float(d.values[support[-1]])
         assert g == float(d.values[support[0]])
         if delta in WARNING_COMPONENTS:
-            assert len(caught) == (3 if band else 0)
+            assert len(caught) == (2 if band else 0)
             assert all("ill-conditioned" in str(c.message) for c in caught)
 
 
@@ -1670,6 +1671,137 @@ def test_ray_table_matches_column_formula(a, seed):
         assert t.expectation[k] == np.real(np.vdot(y, d.matrix @ y))
         if off_ends[k]:
             assert t.band[k] == band
+
+
+def formula_ray_values(d, x):
+    """f, g, <Ax,x> and the band verdict of one ray by the formula of the separate
+    single-ray paths the shared kernel replaced: np.linalg.norm, the cluster sums
+    of abs(x^H V) ** 2, np.flatnonzero of the support, np.vdot(x, A @ x)."""
+    x = np.asarray(x, dtype=np.complex128)
+    y = x / float(np.linalg.norm(x))
+    comps = np.sqrt(np.add.reduceat(np.abs(y.conj() @ d.basis) ** 2, d.starts, axis=-1))
+    support = np.flatnonzero(comps > matrix.RAY_TOL)
+    lo, hi = matrix.WARN_BAND
+    band = bool(((comps >= lo) & (comps <= hi)).any())
+    return (float(d.values[support[-1]]), float(d.values[support[0]]),
+            float(np.real(np.vdot(y, d.matrix @ y))), band)
+
+
+@st.composite
+def spectra(draw, max_n=24):
+    """U diag(w) U^H or diag(w) with every eigenvalue distinct (m = n) or with
+    w on at most n // 2 levels (clustered)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, max_n))
+    levels = rng.uniform(-5.0, 5.0, n if draw(st.booleans()) else max(1, n // 2))
+    w = np.concatenate([levels, rng.choice(levels, n - len(levels))])
+    if not draw(st.booleans()):
+        return np.diag(w)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return u @ np.diag(w) @ u.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectra(), st.integers(0, 2**32 - 1))
+def test_single_ray_calls_match_table_rows_and_formula(a, seed):
+    """ray_obs, mirrored_ray and expectation on unnormalized random rays, the
+    eigenbasis columns and band rays (a 1e-8 or 1e-10 component in a second
+    cluster): each equals its ray_table row and the formula of the separate
+    single-ray paths bit for bit, and f and g warn exactly on the band."""
+    d = matrix.eig(a)
+    rng = np.random.default_rng(seed)
+    rays = [rng.uniform(0.1, 10.0) * matrix.random_ray(d.n, rng) for _ in range(4)]
+    rays += list(d.basis.T)
+    if d.m > 1:
+        for delta in (1e-8, 1e-10):
+            i, j = rng.choice(d.m, size=2, replace=False)
+            u = matrix.normalize_ray(d.projection(i) @ matrix.random_ray(d.n, rng))
+            v = matrix.normalize_ray(d.projection(j) @ matrix.random_ray(d.n, rng))
+            rays.append(u + delta * v)
+    t = matrix.ray_table(d, np.stack(rays, axis=1))
+    for k, x in enumerate(rays):
+        f, g, e, band = formula_ray_values(d, x)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = (matrix.ray_obs(d, x), matrix.mirrored_ray(d, x), matrix.expectation(d, x))
+        assert got == (f, g, e) == (t.f[k], t.g[k], t.expectation[k])
+        assert bool(t.band[k]) == band
+        assert len(caught) == (2 if band else 0)
+        assert np.array_equal(matrix.normalize_ray(x), x / np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("x, message", [
+    (np.zeros(3), "the zero vector spans no ray"),
+    (np.array([1.0, np.nan, 0.0]), "the norm of the ray is not finite"),
+    (np.array([1e200, 1e200, 0.0]), "the norm of the ray is not finite"),
+    (np.array([1e154 + 1e154j, 0.0, 0.0]), "the norm of the ray is not finite"),
+])
+def test_single_ray_calls_refuse_with_the_same_messages(x, message):
+    """A zero ray, a NaN ray and rays whose norm overflows, in the dot products
+    or in their sum: every single-ray call and ray_table raise ValueError with
+    the same message.  A single-ray call issues the overflow warnings that
+    np.linalg.norm issues on the ray, and ray_table none."""
+    d = matrix.eig(np.diag([1.0, 2.0, 3.0]))
+    with warnings.catch_warnings(record=True) as norm_warnings:
+        warnings.simplefilter("always")
+        np.linalg.norm(x)
+    calls = (matrix.normalize_ray, lambda x: matrix.ray_obs(d, x),
+             lambda x: matrix.mirrored_ray(d, x), lambda x: matrix.expectation(d, x))
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=message):
+                call(x)
+        assert [str(w.message) for w in caught] == [str(w.message) for w in norm_warnings]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            matrix.ray_table(d, x[:, None])
+
+
+def loop_probe_labels(n):
+    """The unit probe labels in sweep order, from the pair loop."""
+    labels = [f"e{j + 1}" for j in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        labels += [f"e{i + 1}+e{j + 1}", f"e{i + 1}+ie{j + 1}"]
+    return labels
+
+
+def sweep_matrices():
+    """herm3, rot6, Pauli Y and diag(Y, 2Y, 3) (e_i + i e_j is an eigenvector of
+    them, and e_i - i e_j of another eigenvalue), and n <= 12 random, degenerate
+    (rotated) and diagonal matrices."""
+    golden = Path(__file__).parent / "golden"
+    y = np.array([[0, -1j], [1j, 0]])
+    blocks = np.zeros((5, 5), dtype=complex)
+    blocks[:2, :2], blocks[2:4, 2:4], blocks[4, 4] = y, 2 * y, 3
+    out = [load_matrix(golden / "herm3.json"), load_matrix(golden / "rot6.json"), y, blocks]
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 12):
+        out.append(matrix.random_hermitian(n, rng))
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        w = rng.choice([-1.0, 0.5, 2.0], n)
+        out += [u @ np.diag(w) @ u.conj().T, np.diag(w), np.diag(rng.uniform(-3, 3, n))]
+    return out
+
+
+@pytest.mark.parametrize("a", sweep_matrices())
+def test_probe_sweep_matches_dense_table(a):
+    """The unit probes as index pairs against the same probes as dense columns:
+    labels in the pair loop's order, the same f, g and band hits, and <Ax,x>
+    within 4 ulp of ||A|| (the closed form is not the dense dot product)."""
+    d = matrix.eig(a)
+    tol = 4 * np.finfo(float).eps * max(1.0, d.norm())
+    for size in (1, 3, d.n * d.n):
+        labels = []
+        for block_labels, probes in matrix.unit_probes(d.n, size):
+            labels += block_labels
+            sparse = matrix.ray_table(d, probes)
+            dense = matrix.ray_table(d, probes.rows(d.n).T)
+            assert np.array_equal(sparse.f, dense.f) and np.array_equal(sparse.g, dense.g)
+            assert np.array_equal(sparse.band, dense.band)
+            assert np.abs(sparse.expectation - dense.expectation).max() <= tol
+        assert labels == loop_probe_labels(d.n)
 
 
 @settings(max_examples=60, deadline=None)
