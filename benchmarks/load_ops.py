@@ -6,8 +6,10 @@ Run from the root of a checkout, with the package under test on the path:
 
 Each lattice is written once as a file of its covering pairs, with its
 elements relabeled by a permutation drawn from the seed: the Boolean
-lattices 2^9 to 2^12, MO256 and MO1024 (127 and 511 orthocomplementary atom
-pairs), the chain of 2048 elements (its orthocomplement reverses the
+lattices 2^8 to 2^12, MO64 and MO128 as the ``lattice-sweep`` benchmark
+builds them (64 and 128 orthocomplementary atom pairs, 130 and 258
+elements), MO256 and MO1024 (127 and 511 pairs, 256 and 1024 elements),
+the chain of 2048 elements (its orthocomplement reverses the
 chain), and 2^11 with the identity as its orthocomplement ("2^11 direct":
 it reverses no order, so the meets are searched as the joins of the
 reversed order instead of read by De Morgan).  For each file it prints, as
@@ -18,7 +20,8 @@ order with the file's orthocomplement, the ``FiniteOML`` constructor
 alone on the closed order (its checks and tables, without the file and the
 closure), ``lattice.verify_structure`` on the loaded lattice (its n^2
 law scans) and ``FiniteOML.cover_pairs`` on it (what ``save_lattice``
-writes).  The first call of each is not timed.  Three columns come from
+writes), and the Stone enumerations ``stone.quasipoints`` and
+``stone.enumerate_dual_ideals`` on it.  The first call of each is not timed.  Three columns come from
 tracemalloc, in bytes per ordered pair of elements (bytes / n^2): over one
 more ``load_lattice`` call, its peak (``load_peak_bytes_per_pair``) and
 what the loaded lattice still holds when it returns
@@ -49,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stonespec import _kernels, io
+from stonespec import _kernels, io, stone
 from stonespec.corpus import boolean_lattice
 from stonespec.errors import LatticeError
 from stonespec.lattice import FiniteOML, verify_structure
@@ -125,7 +128,7 @@ def paths(L: FiniteOML) -> dict:
     def source(dual: bool) -> str:
         return "search" if _kernels._signature_joins(L.leq, dual) is None else "signatures"
 
-    reverses = _kernels._reverses_order(L.leq, L.ortho)
+    reverses = L.reverses_order()
     return {"meet_irreducibles": irreducibles(L.leq),
             "join_irreducibles": irreducibles(np.ascontiguousarray(L.leq.T)),
             "joins": source(False), "meets": "de-morgan" if reverses else source(True)}
@@ -137,7 +140,9 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
-    lattices = {f"2^{m}": lambda m=m: boolean_lattice(m) for m in (9, 10, 11, 12)}
+    lattices = {f"2^{m}": lambda m=m: boolean_lattice(m) for m in (8, 9, 10, 11, 12)}
+    lattices["MO64"] = lambda: mo_lattice(64)
+    lattices["MO128"] = lambda: mo_lattice(128)
     lattices["MO256"] = lambda: mo_lattice(127)
     lattices["MO1024"] = lambda: mo_lattice(511)
     lattices["chain2048"] = lambda: chain(2048)
@@ -164,6 +169,9 @@ def main() -> None:
                 "finite_oml": timed(lambda: FiniteOML(L.names, L.leq, L.ortho), args.repeats),
                 "verify_structure": timed(lambda: verify_structure(L), args.repeats),
                 "cover_pairs": timed(L.cover_pairs, args.repeats),
+                "quasipoints": timed(lambda: stone.quasipoints(L), args.repeats),
+                "enumerate_dual_ideals": timed(lambda: stone.enumerate_dual_ideals(L),
+                                               args.repeats),
                 "load_peak_bytes_per_pair": peak,
                 "held_bytes_per_pair": held,
                 "verify_peak_bytes_per_pair": traced_verify(L),

@@ -34,9 +34,10 @@ orthocomplement is an involution that reverses the order, a ^ b = (a' v b')'
 (De Morgan), gathered in row blocks; otherwise they are the joins of the
 reversed order, from its signatures (the join-irreducibles, read from rows
 of the order) or its search.  One test decides the reversal
-(:func:`_reverses_order`), here and in
-``lattice.verify_structure``, where :func:`_ortho_witness` runs only to name
-the witness of a map that fails it.
+(:func:`_reverses_order`), once per lattice: ``FiniteOML`` decides it
+before its tables and keeps the verdict, which ``bound_tables`` takes as
+``reverses`` and ``lattice.verify_structure`` reads; :func:`_ortho_witness`
+runs only to name the witness of a map that fails it.
 
 The tables hold element indices in the narrowest integer type that holds
 n - 1 (:func:`index_dtype`): int16, two bytes a pair, while n <= 2^15.
@@ -55,8 +56,13 @@ so only the tiles on or right of it are read, each gathered by rows.  This
 decides antisymmetry and order reversal.
 
 Distributivity is decided on every lattice from its join-primes
-(:func:`_distributive`): one row-blocked pass finds them, and one O(n) fold
-per prime checks that every element is the join of those below it.  The
+(:func:`_distributive`): one row-blocked pass over the cached down-set
+sizes finds them, and one O(n) fold per prime checks that every element is
+the join of those below it.  Atomism is decided by counts
+(:func:`_unjoined`): x is the join of the atoms below it exactly when no
+y < x has as many atoms below it, one O(n^2) row-blocked pass and no fold
+per atom (on a distributive lattice ``lattice.verify_structure`` needs
+none: it is atomistic iff n = 2^|atoms|).  The
 O(n^3) triple scan (:func:`distributivity_witness`) runs only to name the
 witness of a lattice that fails, and skips the rows of the elements
 comparable to every element, which cannot fail.  Orthomodularity is decided
@@ -333,7 +339,7 @@ def _ortho_witness(leq: np.ndarray, ortho: np.ndarray) -> tuple[int, ...] | None
     )
 
 
-def bound_tables(leq: np.ndarray, ortho=None):
+def bound_tables(leq: np.ndarray, ortho=None, reverses: bool | None = None):
     """All-pairs greatest lower / least upper bounds of a partial order.
 
     Returns (meet, join, status, a, b), the tables of type
@@ -348,7 +354,9 @@ def bound_tables(leq: np.ndarray, ortho=None):
     :func:`_joins`, which decides every status and witness.  When ``ortho``
     (a permutation) is an involution that reverses the order, meets are read
     from the join table by De Morgan, a ^ b = (a' v b')'; otherwise they
-    are the joins of the reversed order, taken the same way.
+    are the joins of the reversed order, taken the same way.  ``reverses``
+    is the verdict of :func:`_reverses_order` on ``ortho`` when the caller
+    has it (``FiniteOML`` keeps it); None decides it here.
     """
     leq = np.ascontiguousarray(leq, dtype=bool)
     n = leq.shape[0]
@@ -356,7 +364,8 @@ def bound_tables(leq: np.ndarray, ortho=None):
     if len(joins) == 2:
         return None, None, STATUS_NOT_TRANSITIVE, *joins
     join, ok, pos = joins
-    if ortho is not None and _reverses_order(leq, o := np.asarray(ortho, np.int64)):
+    o = None if ortho is None else np.asarray(ortho, np.int64)
+    if o is not None and (_reverses_order(leq, o) if reverses is None else reverses):
         oi = o.astype(join.dtype)
         meet = np.empty_like(join)
         for rows in row_blocks(n, join.itemsize * n):
@@ -395,7 +404,8 @@ def distributivity_witness(meet, join):
         if ((ma == a) | (ma == idx)).all():
             continue
         # [b, c] -> a ^ (b v c) against (a ^ b) v (a ^ c)
-        bc = _first_pair(n, 8 * n, lambda rows: ma[join[rows]] != join[ma[rows, None], ma])
+        bc = _first_pair(n, join.itemsize * n, lambda rows: ma.take(join[rows]) != join.take(
+            ma[rows], axis=0).take(ma, axis=1))
         if bc:
             return a, *bc
     return -1, -1, -1
@@ -411,19 +421,43 @@ def _joins_below(leq: np.ndarray, join: np.ndarray, elements, bottom: int) -> np
     return acc
 
 
-def _distributive(leq: np.ndarray, join: np.ndarray) -> bool:
+def _unjoined(leq: np.ndarray, elements) -> np.ndarray:
+    """[x] -> whether x is not the join of the given elements below it.
+
+    With c(x) the number of them at or below x, x is their join exactly when
+    no y < x has c(y) = c(x): y <= x makes y's set a subset of x's, so equal
+    counts mean equal sets, and the join of x's set is such a y unless it is
+    x.  The counts are of the narrowest type that holds them, and each row
+    block of [y, x] -> y <= x and c(y) = c(x) is ORed over y.
+    """
+    n = leq.shape[0]
+    elements = np.asarray(elements, np.int64)
+    c = np.zeros(n, np.uint8 if elements.size < 256 else index_dtype(elements.size + 1))
+    for part in row_blocks(elements.size, n):
+        c += leq[elements[part]].sum(axis=0, dtype=c.dtype)
+    bad = np.zeros(n, bool)
+    for rows in row_blocks(n, n):
+        block = leq[rows] & (c[rows, None] == c)
+        block.reshape(-1)[rows.start::n + 1] = False  # y = x
+        bad |= block.any(axis=0)
+    return bad
+
+
+def _distributive(leq: np.ndarray, join: np.ndarray, down: np.ndarray) -> bool:
     """Whether the lattice is distributive: exactly when every element is the
     join of the join-primes below it (Birkhoff; Davey & Priestley,
     *Introduction to Lattices and Order*, 2002).  p != 0 is join-prime iff
     {x : p </= x} is a principal ideal, that is, iff the member of that set
-    with the largest down-set has a down-set as large as the set."""
+    with the largest down-set has a down-set as large as the set.  ``down``
+    holds the down-set sizes (``FiniteOML.downset_sizes``), all positive, so
+    the product below is 0 off the set; counts stay in down's type."""
     n = leq.shape[0]
-    down = leq.sum(axis=0).astype(index_dtype(n + 1))  # |{y : y <= x}| per element x
     primes = []
     for rows in row_blocks(n, down.itemsize * n):
         outside = ~leq[rows]  # [p, x] -> p </= x
-        top = np.where(outside, down, -1).argmax(axis=1)
-        primes.append(rows.start + np.flatnonzero(down[top] == outside.sum(axis=1)))
+        top = (outside * down).argmax(axis=1)
+        size = outside.sum(axis=1, dtype=down.dtype)
+        primes.append(rows.start + np.flatnonzero(down[top] == size))
     acc = _joins_below(leq, join, np.concatenate(primes), int(np.argmin(down)))
     return bool((acc == np.arange(n)).all())
 
@@ -438,17 +472,18 @@ def _orthomodular(leq: np.ndarray, meet: np.ndarray, ortho: np.ndarray, bottom: 
 
     def bad(rows):  # [a, b] -> a < b and a' ^ b == 0
         out = leq[rows] & (meet.take(ortho[rows], axis=0) == bottom)
-        np.fill_diagonal(out[:, rows], False)
+        out.reshape(-1)[rows.start::n + 1] = False  # a = b
         return out
 
     return _first_pair(n, meet.itemsize * n, bad) is None
 
 
 def orthomodularity_witness(leq, meet, join, ortho):
-    """First pair a <= b with b != a v (b ^ a'), else (-1, -1)."""
+    """First pair a <= b with b != a v (b ^ a'), else (-1, -1); the meet
+    table is a lattice's, so symmetric."""
     n = leq.shape[0]
     ortho = np.asarray(ortho, np.int64)
-    # meet[:, ortho[rows]].T is [a, b] -> b ^ a'
+    # rows of meet at ortho[rows]: [a, b] -> a' ^ b = b ^ a'
     return _first_pair(n, 8 * n, lambda rows: leq[rows] & (
-        np.take_along_axis(join[rows], meet[:, ortho[rows]].T, axis=1) != np.arange(n)
+        np.take_along_axis(join[rows], meet.take(ortho[rows], axis=0), axis=1) != np.arange(n)
     )) or (-1, -1)

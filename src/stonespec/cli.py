@@ -249,6 +249,7 @@ def rays(matrix_file, ray_file, seed, fmt):
         if len(x) != n:
             _fail(EXIT_SCHEMA, f"ray has {len(x)} entries, matrix has {n}")
         blocks = [(["ray"], x[:, None])]
+    out = sio.RaysCsv(d.values)
     for b, (labels, block) in enumerate(blocks):
         try:
             t = matrix_mod.ray_table(d, block)
@@ -259,10 +260,10 @@ def rays(matrix_file, ray_file, seed, fmt):
             click.echo(f"warning: {hits} of {len(labels)} rays from {labels[0]} to "
                        f"{labels[-1]} have a component within the tolerance band; "
                        "their support decisions are ill-conditioned", err=True)
-        table = list(zip(labels, t.f.tolist(), t.g.tolist(), t.expectation.tolist()))
         if fmt == "csv":
-            click.echo(sio.rays_csv(table, header=b == 0), nl=False)
+            click.echo(out.block(labels, t.f, t.g, t.expectation, header=b == 0), nl=False)
         else:
+            table = zip(labels, t.f.tolist(), t.g.tolist(), t.expectation.tolist())
             click.echo("\n".join(f"{label}: f={fv:g} g={gv:g} <Ax,x>={ev:g}"
                                   for label, fv, gv, ev in table))
 

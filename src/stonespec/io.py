@@ -43,9 +43,21 @@ LATTICE_PAIR_BYTES = 16
 # A lattice file whose n^2 tables would pass this many bytes is refused before
 # anything of size n^2 is allocated: 1 GiB admits n <= 8192 elements.
 LATTICE_BYTES_CAP = 1 << 30
+# Matrix and ray files are refused past this many bytes, before they are read.
+# Parsing the JSON holds the text, a Python float per entry and the arrays at
+# once: `matrix spectral` peaks at 168 MB RSS on an n = 1024 complex file of
+# 46 MB (3.6 bytes a file byte) and at 535 MB on an n = 2048 file of 185 MB
+# (2.9; 2-core x86_64 VM, Python 3.11).  256 MiB admits n of about 2400 at 17
+# digits an entry, and keeps the peak near 0.75 GB, below the lattice cap's.
+MATRIX_BYTES_CAP = 1 << 28
 
 
-def _read_json(path) -> dict:
+def _read_json(path, cap: int | None = None) -> dict:
+    """The top-level object of a JSON file; with ``cap``, a file of more bytes
+    is refused before it is read."""
+    if cap is not None and (size := Path(path).stat().st_size) > cap:
+        raise SchemaError(f"{path}: {size} bytes of JSON, past the cap of {cap} bytes "
+                          f"({cap / 2**20:g} MiB) for matrix and ray files")
     try:
         data = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
@@ -342,7 +354,7 @@ def load_quasipoint_data(path, L: FiniteOML) -> dict[int, float]:
 
 
 def load_matrix(path) -> np.ndarray:
-    data = _read_json(path)
+    data = _read_json(path, MATRIX_BYTES_CAP)
     n = _require(data, "n", path)
     re = _require(data, "re", path)
     if not _is_int(n) or n <= 0:
@@ -367,7 +379,7 @@ def save_matrix(a: np.ndarray, path) -> None:
 
 
 def load_ray(path) -> np.ndarray:
-    data = _read_json(path)
+    data = _read_json(path, MATRIX_BYTES_CAP)
     re = _require(data, "re", path)
     re_arr, im_arr = _number_blocks(re, data.get("im"), path, "ray")
     if re_arr.ndim != 1 or re_arr.shape != im_arr.shape:
@@ -379,14 +391,29 @@ def load_ray(path) -> np.ndarray:
 # CSV emitters
 
 
-def rays_csv(rows: list[tuple[str, float, float, float]], header: bool = True) -> str:
-    buf = _io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    if header:
-        w.writerow(["ray_id", "f", "g", "expectation"])
-    for row in rows:
-        w.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
-    return buf.getvalue()
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float, from one repr of their list, whose items Python
+    joins with ", "."""
+    return repr(values.tolist())[1:-1].split(", ") if len(values) else []
+
+
+class RaysCsv:
+    """CSV text of ray tables over one spectrum: rows ``ray_id,f,g,expectation``
+    of float reprs, as ``csv.writer`` writes them (the labels ``e1+ie2``,
+    ``r0``, ``ray`` never need quoting).  f and g only take the m ascending
+    eigenvalues ``values``, so each is formatted once, here, and gathered by
+    its index; the <Ax,x> of a block come from one repr of their list."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.text = np.array(_reprs(values), dtype=object)
+
+    def block(self, labels: list[str], f: np.ndarray, g: np.ndarray,
+              expectation: np.ndarray, header: bool) -> str:
+        k = len(labels)
+        fg = self.text[np.searchsorted(self.values, np.concatenate((f, g)))].tolist()
+        rows = map("{},{},{},{}\n".format, labels, fg[:k], fg[k:], _reprs(expectation))
+        return ("ray_id,f,g,expectation\n" if header else "") + "".join(rows)
 
 
 def transform_csv(labels: list[str], values: np.ndarray) -> str:

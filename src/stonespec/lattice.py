@@ -16,8 +16,10 @@ never the 2-D ``np.ix_`` gather.  The orthocomplement is stored as a
 permutation but its axioms (involution, order reversal, complement laws,
 orthomodularity) are *verdicts* reported by :func:`verify_structure`, not
 construction requirements -- non-orthomodular examples such as the benzene
-hexagon must be representable.  Each verdict is a fast decision; the law
-scans behind the witnesses run only on a lattice that fails it.
+hexagon must be representable.  Each verdict is a fast decision, each
+decided once (order reversal at construction, which the De Morgan meets
+use too); the law scans behind the witnesses run only on a lattice that
+fails it.
 
 A lattice is immutable after construction and safe to share between
 threads; all operations are pure.  Indices are never mixed between
@@ -103,7 +105,8 @@ class FiniteOML:
     """
 
     __slots__ = ("n", "names", "leq", "ortho", "bottom", "top", "meet_table",
-                 "join_table", "_atoms", "_down", "_nonzero", "_name_index")
+                 "join_table", "_reverses", "_atoms", "_atom_set", "_down", "_nonzero",
+                 "_name_index")
 
     def __init__(
         self,
@@ -124,8 +127,10 @@ class FiniteOML:
         if ortho.shape != (n,) or sorted(ortho.tolist()) != list(range(n)):
             raise LatticeError("ortho must be a permutation of the element indices")
         problem = _reflexive_antisymmetric_problem(leq)
+        reverses = None
         if problem is None and tables is None:
-            meet, join, status, a, b = _kernels.bound_tables(leq, ortho)
+            reverses = _kernels._reverses_order(leq, ortho)
+            meet, join, status, a, b = _kernels.bound_tables(leq, ortho, reverses)
             if status == _kernels.STATUS_NOT_TRANSITIVE:
                 problem = "not transitive", (a, b)
         if problem is not None:
@@ -149,7 +154,9 @@ class FiniteOML:
         self.top = top
         self.meet_table = meet
         self.join_table = join
+        self._reverses: bool | None = reverses
         self._atoms: tuple[int, ...] | None = None
+        self._atom_set: frozenset[int] | None = None
         self._down: np.ndarray | None = None
         self._nonzero = np.delete(np.arange(n, dtype=np.int64), bottom)
         self._name_index = {s: i for i, s in enumerate(names)}
@@ -192,18 +199,29 @@ class FiniteOML:
         """|{b : b <= a}| for every element a (the column counts of leq),
         computed once."""
         if self._down is None:
-            self._down = self.leq.sum(axis=0)
+            self._down = self.leq.sum(axis=0, dtype=_kernels.index_dtype(self.n + 1))
             self._down.setflags(write=False)
         return self._down
 
     def atoms(self) -> tuple[int, ...]:
         """Elements covering bottom: those whose down-set is {bottom, a}."""
         if self._atoms is None:
-            self._atoms = tuple(int(a) for a in np.flatnonzero(self.downset_sizes() == 2))
+            self._atoms = tuple(np.flatnonzero(self.downset_sizes() == 2).tolist())
+            self._atom_set = frozenset(self._atoms)
         return self._atoms
 
     def is_atom(self, a: int) -> bool:
-        return 0 <= a < self.n and bool(self.downset_sizes()[a] == 2)
+        if self._atom_set is None:
+            self.atoms()
+        return a in self._atom_set
+
+    def reverses_order(self) -> bool:
+        """Whether ortho is an involution that reverses the order
+        (``_kernels._reverses_order``): decided at construction when the
+        tables are computed, else on first use."""
+        if self._reverses is None:
+            self._reverses = _kernels._reverses_order(self.leq, self.ortho)
+        return self._reverses
 
     def downset(self, a: int) -> np.ndarray:
         """Indices of {b : b <= a}."""
@@ -290,7 +308,7 @@ class StructureReport:
 
 def _ortho_complement_verdict(L: FiniteOML) -> tuple[bool, tuple[int, ...] | None]:
     o = L.ortho
-    if not _kernels._reverses_order(L.leq, o):
+    if not L.reverses_order():
         return False, _kernels._ortho_witness(L.leq, o)
     idx = np.arange(L.n)
     bad_meet = L.meet_table[idx, o] != L.bottom
@@ -302,8 +320,17 @@ def _ortho_complement_verdict(L: FiniteOML) -> tuple[bool, tuple[int, ...] | Non
     return True, None
 
 
-def _atomistic_verdict(L: FiniteOML) -> tuple[bool, tuple[int, ...] | None]:
-    bad = _kernels._joins_below(L.leq, L.join_table, L.atoms(), L.bottom) != np.arange(L.n)
+def _atomistic_verdict(L: FiniteOML, distributive: bool) -> tuple[bool, tuple[int, ...] | None]:
+    """Whether every element is the join of the atoms below it, else the first
+    that is not.  A distributive lattice is atomistic exactly when it is the
+    power set of its atoms (atoms are join-prime there, so x -> the atoms
+    below x is one-to-one onto the subsets), that is, when n = 2^|atoms|; the
+    count test of ``_kernels._unjoined`` decides the others and names the
+    witness."""
+    atoms = L.atoms()
+    if distributive and L.n == 1 << len(atoms):
+        return True, None
+    bad = _kernels._unjoined(L.leq, atoms)
     if bad.any():
         return False, (int(np.argmax(bad)),)
     return True, None
@@ -312,12 +339,17 @@ def _atomistic_verdict(L: FiniteOML) -> tuple[bool, tuple[int, ...] | None]:
 def verify_structure(L: FiniteOML) -> StructureReport:
     """Run all structural checks on a constructed lattice.
 
-    Distributivity is decided on every lattice by its join-primes in O(n^2)
+    Order reversal is the verdict the lattice decided at construction
+    (:meth:`FiniteOML.reverses_order`).  Distributivity is decided on every
+    lattice by its join-primes in O(n^2), over the cached down-set sizes,
     plus one fold per prime; the O(n^3) triple scan runs only to find the
     witness of a failure.  Orthomodularity is decided on an ortholattice by
     one O(n^2) row test (``_kernels._orthomodular``); the gather of every
     a v (b ^ a') runs only when the orthocomplement test or that decision
     fails, to name the witness (and to decide, off the ortholattice axioms).
+    Atomism is read off distributivity when the lattice is distributive
+    (n = 2^|atoms|), else decided, with its witness, by the O(n^2) count
+    test of ``_kernels._unjoined``: no fold per atom.
     """
     rep = StructureReport(is_lattice=True)
     ok, wit = _ortho_complement_verdict(L)
@@ -331,12 +363,12 @@ def verify_structure(L: FiniteOML) -> StructureReport:
         rep.is_orthomodular = a < 0
         if a >= 0:
             rep.witnesses["is_orthomodular"] = (a, b)
-    rep.is_distributive = _kernels._distributive(L.leq, L.join_table)
+    rep.is_distributive = _kernels._distributive(L.leq, L.join_table, L.downset_sizes())
     if not rep.is_distributive:
         rep.witnesses["is_distributive"] = _kernels.distributivity_witness(
             L.meet_table, L.join_table)
     rep.is_boolean = bool(rep.is_distributive and rep.is_ortho_complemented)
-    ok, wit = _atomistic_verdict(L)
+    ok, wit = _atomistic_verdict(L, rep.is_distributive)
     rep.is_atomistic = ok
     if wit is not None:
         rep.witnesses["is_atomistic"] = wit

@@ -8,7 +8,7 @@ tests compare the enumerations with on small lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -19,18 +19,36 @@ from .lattice import FiniteOML
 BRUTE_FORCE_LIMIT = 12
 
 
-@dataclass(frozen=True, eq=False)
 class DualIdeal:
     """Upward-closed, meet-closed subset not containing bottom; stored via
-    its minimum element (every filter in a finite lattice is principal)."""
+    its minimum element (every filter in a finite lattice is principal).
 
+    Immutable: the fields are slots, set once by the constructor, which
+    checks the generator (not bottom, then in range; for a quasipoint, an
+    atom of the lattice's cached atom set) and stores it as an int."""
+
+    __slots__ = ("lattice", "generator")
     lattice: FiniteOML
     generator: int
+    _maximal = False  # whether the constructor requires an atom
 
-    def __post_init__(self):
-        if self.generator == self.lattice.bottom:
+    def __init__(self, lattice: FiniteOML, generator: int):
+        if generator == lattice.bottom:
             raise LatticeError("a dual ideal cannot contain bottom")
-        self.lattice._check(self.generator)
+        g = lattice._check(generator)
+        if self._maximal and not lattice.is_atom(g):
+            raise LatticeError(f"{lattice.names[g]!r} is not an atom; its filter is not maximal")
+        _set_lattice(self, lattice)
+        _set_generator(self, g)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.lattice, self.generator)
 
     def __eq__(self, other):
         # a quasipoint equals the plain ideal with the same generator
@@ -54,16 +72,16 @@ class DualIdeal:
         return f"H({self.lattice.names[self.generator]})"
 
 
+# the slots' own setters, the only writes that DualIdeal.__setattr__ lets through
+_set_lattice = DualIdeal.__dict__["lattice"].__set__
+_set_generator = DualIdeal.__dict__["generator"].__set__
+
+
 class Quasipoint(DualIdeal):
     """A maximal dual ideal; in a finite lattice, the filter of an atom."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.lattice.is_atom(self.generator):
-            raise LatticeError(
-                f"{self.lattice.names[self.generator]!r} is not an atom; "
-                "its filter is not maximal"
-            )
+    __slots__ = ()
+    _maximal = True
 
 
 def principal_filter(L: FiniteOML, a: int) -> DualIdeal:
@@ -107,7 +125,7 @@ def brute_force_quasipoints(L: FiniteOML) -> list[frozenset[int]]:
 def enumerate_dual_ideals(L: FiniteOML) -> list[DualIdeal]:
     """All dual ideals, canonically ordered by generator index: the
     principal filters of the nonzero elements."""
-    return [DualIdeal(L, int(a)) for a in L.nonzero()]
+    return [DualIdeal(L, a) for a in L.nonzero().tolist()]
 
 
 def quasipoints(L: FiniteOML) -> list[Quasipoint]:

@@ -1,3 +1,6 @@
+import csv
+import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -11,7 +14,7 @@ from click.testing import CliRunner
 from stonespec import io as sio
 from stonespec import matrix as matrix_mod
 from stonespec import stone
-from stonespec.cli import SWEEP_CAP, main
+from stonespec.cli import SWEEP_CAP, _sweep, main
 from stonespec.corpus import corpus
 from stonespec.spectral import make_spectral_family, observable_fn
 
@@ -466,6 +469,55 @@ class TestMatrixCommands:
             "tolerance band; their support decisions are ill-conditioned\n"
         )
 
+    @pytest.mark.parametrize("tilt", [0.0, 1e-8])
+    def test_rays_csv_matches_csv_writer(self, runner, tmp_path, tilt):
+        """The sweep at n = 128 and the --ray path write, byte for byte, what
+        csv.writer wrote from the reprs of the same ray tables: a random
+        Hermitian (128 distinct eigenvalues), and a diagonal one with e1 and e2
+        tilted by 1e-8 toward each other, so that the probes on them and the
+        ray file e1 + 1e-9 e2 are band rays."""
+        rng = np.random.default_rng(21)
+        n = 128
+        if tilt:
+            w = rng.uniform(-3, 3, n)
+            c, s = np.cos(tilt), np.sin(tilt)
+            a = np.diag(w)
+            a[:2, :2] = np.array([[c, -s], [s, c]]) @ np.diag(w[:2]) @ np.array([[c, s], [-s, c]])
+        else:
+            a = matrix_mod.random_hermitian(n, rng)
+        path = tmp_path / "a.json"
+        sio.save_matrix(a, path)
+        d = matrix_mod.eig(matrix_mod.as_hermitian(sio.load_matrix(path)))
+        want = "".join(csv_writer_rows(labels, matrix_mod.ray_table(d, block), b == 0)
+                       for b, (labels, block) in enumerate(_sweep(n, 7)))
+        result = runner.invoke(main, ["matrix", "rays", "--matrix", str(path)])
+        assert result.exit_code == 0
+        assert first_difference(result.stdout, want) is None
+        assert ("warning: " in result.stderr) == bool(tilt)
+        ray = tmp_path / "ray.json"
+        x = np.zeros(n)
+        x[0], x[1] = 1.0, 1e-9
+        ray.write_text(json.dumps({"re": x.tolist()}))
+        result = runner.invoke(main, ["matrix", "rays", "--matrix", str(path), "--ray", str(ray)])
+        assert result.exit_code == 0
+        assert result.stdout == csv_writer_rows(["ray"], matrix_mod.ray_table(d, x[:, None]), True)
+
+    def test_matrix_and_ray_files_past_the_size_cap_exit_2(self, runner, matrix_file, tmp_path):
+        """One byte past MATRIX_BYTES_CAP, a sparse file, is refused by every
+        matrix command and by --ray, before it is read."""
+        big = tmp_path / "big.json"
+        with open(big, "wb") as f:
+            f.truncate(sio.MATRIX_BYTES_CAP + 1)
+        message = (f"schema error: {big}: 268435457 bytes of JSON, past the cap of "
+                   "268435456 bytes (256 MiB) for matrix and ray files\n")
+        for args in (["spectral", "--matrix", str(big)], ["rays", "--matrix", str(big)],
+                     ["rays", "--matrix", str(matrix_file), "--ray", str(big)],
+                     ["gelfand", "--matrix", str(big)],
+                     ["approx", "--matrix", str(big), "--eps", "0.5"]):
+            result = runner.invoke(main, ["matrix", *args])
+            assert result.exit_code == 2
+            assert result.stderr == message
+
     def test_negative_seed_exits_2(self, runner, matrix_file):
         """A usage error, not NumPy's traceback from default_rng."""
         args = ["matrix", "rays", "--matrix", str(matrix_file), "--seed", "-1"]
@@ -495,6 +547,27 @@ MATRIX_CALLS = (
     ["gelfand"],
     ["approx", "--eps", "0.3"],
 )
+
+
+def first_difference(got: str, want: str):
+    """None if the texts are equal, else the first line number where they
+    differ with both lines (a short report, where pytest would diff
+    thousands of lines)."""
+    if got == want:
+        return None
+    pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
+    return next((i, a, b) for i, (a, b) in enumerate(pairs) if a != b)
+
+
+def csv_writer_rows(labels, t, header: bool) -> str:
+    """Ray table rows as csv.writer writes the reprs of their values."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    if header:
+        w.writerow(["ray_id", "f", "g", "expectation"])
+    for row in zip(labels, t.f.tolist(), t.g.tolist(), t.expectation.tolist()):
+        w.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
+    return buf.getvalue()
 
 
 def matrix_cli_text(runner) -> str:

@@ -1004,7 +1004,8 @@ def test_join_prime_test_matches_triple_scan(rows, L):
     witness = triple_scan(L.meet_table, L.join_table)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_SCAN_BYTES", rows * 2 * L.n)
-        assert _kernels._distributive(L.leq, L.join_table) == (witness is None)
+        distributive = _kernels._distributive(L.leq, L.join_table, L.downset_sizes())
+        assert distributive == (witness is None)
         rep = verify_structure(L)
     assert rep.is_distributive == (witness is None)
     assert rep.witnesses.get("is_distributive") == witness
@@ -1363,7 +1364,7 @@ def check_blocked_scans(L, t):
     assert _kernels.orthomodularity_witness(
         L.leq, L.meet_table, L.join_table, o
     ) == one_shot_orthomodularity(L.leq, L.meet_table, L.join_table, o)
-    assert _kernels._distributive(L.leq, L.join_table) == (
+    assert _kernels._distributive(L.leq, L.join_table, L.downset_sizes()) == (
         triple_scan(L.meet_table, L.join_table) is None)
     assert (_kernels._ortho_witness(L.leq, o) is None) == bool(
         (L.leq[np.ix_(o, o)] == L.leq.T).all())
@@ -1502,7 +1503,7 @@ def test_distributivity_scan_builds_no_square_temporary():
     assert verify_structure(L).witnesses["is_distributive"] == triple_scan(
         L.meet_table, L.join_table)
     assert traced_peak(_kernels.distributivity_witness, L.meet_table, L.join_table) < 1 << 20
-    assert traced_peak(_kernels._distributive, L.leq, L.join_table) < 1 << 20
+    assert traced_peak(_kernels._distributive, L.leq, L.join_table, L.downset_sizes()) < 1 << 20
 
 
 def test_signature_path_holds_its_table_and_row_blocks():
@@ -2040,3 +2041,142 @@ def test_scaled_diagonalization_matches_unscaled(seed, n, k):
     V, entries = gelfand.diagonalize(A)
     V0, entries0 = unscaled_diagonalize(A)
     assert np.array_equal(V, V0) and np.array_equal(entries, entries0)
+
+
+# ---------------------------------------------------------------------------
+# each lattice fact decided once: order reversal, atomism by counts
+
+
+def fold_joins_below(L, elements):
+    """[x] -> the join of the given elements below x (bottom if none), folded
+    one element at a time for every x at once: the per-element fold that
+    the count test of _kernels._unjoined replaced."""
+    acc = np.full(L.n, L.bottom)
+    for t in elements:
+        above = L.leq[t]
+        acc[above] = L.join_table[acc[above], t]
+    return acc
+
+
+def fold_atomistic(L):
+    bad = fold_joins_below(L, L.atoms()) != np.arange(L.n)
+    return (False, (int(np.argmax(bad)),)) if bad.any() else (True, None)
+
+
+def chain(n):
+    return FiniteOML([str(i) for i in range(n)], np.triu(np.ones((n, n), bool)),
+                     np.arange(n)[::-1].copy())
+
+
+def mo_pairs(k):
+    """MOk for any k: bottom, top and k orthocomplementary atom pairs."""
+    n = 2 * k + 2
+    leq = np.eye(n, dtype=bool)
+    leq[0, :] = leq[:, -1] = True
+    ortho = np.arange(n)[::-1].copy()
+    ortho[1:-1] = np.arange(1, n - 1) + np.where(np.arange(1, n - 1) % 2, 1, -1)
+    return FiniteOML([str(i) for i in range(n)], leq, ortho)
+
+
+FACTS = dict(BASES)
+for _k in (1, 2, 3, 31, 127, 128):  # MO128 has 256 atoms, past the uint8 counts
+    FACTS[f"MO{_k}"] = mo_pairs(_k)
+for _m in (4, 5):
+    FACTS[f"2^{_m}xMO2"] = product(boolean_lattice(_m), mo(2))
+    FACTS[f"2^{_m}xO6"] = product(boolean_lattice(_m), benzene())
+for _n in (2, 3, 4, 9):  # atomistic only at length 2
+    FACTS[f"chain{_n}"] = chain(_n)
+FACTS["2^6"] = boolean_lattice(6)
+FACTS["2^6 direct"] = FiniteOML(FACTS["2^6"].names, FACTS["2^6"].leq, np.arange(64))
+# 8 = 2^3 sets under inclusion, 3 atoms, neither distributive nor atomistic ({2, 8}
+# covers only the atom {8}): the power-set rule must not decide it
+_SETS = (0, 1, 4, 5, 8, 9, 10, 15)
+FACTS["sets8"] = FiniteOML([str(a) for a in _SETS],
+                           [[a & b == a for b in _SETS] for a in _SETS], np.arange(8))
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("name", sorted(FACTS))
+def test_atomism_by_counts_matches_fold(name, rows):
+    """verify_structure's atomism verdict and witness, and the count test's
+    failing elements, equal the fold's, in row blocks of 1 and 3 rows and of
+    the default budget (the diagonal of each block is cleared at its own
+    offset)."""
+    L = FACTS[name]
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(_kernels, "_SCAN_BYTES", rows * L.n)
+        rep = verify_structure(L)
+        bad = _kernels._unjoined(L.leq, L.atoms())
+    assert (rep.is_atomistic, rep.witnesses.get("is_atomistic")) == fold_atomistic(L)
+    assert np.array_equal(bad, fold_joins_below(L, L.atoms()) != np.arange(L.n))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@settings(max_examples=100, deadline=None)
+@given(L=st.one_of(set_lattices(), relabeled()), data=st.data())
+def test_count_test_matches_fold_on_any_elements(rows, L, data):
+    """_unjoined on the atoms, on every element and on a drawn subset, in any
+    order, against the fold; the atomism verdict and witness against it too,
+    on lattices of sets (distributive or not, atomistic or not) and relabeled
+    corpus lattices and products.  Caught: the diagonal cleared at the block's
+    first row only, counts that include the element itself twice, and the
+    power-set rule applied to a non-distributive lattice."""
+    subset = data.draw(st.lists(st.integers(0, L.n - 1), unique=True))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_BYTES", rows * L.n)
+        for elements in (L.atoms(), range(L.n), subset):
+            want = fold_joins_below(L, elements) != np.arange(L.n)
+            assert np.array_equal(_kernels._unjoined(L.leq, list(elements)), want)
+        rep = verify_structure(L)
+    assert (rep.is_atomistic, rep.witnesses.get("is_atomistic")) == fold_atomistic(L)
+
+
+def test_atomism_runs_no_fold_over_atoms(monkeypatch):
+    """On MO127 (254 atoms, no join-prime) the only fold left, distributivity's
+    over the join-primes, folds nothing."""
+    folded = []
+    real = _kernels._joins_below
+
+    def counted(leq, join, elements, bottom):
+        folded.append(len(elements))
+        return real(leq, join, elements, bottom)
+
+    monkeypatch.setattr(_kernels, "_joins_below", counted)
+    rep = verify_structure(FACTS["MO127"])
+    assert rep.is_atomistic and not rep.is_distributive
+    assert folded == [0]
+
+
+def test_order_reversal_decided_once(monkeypatch, tmp_path):
+    """A lattice built from its order decides reversal once, at construction,
+    and keeps the verdict that _reverses_order gives: on loaded files, on the
+    identity of 2^6 (which reverses no order) and on chains.  Lattices built
+    with tables= decide it on first use, once."""
+    real = _kernels._reverses_order
+    calls = []
+
+    def counted(leq, ortho):
+        calls.append(1)
+        return real(leq, ortho)
+
+    monkeypatch.setattr(_kernels, "_reverses_order", counted)
+    built = {}
+    for name in ("B2", "MO2", "benzene-O6", "2^2xO6", "2^6 direct", "chain4"):
+        path = tmp_path / "L.json"
+        save_lattice(FACTS[name], path)
+        del calls[:]
+        built[name] = L = load_lattice(path)
+        assert len(calls) == 1 and L._reverses == real(L.leq, L.ortho)
+    assert not built["2^6 direct"]._reverses and built["MO2"]._reverses
+    for L in built.values():
+        del calls[:]
+        rep = verify_structure(L)
+        assert not calls
+        assert rep.is_ortho_complemented == _ortho_complement_verdict(L)[0]
+    for L in (boolean_lattice(5), generated_sublattice(FACTS["MO3"], [1])[0]):
+        del calls[:]
+        assert L._reverses is None
+        verify_structure(L)
+        verify_structure(L)
+        assert len(calls) == 1 and L._reverses == real(L.leq, L.ortho) is True

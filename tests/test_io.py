@@ -244,6 +244,35 @@ class TestMatrixFiles:
         assert sio.load_ray(path).tolist() == [1.0, 1j]
 
 
+    @pytest.mark.parametrize("load, doc", [(sio.load_matrix, {"n": 1, "re": [[1.0]]}),
+                                           (sio.load_ray, {"re": [1.0, 0.0]})])
+    def test_size_cap_at_the_limit_and_one_byte_past(self, tmp_path, monkeypatch, load, doc):
+        """A file of MATRIX_BYTES_CAP bytes loads and one byte more is refused
+        before it is read: with the cap set to a small file's size, and with
+        the real cap on a sparse file (no page of it is read or written)."""
+        path = write(tmp_path, "m.json", doc)
+        size = path.stat().st_size
+        monkeypatch.setattr(sio, "MATRIX_BYTES_CAP", size)
+        assert load(path).size >= 1
+        monkeypatch.setattr(sio, "MATRIX_BYTES_CAP", size - 1)
+        with pytest.raises(SchemaError, match=f"{size} bytes of JSON, past the cap of {size - 1} "):
+            load(path)
+        monkeypatch.undo()
+        big = tmp_path / "big.json"
+        with open(big, "wb") as f:
+            f.truncate(sio.MATRIX_BYTES_CAP + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError) as exc:
+                load(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (f"{big}: 268435457 bytes of JSON, past the cap of "
+                                  "268435456 bytes (256 MiB) for matrix and ray files")
+        assert peak < 1 << 16
+
+
 OUTSIDE_FLOATS = (float("nan"), float("inf"), float("-inf"), 10**400)
 B2 = CORPUS["B2"]
 P = B2.index("p")
@@ -321,7 +350,8 @@ class TestBooleansAndNonFiniteNumbers:
 
 class TestCsv:
     def test_rays_csv_header(self):
-        out = sio.rays_csv([("e1", 1.0, 0.5, 0.75)])
+        out = sio.RaysCsv(np.array([0.5, 1.0])).block(
+            ["e1"], np.array([1.0]), np.array([0.5]), np.array([0.75]), header=True)
         lines = out.strip().split("\n")
         assert lines[0] == "ray_id,f,g,expectation"
         assert lines[1].startswith("e1,")

@@ -1,10 +1,15 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
+import numpy as np
 import pytest
 
 from stonespec import stone
 from stonespec.corpus import boolean_lattice, corpus, mo
 from stonespec.errors import LatticeError
 from stonespec.lattice import verify_structure
-from test_fast_paths import product
+from test_fast_paths import FACTS, product
 
 CORPUS = corpus()
 # every corpus lattice the subset scan affords, plus a 12-element product
@@ -219,3 +224,55 @@ class TestFilterAlgebra:
                     )
                     joined = L.big_join(subset)
                     assert inter == stone.principal_filter(L, joined).member_set()
+
+
+class TestIdealObjects:
+    """DualIdeal and Quasipoint are slotted objects with a hand-written
+    constructor; they keep the checks, equality, hashing and immutability of
+    the frozen dataclasses they replaced."""
+
+    @pytest.mark.parametrize("name", ["B2", "MO2", "benzene-O6", "MO127", "2^6", "chain4"])
+    def test_enumerations_equal_constructed_objects(self, name):
+        L = FACTS[name]
+        ideals = stone.enumerate_dual_ideals(L)
+        assert [i.generator for i in ideals] == L.nonzero().tolist()
+        for i in ideals:
+            j = stone.DualIdeal(L, i.generator)
+            assert type(i) is stone.DualIdeal and type(i.generator) is int
+            assert i == j and hash(i) == hash(j) and repr(i) == repr(j)
+        points = stone.quasipoints(L)
+        assert [q.generator for q in points] == list(L.atoms())
+        for q in points:
+            r = stone.Quasipoint(L, np.int64(q.generator))
+            assert type(q) is stone.Quasipoint and type(r.generator) is int
+            assert q == r == stone.DualIdeal(L, q.generator)
+            assert hash(q) == hash(r) == hash(stone.DualIdeal(L, q.generator))
+
+    def test_constructors_refuse_as_before(self):
+        B2 = CORPUS["B2"]
+        for cls in (stone.DualIdeal, stone.Quasipoint):
+            with pytest.raises(LatticeError, match="^a dual ideal cannot contain bottom$"):
+                cls(B2, B2.bottom)
+            for g in (-1, B2.n, np.int64(B2.n)):
+                with pytest.raises(IndexError, match=rf"^element index {g} out of range \[0, 4\)$"):
+                    cls(B2, g)
+        with pytest.raises(LatticeError, match="^'1' is not an atom; its filter is not maximal$"):
+            stone.Quasipoint(B2, B2.top)
+        assert stone.DualIdeal(B2, B2.top).generator == B2.top
+
+    def test_fields_are_read_only(self):
+        MO2 = CORPUS["MO2"]
+        q = stone.quasipoints(MO2)[0]
+        for field in ("generator", "lattice"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(q, field, getattr(q, field))
+            with pytest.raises(FrozenInstanceError):
+                delattr(q, field)
+        with pytest.raises(AttributeError):
+            q.other = 1
+        assert q.generator == 1 and q.lattice is MO2
+        c = copy.copy(q)
+        assert type(c) is stone.Quasipoint and c == q and c.lattice is MO2
+        back = pickle.loads(pickle.dumps(q))
+        assert type(back) is stone.Quasipoint and back.generator == q.generator
+        assert back.lattice.names == MO2.names
