@@ -35,9 +35,10 @@ orthocomplement is an involution that reverses the order, a ^ b = (a' v b')'
 reversed order, from its signatures (the join-irreducibles, read from rows
 of the order) or its search.  One test decides the reversal
 (:func:`_reverses_order`), once per lattice: ``FiniteOML`` decides it
-before its tables and keeps the verdict, which ``bound_tables`` takes as
-``reverses`` and ``lattice.verify_structure`` reads; :func:`_ortho_witness`
-runs only to name the witness of a map that fails it.
+before its tables, keeps the verdict for ``lattice.verify_structure`` and
+builds its tables with :func:`_bound_tables`, which takes the decided
+verdict; :func:`_ortho_witness` runs only to name the witness of a map that
+fails it.
 
 The tables hold element indices in the narrowest integer type that holds
 n - 1 (:func:`index_dtype`): int16, two bytes a pair, while n <= 2^15.
@@ -339,7 +340,7 @@ def _ortho_witness(leq: np.ndarray, ortho: np.ndarray) -> tuple[int, ...] | None
     )
 
 
-def bound_tables(leq: np.ndarray, ortho=None, reverses: bool | None = None):
+def bound_tables(leq: np.ndarray, ortho=None):
     """All-pairs greatest lower / least upper bounds of a partial order.
 
     Returns (meet, join, status, a, b), the tables of type
@@ -354,18 +355,24 @@ def bound_tables(leq: np.ndarray, ortho=None, reverses: bool | None = None):
     :func:`_joins`, which decides every status and witness.  When ``ortho``
     (a permutation) is an involution that reverses the order, meets are read
     from the join table by De Morgan, a ^ b = (a' v b')'; otherwise they
-    are the joins of the reversed order, taken the same way.  ``reverses``
-    is the verdict of :func:`_reverses_order` on ``ortho`` when the caller
-    has it (``FiniteOML`` keeps it); None decides it here.
+    are the joins of the reversed order, taken the same way.
     """
     leq = np.ascontiguousarray(leq, dtype=bool)
+    o = None if ortho is None else np.asarray(ortho, np.int64)
+    return _bound_tables(leq, o if o is not None and _reverses_order(leq, o) else None)
+
+
+def _bound_tables(leq: np.ndarray, o):
+    """:func:`bound_tables` of a bool order with the reversal decided: ``o``
+    is an involution that reverses the order (:func:`_reverses_order`),
+    whose De Morgan meets are taken, or None.  ``FiniteOML`` passes the
+    verdict it keeps, so the reversal is decided once per lattice."""
     n = leq.shape[0]
     joins = _bounds(leq)
     if len(joins) == 2:
         return None, None, STATUS_NOT_TRANSITIVE, *joins
     join, ok, pos = joins
-    o = None if ortho is None else np.asarray(ortho, np.int64)
-    if o is not None and (_reverses_order(leq, o) if reverses is None else reverses):
+    if o is not None:
         oi = o.astype(join.dtype)
         meet = np.empty_like(join)
         for rows in row_blocks(n, join.itemsize * n):

@@ -130,7 +130,7 @@ class FiniteOML:
         reverses = None
         if problem is None and tables is None:
             reverses = _kernels._reverses_order(leq, ortho)
-            meet, join, status, a, b = _kernels.bound_tables(leq, ortho, reverses)
+            meet, join, status, a, b = _kernels._bound_tables(leq, ortho if reverses else None)
             if status == _kernels.STATUS_NOT_TRANSITIVE:
                 problem = "not transitive", (a, b)
         if problem is not None:

@@ -24,20 +24,19 @@ class DualIdeal:
     its minimum element (every filter in a finite lattice is principal).
 
     Immutable: the fields are slots, set once by the constructor, which
-    checks the generator (not bottom, then in range; for a quasipoint, an
-    atom of the lattice's cached atom set) and stores it as an int."""
+    checks the generator (not bottom, then in range; ``Quasipoint`` then
+    checks for an atom of the lattice's cached atom set) and stores it as
+    an int.  Slots and a plain constructor, not a slotted frozen dataclass,
+    which is slower to build (``BENCH_21.json``)."""
 
     __slots__ = ("lattice", "generator")
     lattice: FiniteOML
     generator: int
-    _maximal = False  # whether the constructor requires an atom
 
     def __init__(self, lattice: FiniteOML, generator: int):
         if generator == lattice.bottom:
             raise LatticeError("a dual ideal cannot contain bottom")
         g = lattice._check(generator)
-        if self._maximal and not lattice.is_atom(g):
-            raise LatticeError(f"{lattice.names[g]!r} is not an atom; its filter is not maximal")
         _set_lattice(self, lattice)
         _set_generator(self, g)
 
@@ -81,7 +80,12 @@ class Quasipoint(DualIdeal):
     """A maximal dual ideal; in a finite lattice, the filter of an atom."""
 
     __slots__ = ()
-    _maximal = True
+
+    def __init__(self, lattice: FiniteOML, generator: int):
+        DualIdeal.__init__(self, lattice, generator)
+        if not lattice.is_atom(self.generator):
+            raise LatticeError(
+                f"{lattice.names[self.generator]!r} is not an atom; its filter is not maximal")
 
 
 def principal_filter(L: FiniteOML, a: int) -> DualIdeal:
