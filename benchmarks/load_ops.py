@@ -6,10 +6,10 @@ Run from the root of a checkout, with the package under test on the path:
 
 Each lattice is written once as a file of its covering pairs, with its
 elements relabeled by a permutation drawn from the seed: the Boolean
-lattices 2^8 to 2^12, MO64 and MO128 as the ``lattice-sweep`` benchmark
-builds them (64 and 128 orthocomplementary atom pairs, 130 and 258
-elements), MO256 and MO1024 (127 and 511 pairs, 256 and 1024 elements),
-the chain of 2048 elements (its orthocomplement reverses the
+lattices 2^8 to 2^12, MO64, MO127, MO128 and MO511 (MOk has k
+orthocomplementary atom pairs and 2k + 2 elements, named by its pairs as
+the ``lattice-sweep`` benchmark names it: 130, 256, 258 and 1024
+elements), the chain of 2048 elements (its orthocomplement reverses the
 chain), and 2^11 with the identity as its orthocomplement ("2^11 direct":
 it reverses no order, so the meets are searched as the joins of the
 reversed order instead of read by De Morgan).  For each file it prints, as
@@ -141,10 +141,8 @@ def main() -> None:
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
     lattices = {f"2^{m}": lambda m=m: boolean_lattice(m) for m in (8, 9, 10, 11, 12)}
-    lattices["MO64"] = lambda: mo_lattice(64)
-    lattices["MO128"] = lambda: mo_lattice(128)
-    lattices["MO256"] = lambda: mo_lattice(127)
-    lattices["MO1024"] = lambda: mo_lattice(511)
+    for pairs in (64, 127, 128, 511):
+        lattices[f"MO{pairs}"] = lambda pairs=pairs: mo_lattice(pairs)
     lattices["chain2048"] = lambda: chain(2048)
     lattices["2^11 direct"] = lambda: without_reversal(boolean_lattice(11))
     out = {}

@@ -1,16 +1,19 @@
-"""Time the exact table operations on Boolean lattices 2^9..2^11.
+"""Time the exact table operations on Boolean lattices 2^9..2^11 and MO256.
 
 Run from the root of a checkout, with the package under test on the path:
 
     PYTHONPATH=src python benchmarks/table_ops.py [--repeats 21] [--seed 1]
 
-For each size it prints, as JSON, the median and the quartiles in ms of
-``reconstruct``, ``f_from_r`` and ``is_completely_increasing`` on the
-observable table of one random spectral family (lattice construction and
-the first call, which fills the lattice's caches, are not timed), and of
-``stone.quasipoints`` on MO256 (127 orthocomplementary atom pairs) and of
-``matrix.rank_one_extension`` with Q = I on a random 128 x 128 Hermitian
-(128 distinct eigenvalues, decomposed once, outside the timing).
+For 2^9, 2^10, 2^11 and MO256 (256 orthocomplementary atom pairs, 514
+elements, named by its pairs as the ``lattice-sweep`` benchmark names it)
+it prints, as JSON, the median and the quartiles in ms of each layer on one
+random spectral family: ``make_spectral_family`` on its jumps,
+``observable_fn`` and ``mirrored_fn`` on the family, and ``reconstruct``,
+``f_from_r`` and ``is_completely_increasing`` on its observable table
+(lattice construction and the first call, which fills the lattice's
+caches, are not timed); on MO256 also ``stone.quasipoints``.  Last, it
+times ``matrix.rank_one_extension`` with Q = I on a random 128 x 128
+Hermitian (128 distinct eigenvalues, decomposed once, outside the timing).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 from stonespec import matrix, recon, stone
 from stonespec.corpus import boolean_lattice
 from stonespec.lattice import FiniteOML
-from stonespec.spectral import observable_fn, random_spectral_family
+from stonespec.spectral import (make_spectral_family, mirrored_fn, observable_fn,
+                                random_spectral_family)
 
 
 def timed(fn, repeats: int) -> dict:
@@ -54,19 +58,25 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=21)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    lattices = {f"2^{m}": boolean_lattice(m) for m in (9, 10, 11)}
+    lattices["MO256"] = mo_lattice(256)
     out = {}
-    for m in (9, 10, 11):
-        L = boolean_lattice(m)
-        f = observable_fn(random_spectral_family(L, np.random.default_rng(args.seed)))
-        out[f"2^{m}"] = {
+    for name, L in lattices.items():
+        E = random_spectral_family(L, np.random.default_rng(args.seed))
+        jumps, f = E.jumps(), observable_fn(E)
+        out[name] = {
             "n": L.n,
+            "k": E.k,
+            "make_spectral_family": timed(lambda: make_spectral_family(L, jumps), args.repeats),
+            "observable_fn": timed(lambda: observable_fn(E), args.repeats),
+            "mirrored_fn": timed(lambda: mirrored_fn(E), args.repeats),
             "reconstruct": timed(lambda: recon.reconstruct(L, f), args.repeats),
             "f_from_r": timed(lambda: recon.f_from_r(L, f), args.repeats),
             "is_completely_increasing": timed(
                 lambda: recon.is_completely_increasing(L, f), args.repeats),
         }
-    M = mo_lattice(127)
-    out["MO256"] = {"n": M.n, "quasipoints": timed(lambda: stone.quasipoints(M), args.repeats)}
+    M = lattices["MO256"]
+    out["MO256"]["quasipoints"] = timed(lambda: stone.quasipoints(M), args.repeats)
     d = matrix.eig(matrix.random_hermitian(128, np.random.default_rng(args.seed)))
     rng = np.random.default_rng(args.seed)
     out["n=m=128"] = {"m": d.m, "rank_one_extension": timed(

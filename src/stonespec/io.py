@@ -430,7 +430,7 @@ def family_csv(E: SpectralFamily) -> str:
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["lambda", "element_rank"])
-    for lam, v in E.jumps():
-        rank = int(E.lattice.leq[:, v].sum())
+    ranks = E.lattice.downset_sizes()[E.values].tolist()
+    for (lam, _), rank in zip(E.jumps(), ranks):
         w.writerow([repr(lam), rank])
     return buf.getvalue()

@@ -24,6 +24,14 @@ fails it.
 A lattice is immutable after construction and safe to share between
 threads; all operations are pure.  Indices are never mixed between
 different lattices: every operation goes through the owning instance.
+
+Only this module, ``_kernels``, ``io`` and ``corpus`` know that a lattice is
+four dense arrays (``leq``, ``ortho``, ``meet_table``, ``join_table``).  The
+modules above read the order through the methods: ``le``, ``meet``,
+``join``, ``complement``, ``upset``, ``downset``, ``atoms``, ``is_atom``,
+``nonzero`` and ``downset_sizes``, and the vector forms of one gather each,
+``upset_rows``, ``downset_rows``, ``join_rows``, ``le_each``, ``meet_each``
+and ``complement_each``, with ``relabeled`` for a permuted copy.
 """
 
 from __future__ import annotations
@@ -230,6 +238,48 @@ class FiniteOML:
     def upset(self, a: int) -> np.ndarray:
         """Indices of {b : b >= a}."""
         return np.flatnonzero(self.leq[self._check(a)])
+
+    # -- vector forms -----------------------------------------------------
+    # One gather each, over an index, a sequence or an array of indices (the
+    # row forms also take a slice).  They check no range, which would cost as
+    # much as the gather on a short array: an index past n raises IndexError,
+    # and a negative one counts from the end, as in numpy.
+
+    def upset_rows(self, a) -> np.ndarray:
+        """Boolean rows, [i, b] iff a[i] <= b (a view for a slice)."""
+        return self.leq[a, :]
+
+    def downset_rows(self, a) -> np.ndarray:
+        """Boolean rows, [i, b] iff b <= a[i]: the gathered columns,
+        transposed as a view."""
+        return self.leq[:, a].T
+
+    def join_rows(self, a) -> np.ndarray:
+        """Rows of joins, [i, b] = a[i] v b (a view for a slice)."""
+        return self.join_table[a, :]
+
+    def le_each(self, a, b) -> np.ndarray:
+        """a <= b elementwise, broadcast."""
+        return self.leq[a, b]
+
+    def meet_each(self, a, b) -> np.ndarray:
+        """a ^ b elementwise, broadcast."""
+        return self.meet_table[a, b]
+
+    def complement_each(self, a) -> np.ndarray:
+        """a' elementwise."""
+        return self.ortho[a,]
+
+    def relabeled(self, perm) -> FiniteOML:
+        """This lattice with element i renamed perm[i], built from the
+        permuted order and orthocomplement."""
+        perm = np.asarray(perm, dtype=np.int64)
+        if perm.shape != (self.n,) or sorted(perm.tolist()) != list(range(self.n)):
+            raise LatticeError("perm must be a permutation of the element indices")
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(self.n)
+        return FiniteOML([self.names[i] for i in inv.tolist()],
+                         self.leq.take(inv, axis=0).take(inv, axis=1), perm[self.ortho[inv]])
 
     def name(self, a: int) -> str:
         return self.names[self._check(a)]

@@ -52,8 +52,8 @@ def _sublevel_family(L: FiniteOML, values) -> SpectralFamily | None:
     cand = nz[order[sizes - 1]]
     if not (
         (down[cand] == sizes + 1).all()
-        and L.leq[cand[:-1], cand[1:]].all()
-        and L.leq[nz, cand[level]].all()
+        and L.le_each(cand[:-1], cand[1:]).all()
+        and L.le_each(nz, cand[level]).all()
     ):
         return None
     return SpectralFamily(L, levels, cand)
@@ -69,7 +69,7 @@ def _max_law_witness(L: FiniteOML, values) -> tuple[int, int] | None:
     def bad(rows):
         # np.fmax(x, y) is max(x, y) unless x is NaN, where (x, x) fails anyway;
         # bad is symmetric, so its first entry in row-major order has a <= b
-        out = v[L.join_table[rows]] != np.fmax(v[rows, None], v[None, :])
+        out = v[L.join_rows(rows)] != np.fmax(v[rows, None], v[None, :])
         out[:, L.bottom] = False
         if rows.start <= L.bottom < rows.stop:
             out[L.bottom - rows.start] = False
@@ -103,8 +103,9 @@ def _filter_minima(L: FiniteOML, values: np.ndarray) -> np.ndarray:
     A NaN anywhere in a filter makes its minimum NaN, as with np.min.
     """
     v = np.asarray(values, dtype=np.float64)
-    mins = np.min(np.broadcast_to(v, (L.n, L.n)), axis=1, where=L.leq, initial=np.inf)
-    return mins[L.nonzero()]
+    nz = L.nonzero()
+    return np.min(np.broadcast_to(v, (nz.size, L.n)), axis=1, where=L.upset_rows(nz),
+                  initial=np.inf)
 
 
 def family_law_holds(L: FiniteOML, r: ObservableTable) -> bool:
@@ -222,7 +223,7 @@ def _monotone_continuous(L: FiniteOML, values) -> bool:
     v = np.asarray(values, dtype=np.float64)
 
     def bad(rows):
-        out = L.leq[rows] & ~(v[rows, None] <= v[None, :])  # [q, p]
+        out = L.upset_rows(rows) & ~(v[rows, None] <= v[None, :])  # [q, p]
         np.fill_diagonal(out[:, rows], False)
         out[:, L.bottom] = False
         if rows.start <= L.bottom < rows.stop:
@@ -236,9 +237,7 @@ def verify_reconstruction_steps(L: FiniteOML, f: ObservableTable) -> StepReport:
     """Check the intermediate facts the reconstruction relies on."""
     E = reconstruct(L, f)
     vals = E.values
-    increasing = all(
-        L.leq[a, b] and a != b for a, b in itertools.pairwise(vals.tolist())
-    )
+    increasing = bool((L.le_each(vals[:-1], vals[1:]) & (vals[:-1] != vals[1:])).all())
     monotone = _monotone_continuous(L, f.values)
     levels = np.unique(f.values[L.nonzero()])
     image_finite = bool(np.isfinite(levels).all())
@@ -270,7 +269,7 @@ def _atom_sup(L: FiniteOML, atom_values: Mapping[int, float]) -> np.ndarray:
     atoms = np.asarray(L.atoms())
     a = np.array([float(atom_values[t]) for t in atoms.tolist()])
     order = np.argsort(-a, kind="stable")
-    vals = a[order][np.argmax(L.leq[atoms[order]], axis=0)]  # the first atom <= p
+    vals = a[order][np.argmax(L.upset_rows(atoms[order]), axis=0)]  # the first atom <= p
     vals[L.bottom] = np.nan
     return vals
 
@@ -322,12 +321,13 @@ def verify_sublevel_ideals(L: FiniteOML, r: ObservableTable) -> SublevelReport:
         rep.proper_levels.append(lam)
         members = {L.bottom} | {p for p in nz if float(r.values[p]) <= lam}
         for p in members:
-            for q in np.flatnonzero(L.leq[:, p]):
-                if int(q) not in members:
-                    rep.failures.append((lam, "down-closed", p, int(q)))
+            for q in L.downset(p).tolist():
+                if q not in members:
+                    rep.failures.append((lam, "down-closed", p, q))
         for p in members:
+            joins = L.join_rows(p).tolist()
             for q in members:
-                if L.join_table[p, q] not in members:
+                if joins[q] not in members:
                     rep.failures.append((lam, "join-closed", p, q))
     rep.passed = not rep.failures
     return rep

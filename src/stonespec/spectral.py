@@ -11,6 +11,8 @@ computed function values and thresholds is exact.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import LatticeError
 from .lattice import FiniteOML, principal_ideal
-from .stone import DualIdeal, Quasipoint
+from .stone import DualIdeal, Quasipoint, quasipoints_containing
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,26 +94,28 @@ def make_spectral_family(L: FiniteOML, jumps: Iterable[tuple[float, int]]) -> Sp
     Thresholds must be distinct, values strictly increasing in the lattice
     order, never bottom, and the last value must be top.
     """
-    items = sorted(((float(l), L._check(v)) for l, v in jumps), key=lambda t: t[0])
+    items = sorted(((float(l), L._check(v)) for l, v in jumps), key=operator.itemgetter(0))
     if not items:
         raise LatticeError("a spectral family needs at least one jump")
-    thr = np.array([l for l, _ in items], dtype=np.float64)
-    val = np.array([v for _, v in items], dtype=np.int64)
-    if not np.isfinite(thr).all():
+    # a few Python floats: cheaper to check as they are than as an array
+    thr, vals = zip(*items)
+    if not all(map(math.isfinite, thr)):
         raise LatticeError("thresholds must be finite")
-    if (thr[1:] <= thr[:-1]).any():  # np.diff would overflow near the float limit
+    if not all(map(operator.lt, thr, thr[1:])):
         raise LatticeError("duplicate thresholds")
-    for prev, cur in itertools.pairwise(val):
-        if not (L.leq[prev, cur] and prev != cur):
-            raise LatticeError(
-                f"values must strictly increase: {L.names[int(prev)]!r} then "
-                f"{L.names[int(cur)]!r}"
-            )
-    if val[0] == L.bottom:
+    val = np.array(vals, dtype=np.int64)
+    prev, cur = val[:-1], val[1:]
+    rises = L.le_each(prev, cur) & (prev != cur)
+    if not rises.all():
+        i = int(np.argmin(rises))
+        raise LatticeError(
+            f"values must strictly increase: {L.names[vals[i]]!r} then {L.names[vals[i + 1]]!r}"
+        )
+    if vals[0] == L.bottom:
         raise LatticeError("a bottom value is not a jump")
-    if val[-1] != L.top:
+    if vals[-1] != L.top:
         raise LatticeError("top is not attained")
-    return SpectralFamily(L, thr, val)
+    return SpectralFamily(L, np.array(thr, dtype=np.float64), val)
 
 
 def make_pre_spectral_family(
@@ -125,9 +129,8 @@ def make_pre_spectral_family(
     clo = np.array([c for _, _, c in items], dtype=bool)
     if (thr[1:] <= thr[:-1]).any():  # np.diff would overflow near the float limit
         raise LatticeError("duplicate thresholds")
-    for prev, cur in itertools.pairwise(val):
-        if not L.leq[prev, cur]:
-            raise LatticeError("pre-spectral values must be non-decreasing")
+    if not L.le_each(val[:-1], val[1:]).all():
+        raise LatticeError("pre-spectral values must be non-decreasing")
     if val[-1] != L.top:
         raise LatticeError("top is not attained")
     return PreSpectralFamily(L, thr, val, clo)
@@ -142,8 +145,7 @@ def spectralize(pre: PreSpectralFamily) -> SpectralFamily:
     fixed point.
     """
     L = pre.lattice
-    jumps = _normalized_parent_jumps(L, zip(pre.thresholds, pre.values), L.top)
-    return make_spectral_family(L, jumps)
+    return make_spectral_family(L, _normalized_jumps(L, pre.thresholds.tolist(), pre.values.tolist()))
 
 
 def translate(E: SpectralFamily, a: float) -> SpectralFamily:
@@ -158,15 +160,12 @@ def negate(E: SpectralFamily) -> SpectralFamily:
     reflected threshold) and spectralize.
     """
     L = E.lattice
-    k = E.k
-    jumps: list[tuple[float, int, bool]] = []
-    for i in range(k):
-        # just above -thresholds[k-1-i] the reflected family is the
-        # complement of the value one step below the reflected threshold;
-        # +0.0 normalizes the sign of a reflected zero
-        lam = -float(E.thresholds[k - 1 - i]) + 0.0
-        below = L.bottom if k - 2 - i < 0 else int(E.values[k - 2 - i])
-        jumps.append((lam, int(L.ortho[below]), False))
+    # just above a reflected threshold the reflected family is the complement
+    # of the value one step below the threshold; +0.0 normalizes the sign of
+    # a reflected zero
+    below = [L.complement(L.bottom), *L.complement_each(E.values[:-1]).tolist()]
+    lams = (-E.thresholds[::-1] + 0.0).tolist()
+    jumps = zip(lams, below[::-1], itertools.repeat(False))
     return spectralize(make_pre_spectral_family(L, jumps))
 
 
@@ -238,9 +237,8 @@ def observable_fn(E: SpectralFamily) -> ObservableTable:
     """f(H_p) = least threshold whose value dominates p (attained by
     right-continuity)."""
     L = E.lattice
-    geq = L.leq[:, E.values]  # [p, i] : values[i] >= p
-    idx = np.argmax(geq, axis=1)
-    vals = E.thresholds[idx].astype(np.float64)
+    idx = np.argmax(L.downset_rows(E.values), axis=0)  # the first i with p <= values[i]
+    vals = E.thresholds[idx].astype(np.float64, copy=False)
     vals[L.bottom] = np.nan
     return ObservableTable(L, vals)
 
@@ -253,10 +251,9 @@ def mirrored_fn(E: SpectralFamily) -> ObservableTable:
     observable table and flipping the sign.
     """
     L = E.lattice
-    comp = L.ortho[E.values]
-    geq = L.leq[:, comp]  # [p, i] : values[i]' >= p
-    idx = np.argmax(~geq, axis=1)
-    vals = E.thresholds[idx].astype(np.float64)
+    geq = L.downset_rows(L.complement_each(E.values))  # [i, p]: p <= values[i]'
+    idx = np.argmax(~geq, axis=0)
+    vals = E.thresholds[idx].astype(np.float64, copy=False)
     vals[L.bottom] = np.nan
     return ObservableTable(L, vals)
 
@@ -289,30 +286,32 @@ def restrict(E: SpectralFamily, a: int) -> RestrictedFamily:
         raise LatticeError("cannot restrict to the trivial ideal below bottom")
     sub, embed = principal_ideal(L, a)
     back = {int(p): i for i, p in enumerate(embed)}
-    jumps = [(l, back[w]) for l, w in _normalized_parent_jumps(L, zip(E.thresholds, E.values), a)]
+    met = L.meet_each(a, E.values).tolist()
+    jumps = [(l, back[w]) for l, w in _normalized_jumps(L, E.thresholds.tolist(), met)]
     return RestrictedFamily(make_spectral_family(sub, jumps), L, a, embed)
 
 
-def _normalized_parent_jumps(
-    L: FiniteOML, jumps: Iterable[tuple[float, int]], cap: int
+def _normalized_jumps(
+    L: FiniteOML, thresholds: list[float], values: list[int]
 ) -> tuple[tuple[float, int], ...]:
-    """The jumps met with cap, with repeated values and bottom dropped."""
+    """The jumps (thresholds[i], values[i]), with repeated values and bottom
+    dropped."""
     out: list[tuple[float, int]] = []
     prev = L.bottom
-    for l, v in jumps:
-        w = int(L.meet_table[cap, v])
+    for l, w in zip(thresholds, values):
         if w == prev or w == L.bottom:
             continue
-        out.append((float(l), w))
+        out.append((l, w))
         prev = w
     return tuple(out)
 
 
-def _as_parent_jumps(f) -> tuple[FiniteOML, list[tuple[float, int]], int]:
+def _as_parent_jumps(f) -> tuple[FiniteOML, np.ndarray, np.ndarray, int]:
+    """(parent lattice, thresholds, values in the parent, top in the parent)."""
     if isinstance(f, RestrictedFamily):
-        return f.parent, f.embedded_jumps(), f.top_in_parent
+        return f.parent, f.family.thresholds, f.embed[f.family.values], f.top_in_parent
     if isinstance(f, SpectralFamily):
-        return f.lattice, f.jumps(), f.lattice.top
+        return f.lattice, f.thresholds, f.values, f.lattice.top
     raise TypeError(f"expected a family, got {type(f).__name__}")
 
 
@@ -320,36 +319,37 @@ def equivalent_at(E, F, point: Quasipoint) -> bool:
     """Whether two (possibly restricted) families share a germ at a
     quasipoint: some R in the filter, below both tops, restricts them to the
     same family."""
-    LE, ejumps, P = _as_parent_jumps(E)
-    LF, fjumps, Q = _as_parent_jumps(F)
+    LE, ethr, evals, P = _as_parent_jumps(E)
+    LF, fthr, fvals, Q = _as_parent_jumps(F)
     if LE is not LF or point.lattice is not LE:
         raise LatticeError("families and quasipoint must share one parent lattice")
     L = LE
     t = point.generator
-    cap = L.meet_table[P, Q]
-    if not L.leq[t, cap]:
+    cap = L.meet(P, Q)
+    if not L.le(t, cap):
         raise LatticeError(
             "the quasipoint must contain the meet of both restriction tops"
         )
-    for r in np.flatnonzero(L.leq[t] & L.leq[:, cap]):
-        if _normalized_parent_jumps(L, ejumps, int(r)) == _normalized_parent_jumps(
-            L, fjumps, int(r)
-        ):
-            return True
-    return False
+    # the families met with every r in [t, cap], one row of meets per r
+    rs = np.flatnonzero(L.upset_rows(t) & L.downset_rows(cap))[:, None]
+    ethr, fthr = ethr.tolist(), fthr.tolist()
+    return any(
+        _normalized_jumps(L, ethr, e) == _normalized_jumps(L, fthr, f)
+        for e, f in zip(L.meet_each(rs, evals).tolist(), L.meet_each(rs, fvals).tolist())
+    )
 
 
 def value_at_quasipoint(f, point: Quasipoint) -> float:
     """Observable value of a (possibly restricted) family at a quasipoint of
     the parent lattice that contains the family's top."""
-    L, jumps, P = _as_parent_jumps(f)
+    L, thresholds, values, P = _as_parent_jumps(f)
     t = point.generator
-    if not L.leq[t, P]:
+    if not L.le(t, P):
         raise LatticeError("quasipoint does not contain the restriction top")
-    for l, v in jumps:
-        if L.leq[t, v]:
-            return l
-    raise LatticeError("top not attained")  # pragma: no cover
+    inside = L.le_each(t, values)
+    if not inside.any():
+        raise LatticeError("top not attained")  # pragma: no cover
+    return float(thresholds[np.argmax(inside)])
 
 
 # ---------------------------------------------------------------------------
@@ -416,17 +416,16 @@ def verify_upper_semicontinuity(E: SpectralFamily) -> UscReport:
     L = E.lattice
     f = observable_fn(E)
     rep = UscReport(passed=True, checked=0)
-    for g in L.nonzero():
-        g = int(g)
+    for g in L.nonzero().tolist():
         f0 = float(f.values[g])
         for eps in (1.0, 0.5, 0.25):
             witness = E.value_at(f0 + eps / 2)
             rep.checked += 1
-            if not L.leq[g, witness]:  # witness must lie in J0
+            if not L.le(g, witness):  # witness must lie in J0
                 rep.failures.append((g, eps))
                 continue
-            inside = [int(q) for q in L.nonzero() if L.leq[q, witness]]
-            if any(float(f.values[q]) >= f0 + eps for q in inside):
+            # f is NaN at bottom, so the down-set's bottom never fails
+            if (f.values[L.downset(witness)] >= f0 + eps).any():
                 rep.failures.append((g, eps))
     rep.passed = not rep.failures
     return rep
@@ -435,24 +434,17 @@ def verify_upper_semicontinuity(E: SpectralFamily) -> UscReport:
 def minimal_ideal(E: SpectralFamily, lam: float) -> DualIdeal:
     """The smallest dual ideal on which the observable function attains lam.
 
-    Asserts the three equivalent descriptions agree: the filter of elements
-    dominating the family just past lam, the intersection of all ideals with
-    value lam, and the filter whose infimum is E(lam).
+    The values form a chain, so f(H_p) is the i-th threshold exactly when
+    p <= values[i] but not p <= values[i - 1]: f takes the thresholds and
+    nothing else, and the level set of the i-th has the join values[i].
+    So at a threshold lam the ideal is H_{E(lam)}, the intersection of the
+    level set's filters; the tests check these descriptions agree.
     """
-    L = E.lattice
-    f = observable_fn(E)
-    gens = [int(p) for p in L.nonzero() if float(f.values[p]) == float(lam)]
-    if not gens:
+    lam_f = float(lam)
+    i = int(np.searchsorted(E.thresholds, lam_f))
+    if i == E.k or E.thresholds[i] != lam_f:
         raise LatticeError(f"{lam!r} is not attained by the observable function")
-    members = np.logical_and.reduce(L.leq[gens], axis=0)  # intersection of H_p
-    low = L.big_meet(np.flatnonzero(members))
-    if not (members == L.leq[low]).all():  # must be the principal filter of low
-        raise LatticeError("minimal ideal is not principal")  # pragma: no cover
-    if low != E.value_at(lam):
-        raise LatticeError("minimal ideal infimum disagrees with the family")
-    if low != L.big_join(gens):
-        raise LatticeError("infimum disagrees with the join of the level set")
-    return DualIdeal(L, low)
+    return DualIdeal(E.lattice, int(E.values[i]))
 
 
 @dataclass
@@ -471,22 +463,17 @@ def verify_germ_equivalence(
     quasipoint."""
     rep = GermReport(passed=True, equivalent_pairs=0, compared=0)
     for E, F in pairs:
-        _, _, P = _as_parent_jumps(E)
-        _, _, Q = _as_parent_jumps(F)
-        cap = L.meet_table[P, Q]
+        cap = L.meet(_as_parent_jumps(E)[3], _as_parent_jumps(F)[3])
         if cap == L.bottom:
             continue
-        for t in L.atoms():
-            if not L.leq[t, cap]:
-                continue
-            point = Quasipoint(L, t)
+        for point in quasipoints_containing(L, cap):
             rep.compared += 1
             if equivalent_at(E, F, point):
                 rep.equivalent_pairs += 1
                 ve = value_at_quasipoint(E, point)
                 vf = value_at_quasipoint(F, point)
                 if ve != vf:
-                    rep.failures.append((t, ve, vf))
+                    rep.failures.append((point.generator, ve, vf))
     rep.passed = not rep.failures
     return rep
 
@@ -501,7 +488,7 @@ def random_spectral_family(L: FiniteOML, rng: np.random.Generator) -> SpectralFa
     chain = [L.top]
     cur = L.top
     while len(chain) < 6:
-        below = [int(b) for b in np.flatnonzero(L.leq[:, cur]) if b != cur and b != L.bottom]
+        below = [b for b in L.downset(cur).tolist() if b != cur and b != L.bottom]
         if not below or rng.random() < 0.35:
             break
         cur = int(rng.choice(below))

@@ -65,7 +65,7 @@ class DualIdeal:
         return frozenset(int(x) for x in self.members())
 
     def __contains__(self, a: int) -> bool:
-        return bool(self.lattice.leq[self.generator, a])
+        return self.lattice.le(self.generator, a)
 
     def __repr__(self) -> str:
         return f"H({self.lattice.names[self.generator]})"
@@ -98,13 +98,8 @@ def is_dual_ideal(L: FiniteOML, subset) -> bool:
     S = {L._check(a) for a in subset}
     if not S or L.bottom in S:
         return False
-    for a in S:
-        for b in S:
-            if L.meet_table[a, b] not in S:
-                return False
-        if any(int(b) not in S for b in L.upset(a)):
-            return False
-    return True
+    return (all(L.meet(a, b) in S for a in S for b in S)
+            and all(S.issuperset(L.upset(a).tolist()) for a in S))
 
 
 def brute_force_dual_ideals(L: FiniteOML) -> list[frozenset[int]]:
@@ -140,7 +135,8 @@ def quasipoints(L: FiniteOML) -> list[Quasipoint]:
 def quasipoints_containing(L: FiniteOML, a: int) -> list[Quasipoint]:
     """Basis set of the Stone topology: quasipoints whose filter contains a."""
     a = L._check(a)
-    return [Quasipoint(L, t) for t in L.atoms() if L.leq[t, a]]
+    atoms = np.asarray(L.atoms())
+    return [Quasipoint(L, t) for t in atoms[L.le_each(atoms, a)].tolist()]
 
 
 def ideals_containing(L: FiniteOML, a: int) -> list[DualIdeal]:
@@ -148,7 +144,7 @@ def ideals_containing(L: FiniteOML, a: int) -> list[DualIdeal]:
     a = L._check(a)
     if a == L.bottom:
         return []
-    return [DualIdeal(L, int(p)) for p in L.nonzero() if L.leq[p, a]]
+    return [DualIdeal(L, p) for p in L.downset(a).tolist() if p != L.bottom]
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +166,23 @@ def verify_basis_identities(L: FiniteOML) -> BasisReport:
     the bottom/top degeneracies."""
     rep = BasisReport(passed=True)
 
-    def dset(a: int) -> frozenset[int]:
-        if a == L.bottom:
-            return frozenset()
-        return frozenset(int(p) for p in L.nonzero() if L.leq[p, a])
-
-    cache = {a: dset(a) for a in range(L.n)}
+    every = np.arange(L.n)
+    cache = {a: frozenset(L.downset(a).tolist()) - {L.bottom} for a in range(L.n)}
     if cache[L.bottom] != frozenset():
         rep.failures.append(("bottom-empty", L.bottom, L.bottom))
-    if cache[L.top] != frozenset(int(p) for p in L.nonzero()):
+    if cache[L.top] != frozenset(L.nonzero().tolist()):
         rep.failures.append(("top-full", L.top, L.top))
     for a in range(L.n):
+        above = L.upset_rows(a).tolist()
+        meets = L.meet_each(a, every).tolist()
+        joins = L.join_rows(a).tolist()
         for b in range(L.n):
-            if L.leq[a, b] and not cache[a] <= cache[b]:
+            if above[b] and not cache[a] <= cache[b]:
                 rep.failures.append(("monotone", a, b))
-            if cache[L.meet_table[a, b]] != cache[a] & cache[b]:
+            if cache[meets[b]] != cache[a] & cache[b]:
                 rep.failures.append(("meet-intersection", a, b))
             union = cache[a] | cache[b]
-            joined = cache[L.join_table[a, b]]
+            joined = cache[joins[b]]
             if not union <= joined:
                 rep.failures.append(("join-inclusion", a, b))
             elif union < joined:
@@ -206,13 +201,14 @@ class FilterIntersectionReport:
 
 
 def verify_principal_intersection(L: FiniteOML) -> FilterIntersectionReport:
-    points = quasipoints(L)
     rep = FilterIntersectionReport(passed=True)
-    for p in L.nonzero():
-        through = [q.member_set() for q in points if int(p) in q]
-        inter = frozenset.intersection(*through) if through else frozenset()
-        if inter != principal_filter(L, int(p)).member_set():
-            rep.mismatches.append(int(p))
+    atoms = np.asarray(L.atoms())
+    points = L.upset_rows(atoms)  # row i: the members of the quasipoint of atoms[i]
+    for p in L.nonzero().tolist():
+        # the quasipoints containing p (some atom lies below any p != 0)
+        through = points[L.le_each(atoms, p)]
+        if (through.all(axis=0) != L.upset_rows(p)).any():
+            rep.mismatches.append(p)
     rep.passed = not rep.mismatches
     return rep
 
@@ -230,7 +226,7 @@ def ideal_closure(L: FiniteOML, ideals: list[DualIdeal]) -> list[DualIdeal]:
     if not ideals:
         return []
     gens = sorted({i.generator for i in ideals})
-    covered = np.logical_or.reduce(L.leq[gens], axis=0)  # covered[a]: some q <= a
+    covered = L.upset_rows(gens).any(axis=0)  # covered[a]: some q <= a
     out = []
     for p in L.nonzero():
         if covered[L.upset(int(p))].all():
@@ -247,22 +243,17 @@ def basis_closure(L: FiniteOML, p: int) -> list[DualIdeal]:
     out = []
     for g in L.nonzero():
         ups = L.upset(int(g))
-        if (L.meet_table[p, ups] != L.bottom).all():
+        if (L.meet_each(p, ups) != L.bottom).all():
             out.append(DualIdeal(L, int(g)))
     return out
 
 
 def stone_density(L: FiniteOML) -> bool:
     """Every nonempty basis set D_a contains a quasipoint (atomicity)."""
-    atoms = list(L.atoms())
-    for a in L.nonzero():
-        if not any(L.leq[t, a] for t in atoms):
-            return False
-    return True
+    return bool(L.upset_rows(L.atoms()).any(axis=0)[L.nonzero()].all())
 
 
 def complement_covers(L: FiniteOML, a: int) -> bool:
     """Whether Q_a and Q_{a'} together exhaust the Stone spectrum."""
-    a = L._check(a)
-    ca = int(L.ortho[a])
-    return all(L.leq[t, a] or L.leq[t, ca] for t in L.atoms())
+    a, atoms = L._check(a), L.atoms()
+    return bool((L.le_each(atoms, a) | L.le_each(atoms, L.complement(a))).all())

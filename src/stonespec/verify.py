@@ -23,7 +23,7 @@ import numpy as np
 from . import gelfand, matrix, recon, spectral, stone
 from .corpus import corpus
 from .errors import LatticeError
-from .lattice import FiniteOML, generated_sublattice, verify_structure
+from .lattice import generated_sublattice, verify_structure
 from .spectral import (
     make_spectral_family,
     mirrored_fn,
@@ -185,11 +185,7 @@ def suite_lattice(seed: int = 7) -> list[Check]:
         )
 
     def relabeling_invariance(L):
-        perm = rng.permutation(L.n)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(L.n)
-        leq2 = L.leq.take(inv, axis=0).take(inv, axis=1)
-        L2 = FiniteOML([L.names[int(i)] for i in inv], leq2, perm[L.ortho[inv]])
+        L2 = L.relabeled(rng.permutation(L.n))
         # the verdicts, not the witnesses: those name relabeled elements
         r1, r2 = report(L).to_dict(), verify_structure(L2).to_dict()
         return r1 | {"witnesses": None} == r2 | {"witnesses": None}
@@ -261,7 +257,7 @@ def criterion_stone_structure(seed: int = 7) -> Check:
             if gens != slow:
                 problems.append(f"closure fast path disagrees on {name}")
             in_closure = p1 in gens
-            in_basis = bool(L.leq[p1, p])  # H_{p1} lies in D_p iff p1 <= p
+            in_basis = L.le(p1, p)  # H_{p1} lies in D_p iff p1 <= p
             if not (in_closure and not in_basis):
                 problems.append(f"closure witness fails on {name}")
         if L.n <= stone.BRUTE_FORCE_LIMIT:
@@ -463,7 +459,7 @@ def suite_spectral(seed: int = 7) -> list[Check]:
                 E = random_spectral_family(L, rng)
                 bs = [int(b) for b in L.nonzero() if b != L.bottom]
                 b = int(rng.choice(bs))
-                others = [int(a) for a in np.flatnonzero(L.leq[:, b]) if a != L.bottom]
+                others = [a for a in L.downset(b).tolist() if a != L.bottom]
                 a = int(rng.choice(others))
                 one = restrict(E, a)
                 mid = restrict(E, b)
@@ -720,7 +716,7 @@ def suite_recon(seed: int = 7) -> list[Check]:
         # elements along the order, so each lattice is also checked with its
         # indices reversed, where a level set's join is its first index
         for L in lattices.values():
-            flipped = FiniteOML(L.names[::-1], L.leq[::-1, ::-1], L.n - 1 - L.ortho[::-1])
+            flipped = L.relabeled(np.arange(L.n)[::-1])
             for M in (L, flipped):
                 for _ in range(5):
                     f = recon.random_increasing_table(M, rng)

@@ -21,7 +21,9 @@ built from them, reflexive relations (cyclic or not, transitive or not),
 random relabelings of
 the corpus and of the products 2^m x MO2 and 2^m x O6, random spectral
 families on them, tables with NaN and +-inf injected, and Hermitian
-matrices with repeated eigenvalues, rotated or diagonal.
+matrices with repeated eigenvalues, rotated or diagonal.  The vector forms
+of ``FiniteOML`` and ``FiniteOML.relabeled`` are checked against the scalar
+reads they gather and against this file's own ``relabel``.
 """
 
 import itertools
@@ -2180,3 +2182,109 @@ def test_order_reversal_decided_once(monkeypatch, tmp_path):
         verify_structure(L)
         verify_structure(L)
         assert len(calls) == 1 and L._reverses == real(L.leq, L.ortho) is True
+
+
+# ---------------------------------------------------------------------------
+# the vector forms of FiniteOML against the scalar reads they gather
+
+
+def assert_vector_forms(L, a, b):
+    """Each vector form on the index lists a and b (of one length), and on
+    their arrays, tuples and int16 arrays, against the scalar methods, pair
+    by pair."""
+    every = range(L.n)
+    want = {
+        "upset_rows": [[L.le(x, y) for y in every] for x in a],
+        "downset_rows": [[L.le(y, x) for y in every] for x in a],
+        "join_rows": [[L.join(x, y) for y in every] for x in a],
+        "le_each": [L.le(x, y) for x, y in zip(a, b)],
+        "meet_each": [L.meet(x, y) for x, y in zip(a, b)],
+        "complement_each": [L.complement(x) for x in a],
+    }
+    for cast in (list, tuple, lambda s: np.array(s, dtype=np.int64),
+                 lambda s: np.array(s, dtype=np.int16)):
+        x, y = cast(a), cast(b)
+        got = {
+            "upset_rows": L.upset_rows(x), "downset_rows": L.downset_rows(x),
+            "join_rows": L.join_rows(x), "le_each": L.le_each(x, y),
+            "meet_each": L.meet_each(x, y), "complement_each": L.complement_each(x),
+        }
+        for name, value in got.items():
+            shape = (len(a), L.n) if name.endswith("_rows") else (len(a),)
+            assert value.shape == shape and value.tolist() == want[name], name
+    if a:  # one index, and one index broadcast against an array
+        x = a[0]
+        assert L.upset_rows(x).tolist() == want["upset_rows"][0]
+        assert L.downset_rows(x).tolist() == want["downset_rows"][0]
+        assert L.join_rows(x).tolist() == want["join_rows"][0]
+        assert L.complement_each(x) == L.complement(x)
+        assert L.le_each(x, np.array(b)).tolist() == [L.le(x, y) for y in b]
+        assert L.meet_each(x, np.array(b)).tolist() == [L.meet(x, y) for y in b]
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_vector_forms_match_scalar_reads(name):
+    L = BASES[name]
+    rng = np.random.default_rng(22)
+    assert_vector_forms(L, list(range(L.n)), list(range(L.n))[::-1])
+    for size in (0, 1, 3):
+        assert_vector_forms(L, rng.integers(0, L.n, size).tolist(),
+                            rng.integers(0, L.n, size).tolist())
+    block = slice(1, L.n - 1)
+    assert L.upset_rows(block).tolist() == L.upset_rows(np.arange(1, L.n - 1)).tolist()
+    assert L.join_rows(block).tolist() == L.join_rows(np.arange(1, L.n - 1)).tolist()
+    assert L.upset_rows(block).base is not None  # a slice gives a view
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=relabeled(), data=st.data())
+def test_vector_forms_match_scalar_reads_on_relabeled(L, data):
+    index = st.integers(0, L.n - 1)
+    a = data.draw(st.lists(index, max_size=6))
+    b = data.draw(st.lists(index, min_size=len(a), max_size=len(a)))
+    assert_vector_forms(L, a, b)
+
+
+@pytest.mark.parametrize("name", ["B2", "MO3", "2^2xO6"])
+def test_vector_forms_read_out_of_range_as_the_tables_do(name):
+    """No range check of their own: an index past either end raises
+    IndexError, as the table read does, and a negative index in range
+    counts from the end, as it does there."""
+    L = BASES[name]
+    calls = {
+        "upset_rows": lambda x: L.upset_rows(x), "downset_rows": lambda x: L.downset_rows(x),
+        "join_rows": lambda x: L.join_rows(x), "le_each": lambda x: L.le_each(x, [0, 1]),
+        "meet_each": lambda x: L.meet_each([0, 1], x), "complement_each": L.complement_each,
+    }
+    for name, call in calls.items():
+        for bad in ([0, L.n], [-L.n - 1, 1], L.n):
+            with pytest.raises(IndexError):
+                call(bad)
+        got, want = call([-1, 0]), call([L.n - 1, 0])
+        assert got.tolist() == want.tolist(), name
+
+
+def assert_same_lattice(got, want):
+    assert got.names == want.names and (got.bottom, got.top) == (want.bottom, want.top)
+    for attr in ("leq", "ortho", "meet_table", "join_table"):
+        np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+    assert got.reverses_order() == want.reverses_order()
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_relabeled_matches_relabel(name):
+    L = BASES[name]
+    rng = np.random.default_rng(23)
+    for perm in (np.arange(L.n), np.arange(L.n)[::-1], rng.permutation(L.n)):
+        assert_same_lattice(L.relabeled(perm), relabel(L, perm))
+        assert_same_lattice(L.relabeled(perm.tolist()), relabel(L, perm))
+    for bad in (np.arange(L.n - 1), np.zeros(L.n, dtype=int), np.arange(1, L.n + 1)):
+        with pytest.raises(LatticeError, match="permutation"):
+            L.relabeled(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=relabeled(), data=st.data())
+def test_relabeled_matches_relabel_on_relabeled(L, data):
+    perm = np.array(data.draw(st.permutations(range(L.n))))
+    assert_same_lattice(L.relabeled(perm), relabel(L, perm))

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stonespec
 from stonespec import _kernels
 from stonespec.corpus import benzene, boolean_lattice, chain2, corpus, mo
 from stonespec.errors import LatticeError
@@ -321,3 +325,21 @@ class TestCorpusBuilders:
         assert L.n == 6
         assert L.le(L.index("a"), L.index("b"))
         assert L.le(L.index("b'"), L.index("a'"))
+
+
+TABLES = {"leq", "meet_table", "join_table", "ortho"}
+ABOVE_THE_TABLES = ("spectral", "stone", "recon", "verify", "gelfand", "matrix", "cli")
+
+
+def test_only_the_lattice_layer_reads_the_tables():
+    """The modules above the lattice reach the order only through FiniteOML's
+    methods: none of them reads an attribute named like a table (only
+    lattice, _kernels, io and corpus know the table format)."""
+    src = Path(stonespec.__file__).parent
+    reads = [
+        f"{mod}.py:{node.lineno} .{node.attr}"
+        for mod in ABOVE_THE_TABLES
+        for node in ast.walk(ast.parse((src / f"{mod}.py").read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in TABLES
+    ]
+    assert reads == []

@@ -423,6 +423,48 @@ class TestMinimalIdeals:
                     ideal = spectral.minimal_ideal(E, lam)
                     assert L.big_meet(ideal.members().tolist()) == v
 
+    def test_signed_zero_and_nan(self, b2_projection_family):
+        _, p, _, E = b2_projection_family
+        assert spectral.minimal_ideal(E, -0.0).generator == p
+        with pytest.raises(LatticeError, match="not attained"):
+            spectral.minimal_ideal(E, float("nan"))
+
+    def test_matches_level_sets_on_the_corpus(self):
+        rng = np.random.default_rng(22)
+        for L in CORPUS.values():
+            for _ in range(10):
+                assert_minimal_ideals_match_level_sets(random_spectral_family(L, rng))
+
+
+def level_set_ideal(E, lam):
+    """The minimal ideal at lam by its definition, or None where f never
+    takes lam: the intersection of the filters H_p over the level set
+    {p != 0 : f(p) = lam}, checked to be the filter of its infimum, which
+    must be E(lam) and the join of the level set."""
+    L = E.lattice
+    f = observable_fn(E)
+    gens = [p for p in L.nonzero().tolist() if float(f.values[p]) == float(lam)]
+    if not gens:
+        return None
+    members = np.logical_and.reduce(L.leq[gens], axis=0)
+    low = L.big_meet(np.flatnonzero(members).tolist())
+    assert (members == L.leq[low]).all()
+    assert low == E.value_at(lam) == L.big_join(gens)
+    return low
+
+
+def assert_minimal_ideals_match_level_sets(E):
+    """At every threshold and at probes between, below and above them."""
+    t = E.thresholds
+    probes = [*t.tolist(), *((t[:-1] + t[1:]) / 2).tolist(), t[0] - 1.0, t[-1] + 1.0]
+    for lam in probes:
+        want = level_set_ideal(E, lam)
+        if want is None:
+            with pytest.raises(LatticeError, match="not attained"):
+                spectral.minimal_ideal(E, lam)
+        else:
+            assert spectral.minimal_ideal(E, lam).generator == want
+
 
 @st.composite
 def corpus_family(draw):
@@ -430,6 +472,12 @@ def corpus_family(draw):
     L = CORPUS[name]
     seed = draw(st.integers(0, 10_000))
     return L, random_spectral_family(L, np.random.default_rng(seed))
+
+
+@given(corpus_family())
+@settings(max_examples=80, deadline=None)
+def test_minimal_ideals_match_level_sets(args):
+    assert_minimal_ideals_match_level_sets(args[1])
 
 
 class TestTableProperties:

@@ -143,6 +143,18 @@ class TestFilterIntersection:
         assert not rep.passed
         assert L.index("b") in rep.mismatches
 
+    @pytest.mark.parametrize("name", sorted(FACTS))
+    def test_matches_member_sets(self, name):
+        """The row form against the member sets of the quasipoint objects."""
+        L, want = FACTS[name], []
+        points = stone.quasipoints(L)
+        for p in L.nonzero().tolist():
+            through = [q.member_set() for q in points if p in q]
+            inter = frozenset.intersection(*through) if through else frozenset()
+            if inter != stone.principal_filter(L, p).member_set():
+                want.append(p)
+        assert stone.verify_principal_intersection(L).mismatches == want
+
     def test_cube_example(self):
         C3 = CORPUS["2^3"]
         e12 = 3
