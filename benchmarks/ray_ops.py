@@ -19,7 +19,15 @@ lines, and ``scaling_exp``, the slope of log time against log n from
 n = 128 to 512.  One more run at each size under tracemalloc gives
 ``peak_mb``, the traced peak of the command in MB.  The first call of each
 single-ray function is not timed; every sweep is, since the layers it runs
-are imported before the first one.  The figures are printed as JSON.
+are imported before the first one.
+
+Last come the bridge columns, as the ``matrix-sweep`` benchmark runs them:
+``matrix.spectral_family_of`` and ``matrix.step_approx`` (eps 0.25) on a
+random complex Hermitian with 8 distinct eigenvalues half a unit or more
+apart, at n = 128, 256 and 512, decomposed once outside the timing; and
+``gelfand.diagonal_spectral_family`` and ``gelfand.verify_gelfand_identity``
+on n distinct random diagonal entries, at n = 4, 6, 8 and 9.  They print
+the median and the quartiles in ms.  The figures are printed as JSON.
 """
 
 from __future__ import annotations
@@ -36,13 +44,17 @@ from pathlib import Path
 
 import numpy as np
 
-from stonespec import io, matrix
+from stonespec import gelfand, io, matrix
 from stonespec.cli import main as cli_main
 from table_ops import timed  # this script's directory is on sys.path
 
 RAY_N = (32, 64, 128, 256, 512)
 SWEEP_N = (64, 128, 256, 512)
 CALLS = ("ray_obs", "mirrored_ray", "expectation")
+BRIDGE_N = (128, 256, 512)
+BRIDGE_LEVELS = 8
+GELFAND_N = (4, 6, 8, 9)
+STEP_EPS = 0.25  # below half the smallest gap of the levels
 
 
 def ray_calls(n: int, rng: np.random.Generator, repeats: int) -> dict:
@@ -55,6 +67,23 @@ def ray_calls(n: int, rng: np.random.Generator, repeats: int) -> dict:
         out[name] = {key.replace("_ms", "_us"): round(v * 1e3 / len(rays), 2)
                      for key, v in runs.items()}
     return out
+
+
+def bridge_calls(n: int, rng: np.random.Generator, repeats: int) -> dict:
+    """spectral_family_of and step_approx on U diag(w) U^H, w taking
+    BRIDGE_LEVELS distinct values, each n / BRIDGE_LEVELS times."""
+    levels = np.sort(rng.choice(np.arange(-32, 32), BRIDGE_LEVELS, replace=False) / 2.0)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = matrix.eig((u * np.repeat(levels, n // BRIDGE_LEVELS)) @ u.conj().T)
+    return {"spectral_family_of": timed(lambda: matrix.spectral_family_of(d), repeats),
+            "step_approx": timed(lambda: matrix.step_approx(d, STEP_EPS), repeats)}
+
+
+def gelfand_calls(n: int, rng: np.random.Generator, repeats: int) -> dict:
+    alg = gelfand.DiagonalAlgebra.of_dimension(n)
+    entries = rng.permutation(np.arange(n) + rng.uniform(-0.25, 0.25, n))
+    return {name: timed(lambda fn=getattr(gelfand, name): fn(alg, entries), repeats)
+            for name in ("diagonal_spectral_family", "verify_gelfand_identity")}
 
 
 def counted_sweep(path: Path) -> int:
@@ -106,6 +135,9 @@ def main() -> None:
                                       "peak_mb": round(peak / 2**20, 2)}
     t128, t512 = out["sweep"]["n128"]["median_ms"], out["sweep"]["n512"]["median_ms"]
     out["sweep"]["scaling_exp"] = round(math.log(t512 / t128) / math.log(4), 2)
+    out["bridge_ms"] = {f"n{n}m{BRIDGE_LEVELS}": bridge_calls(n, rng, args.repeats)
+                        for n in BRIDGE_N}
+    out["gelfand_ms"] = {f"n{n}": gelfand_calls(n, rng, args.repeats) for n in GELFAND_N}
     print(json.dumps(out, indent=1))
 
 

@@ -5,7 +5,9 @@ checks.
 The algebra is always the diagonal algebra of C^n in a fixed basis; an
 arbitrary maximal abelian subalgebra is reached by conjugating with a
 phase-fixed eigenbasis unitary from the matrix layer.  Complex entries are
-compared exactly after a single snap at ingestion.
+compared exactly after a single snap at ingestion.  The transform reads no
+lattice; the spectral family of a selfadjoint diagonal comes from the
+matrix layer's one builder of Boolean families.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import boolean_lattice
 from .errors import LatticeError
-from .matrix import SNAP_TOL, _fix_phases, as_hermitian, finite_eigh, hermitian_gap
-from .spectral import make_spectral_family, mirrored_fn, observable_fn
+from .matrix import (SNAP_TOL, _boolean_family, _fix_phases, as_hermitian, finite_eigh,
+                     hermitian_gap)
+from .spectral import mirrored_fn, observable_fn
 
 
 def snap_entries(entries) -> np.ndarray:
@@ -48,9 +50,10 @@ def snap_entries(entries) -> np.ndarray:
 class DiagonalAlgebra:
     """Diagonal matrices in a fixed orthonormal basis of C^n.
 
-    Its projection lattice is the Boolean lattice 2^n whose element index is
-    the bitmask of basis indices; the quasipoints are the atom filters, one
-    per basis vector.  Only :func:`diagonal_spectral_family` builds 2^n.
+    Its projection lattice is the Boolean lattice 2^n, the i-th atom the
+    projection onto the i-th basis vector; the quasipoints are the atom
+    filters, one per basis vector.  Only :func:`diagonal_spectral_family`
+    builds 2^n, through the matrix layer's one builder of Boolean families.
     """
 
     n: int
@@ -58,9 +61,6 @@ class DiagonalAlgebra:
     @classmethod
     def of_dimension(cls, n: int) -> "DiagonalAlgebra":
         return cls(n)
-
-    def atom_of_basis_index(self, i: int) -> int:
-        return 1 << i
 
     def check_entries(self, entries) -> np.ndarray:
         vals = np.asarray(entries, dtype=np.complex128).reshape(-1)
@@ -105,21 +105,13 @@ def gelfand_transform(alg: DiagonalAlgebra, entries) -> np.ndarray:
 def diagonal_spectral_family(alg: DiagonalAlgebra, entries):
     """Spectral family of a real diagonal over the algebra's lattice 2^n.
 
-    Thresholds are the distinct (snapped) entries; each value is the bitmask
-    of the basis indices at or below the threshold.
+    Thresholds are the distinct (snapped) entries; each value is the join of
+    the basis atoms whose entries lie at or below the threshold.
     """
     vals = alg.check_entries(entries)
     if np.abs(vals.imag).max(initial=0.0) != 0.0:
         raise LatticeError("spectral families need selfadjoint (real) entries")
-    reals = vals.real
-    jumps = []
-    for lam in np.unique(reals):
-        mask = 0
-        for i in range(alg.n):
-            if reals[i] <= lam:
-                mask |= 1 << i
-        jumps.append((float(lam), mask))
-    return make_spectral_family(boolean_lattice(alg.n), jumps)
+    return _boolean_family(vals.real)
 
 
 @dataclass
@@ -189,17 +181,10 @@ def verify_gelfand_identity(alg: DiagonalAlgebra, entries) -> GelfandIdentityRep
     family coincides with the transform on every quasipoint, exactly; the
     mirrored table agrees as well (the distributive case)."""
     E = diagonal_spectral_family(alg, entries)
-    f = observable_fn(E)
-    g = mirrored_fn(E)
-    transform = gelfand_transform(alg, entries)
-    ok = True
-    mirrored_ok = True
-    for i in range(alg.n):
-        atom = alg.atom_of_basis_index(i)
-        if float(f.values[atom]) != float(transform[i].real):
-            ok = False
-        if float(g.values[atom]) != float(f.values[atom]):
-            mirrored_ok = False
+    atoms = E.lattice.atom_index()  # in basis order: atom i is basis vector i's
+    f = observable_fn(E).values[atoms].tolist()
+    ok = f == gelfand_transform(alg, entries).real.tolist()
+    mirrored_ok = mirrored_fn(E).values[atoms].tolist() == f
     return GelfandIdentityReport(ok and mirrored_ok, mirrored_ok)
 
 

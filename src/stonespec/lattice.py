@@ -28,8 +28,9 @@ different lattices: every operation goes through the owning instance.
 Only this module, ``_kernels``, ``io`` and ``corpus`` know that a lattice is
 four dense arrays (``leq``, ``ortho``, ``meet_table``, ``join_table``).  The
 modules above read the order through the methods: ``le``, ``meet``,
-``join``, ``complement``, ``upset``, ``downset``, ``atoms``, ``is_atom``,
-``nonzero`` and ``downset_sizes``, and the vector forms of one gather each,
+``join``, ``complement``, ``upset``, ``downset``, ``atoms``, ``is_atom`` and
+``downset_sizes``, the read-only index arrays ``atom_index`` and ``nonzero``
+for gathers, and the vector forms of one gather each,
 ``upset_rows``, ``downset_rows``, ``join_rows``, ``le_each``, ``meet_each``
 and ``complement_each``, with ``relabeled`` for a permuted copy.
 """
@@ -113,8 +114,8 @@ class FiniteOML:
     """
 
     __slots__ = ("n", "names", "leq", "ortho", "bottom", "top", "meet_table",
-                 "join_table", "_reverses", "_atoms", "_atom_set", "_down", "_nonzero",
-                 "_name_index")
+                 "join_table", "_reverses", "_atoms", "_atom_index", "_atom_set", "_down",
+                 "_nonzero", "_name_index")
 
     def __init__(
         self,
@@ -164,6 +165,7 @@ class FiniteOML:
         self.join_table = join
         self._reverses: bool | None = reverses
         self._atoms: tuple[int, ...] | None = None
+        self._atom_index: np.ndarray | None = None
         self._atom_set: frozenset[int] | None = None
         self._down: np.ndarray | None = None
         self._nonzero = np.delete(np.arange(n, dtype=np.int64), bottom)
@@ -214,9 +216,18 @@ class FiniteOML:
     def atoms(self) -> tuple[int, ...]:
         """Elements covering bottom: those whose down-set is {bottom, a}."""
         if self._atoms is None:
-            self._atoms = tuple(np.flatnonzero(self.downset_sizes() == 2).tolist())
+            index = np.flatnonzero(self.downset_sizes() == 2)
+            index.setflags(write=False)
+            self._atom_index = index
+            self._atoms = tuple(index.tolist())
             self._atom_set = frozenset(self._atoms)
         return self._atoms
+
+    def atom_index(self) -> np.ndarray:
+        """The atoms as an ascending index array (read-only), for gathers."""
+        if self._atom_index is None:
+            self.atoms()
+        return self._atom_index
 
     def is_atom(self, a: int) -> bool:
         if self._atom_set is None:

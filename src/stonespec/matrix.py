@@ -3,6 +3,10 @@ bridge into finite Boolean lattices.
 
 All tolerances live here, as fixed constants; the lattice layer stays exact.
 The verification helpers compare ray and eigenvalues within ``MAT_TOL``.
+
+Every Boolean family of the bridge and of the Gelfand layer comes from one
+builder, ``_boolean_family``; only it, ``corpus.boolean_lattice`` and
+``element_projector`` know that an element of 2^m is its atom bitmask.
 """
 
 from __future__ import annotations
@@ -171,16 +175,23 @@ def spectrum(a) -> np.ndarray:
 # bridge into the lattice layer
 
 
-def spectral_family_of(a) -> SpectralFamily:
-    """Family over the Boolean lattice generated by the eigenprojections.
+def _boolean_family(values, atom_names: list[str] | None = None) -> SpectralFamily:
+    """The family over 2^m, m = len(values), jumping at each distinct value
+    to the join of the atoms whose values lie at or below it (atom i is the
+    element 1 << i), so its observable function takes the i-th value at the
+    i-th atom filter, in ``FiniteOML.atom_index`` order."""
+    values = np.asarray(values, dtype=np.float64)
+    L = boolean_lattice(len(values), atom_names)
+    levels = np.unique(values)
+    masks = (values <= levels[:, None]) @ (1 << np.arange(len(values)))
+    return make_spectral_family(L, zip(levels.tolist(), masks.tolist()))
 
-    The lattice is 2^m with one atom per distinct eigenvalue; an element
-    index is the bitmask of the projections it sums.
-    """
+
+def spectral_family_of(a) -> SpectralFamily:
+    """Family over the Boolean lattice generated by the eigenprojections: 2^m,
+    the i-th atom p{i+1} the projection of the i-th distinct eigenvalue."""
     d = _as_decomp(a)
-    L = boolean_lattice(d.m, [f"p{i + 1}" for i in range(d.m)])
-    jumps = [(float(d.values[i]), (1 << (i + 1)) - 1) for i in range(d.m)]
-    return make_spectral_family(L, jumps)
+    return _boolean_family(d.values, [f"p{i + 1}" for i in range(d.m)])
 
 
 def element_projector(d: EigenDecomposition, mask: int) -> np.ndarray:
@@ -683,36 +694,23 @@ def step_approx(a, eps: float) -> tuple[np.ndarray, StepApproxReport]:
     m = int(np.floor((hi - lo) / eps)) + 1
     grid = lo + (hi - lo) * np.arange(m + 1) / m
     mids = grid[:-1] / 2 + grid[1:] / 2  # halves: no overflow near the float limit
-    a_eps = np.zeros_like(d.matrix)
-    star = np.empty(d.m)
-    for i, lam in enumerate(d.values):
-        k = int(np.searchsorted(grid, lam, side="left")) - 1
-        k = min(max(k, 0), m - 1)
-        star[i] = mids[k]
-        a_eps = a_eps + mids[k] * d.projection(i)
+    star = mids[np.clip(np.searchsorted(grid, d.values, side="left") - 1, 0, m - 1)]
+    # sum mids_c P_c as one product V diag(mid of each column) V^H, as eig forms
+    # its residual, taken as the conjugate of conj(V) diag(..) V^T: V^T is read
+    # in place and w is reused for A - A_eps, as a third n x n array raised the
+    # peak resident memory
+    w = d.basis.conj()
+    w *= np.repeat(star, np.diff([*d.starts, d.n]))
+    a_eps = w @ d.basis.T
+    np.conjugate(a_eps, out=a_eps)
     f_dist = float(np.abs(d.values - star).max())
-    op_dist = float(np.abs(np.linalg.eigvalsh(d.matrix - a_eps)).max())
+    op_dist = float(np.abs(np.linalg.eigvalsh(np.subtract(d.matrix, a_eps, out=w))).max())
     # the step observable over the lattice generated by the original
-    # projections: one jump per distinct midpoint, cumulative atom masks
-    L = spectral_family_of(d).lattice
-    stars = np.unique(star)
-    msk = 0
-    step_jumps = []
-    for u in stars:
-        for i in range(d.m):
-            if star[i] == u:
-                msk |= 1 << i
-        step_jumps.append((float(u), msk))
-    f_step = observable_fn(make_spectral_family(L, step_jumps))
-    # closed form: each atom filter sits in exactly one basis-set difference
-    # and takes that interval's midpoint there
-    closed_ok = True
-    for i in range(d.m):
-        if float(f_step.values[1 << i]) != float(star[i]):
-            closed_ok = False
-        hits = [k for k, (_, mask) in enumerate(step_jumps) if mask >> i & 1]
-        if float(stars[hits[0]]) != float(star[i]):
-            closed_ok = False
+    # projections, one jump per distinct midpoint; closed form: each atom
+    # filter sits in exactly one basis-set difference and takes that
+    # interval's midpoint there
+    f_step = observable_fn(_boolean_family(star))
+    closed_ok = bool((f_step.values[f_step.lattice.atom_index()] == star).all())
     passed = f_dist <= eps and op_dist <= eps and closed_ok
     return a_eps, StepApproxReport(eps, f_dist, op_dist, closed_ok, passed)
 
@@ -778,15 +776,11 @@ def verify_eigenvalue_plateaus(a) -> PlateauReport:
         (np.abs(got[:, None] - d.values).min(axis=1) <= MAT_TOL).all()
         and (np.abs(got - w) <= width).all()
     )
-    L = E.lattice
-    # the jump projector of the i-th cluster is the atom 1 << i; its basis set
+    # the jump projector of the i-th cluster is the i-th atom; its basis set
     # is that atom, whose value must be each eigenvalue of the cluster
-    stops = [*d.starts[1:], d.n]
-    plateau_ok = all(
-        bool((np.abs(w[start:stop] - float(f.values[1 << i])) <= width).all())
-        for i, (start, stop) in enumerate(zip(d.starts, stops))
-    )
-    vals_ok = all(float(np.abs(w - float(f.values[t])).min()) <= width for t in L.atoms())
+    at_atoms = f.values[E.lattice.atom_index()]
+    plateau_ok = bool((np.abs(w - np.repeat(at_atoms, np.diff([*d.starts, d.n]))) <= width).all())
+    vals_ok = bool((np.abs(w[:, None] - at_atoms).min(axis=0) <= width).all())
     return PlateauReport(
         eigen_ok and plateau_ok and vals_ok, eigen_ok, plateau_ok, vals_ok
     )

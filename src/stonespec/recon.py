@@ -266,7 +266,7 @@ def _atom_sup(L: FiniteOML, atom_values: Mapping[int, float]) -> np.ndarray:
     tie the first of those atoms in atom order gives the value, as with
     Python's max, so a signed zero comes out as a loop gives it; a NaN value
     counts as the smallest (quasipoint files admit none)."""
-    atoms = np.asarray(L.atoms())
+    atoms = L.atom_index()
     a = np.array([float(atom_values[t]) for t in atoms.tolist()])
     order = np.argsort(-a, kind="stable")
     vals = a[order][np.argmax(L.upset_rows(atoms[order]), axis=0)]  # the first atom <= p

@@ -199,7 +199,7 @@ class ObservableTable:
     def image(self, over: str = "dual_ideals") -> np.ndarray:
         """Sorted distinct values over quasipoints or over all dual ideals."""
         if over == "quasipoints":
-            keys = np.array(self.lattice.atoms(), dtype=np.int64)
+            keys = self.lattice.atom_index()
         elif over == "dual_ideals":
             keys = self.lattice.nonzero()
         else:
@@ -237,7 +237,9 @@ def observable_fn(E: SpectralFamily) -> ObservableTable:
     """f(H_p) = least threshold whose value dominates p (attained by
     right-continuity)."""
     L = E.lattice
-    idx = np.argmax(L.downset_rows(E.values), axis=0)  # the first i with p <= values[i]
+    # the values form a chain that ends at top, so the first i with p <=
+    # values[i] is k less the count of such i
+    idx = E.k - L.downset_rows(E.values).sum(axis=0)
     vals = E.thresholds[idx].astype(np.float64, copy=False)
     vals[L.bottom] = np.nan
     return ObservableTable(L, vals)
@@ -248,11 +250,13 @@ def mirrored_fn(E: SpectralFamily) -> ObservableTable:
 
     Computed as the first threshold where the complement of the family value
     stops dominating p; identical to negating the family, taking its
-    observable table and flipping the sign.
+    observable table and flipping the sign.  The complements form a
+    descending chain, so that index is the count of the i with p <=
+    values[i]'; the last complement, top' = bottom, holds only bottom, whose
+    slot is NaN, and is left out.
     """
     L = E.lattice
-    geq = L.downset_rows(L.complement_each(E.values))  # [i, p]: p <= values[i]'
-    idx = np.argmax(~geq, axis=0)
+    idx = L.downset_rows(L.complement_each(E.values[:-1])).sum(axis=0)
     vals = E.thresholds[idx].astype(np.float64, copy=False)
     vals[L.bottom] = np.nan
     return ObservableTable(L, vals)

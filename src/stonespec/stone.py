@@ -134,8 +134,7 @@ def quasipoints(L: FiniteOML) -> list[Quasipoint]:
 
 def quasipoints_containing(L: FiniteOML, a: int) -> list[Quasipoint]:
     """Basis set of the Stone topology: quasipoints whose filter contains a."""
-    a = L._check(a)
-    atoms = np.asarray(L.atoms())
+    a, atoms = L._check(a), L.atom_index()
     return [Quasipoint(L, t) for t in atoms[L.le_each(atoms, a)].tolist()]
 
 
@@ -202,7 +201,7 @@ class FilterIntersectionReport:
 
 def verify_principal_intersection(L: FiniteOML) -> FilterIntersectionReport:
     rep = FilterIntersectionReport(passed=True)
-    atoms = np.asarray(L.atoms())
+    atoms = L.atom_index()
     points = L.upset_rows(atoms)  # row i: the members of the quasipoint of atoms[i]
     for p in L.nonzero().tolist():
         # the quasipoints containing p (some atom lies below any p != 0)
@@ -250,10 +249,10 @@ def basis_closure(L: FiniteOML, p: int) -> list[DualIdeal]:
 
 def stone_density(L: FiniteOML) -> bool:
     """Every nonempty basis set D_a contains a quasipoint (atomicity)."""
-    return bool(L.upset_rows(L.atoms()).any(axis=0)[L.nonzero()].all())
+    return bool(L.upset_rows(L.atom_index()).any(axis=0)[L.nonzero()].all())
 
 
 def complement_covers(L: FiniteOML, a: int) -> bool:
     """Whether Q_a and Q_{a'} together exhaust the Stone spectrum."""
-    a, atoms = L._check(a), L.atoms()
+    a, atoms = L._check(a), L.atom_index()
     return bool((L.le_each(atoms, a) | L.le_each(atoms, L.complement(a))).all())

@@ -15,13 +15,17 @@ built from it, one projector product per cluster for ray components, the
 one-ray formula and loops (with the cumulative projector stack) that the block ray kernel
 replaces in verify_ray_axioms, rank_one_extension, verify_infsup_extension
 and verify_eigenvalue_plateaus, the projector distance over dense cumulative
-stacks, and the unscaled joint diagonalization.  Hypothesis draws random
+stacks, and the unscaled joint diagonalization; the per-element loops of
+the observable and mirrored tables, and the three hand loops the Boolean
+family builder of the bridge replaced, with step_approx's sum of midpoint
+projectors and its two-condition closed form.  Hypothesis draws random
 posets (with and without an added bottom and top), orthoposets Q x Q^op
 built from them, reflexive relations (cyclic or not, transitive or not),
 random relabelings of
 the corpus and of the products 2^m x MO2 and 2^m x O6, random spectral
 families on them, tables with NaN and +-inf injected, and Hermitian
-matrices with repeated eigenvalues, rotated or diagonal.  The vector forms
+matrices with repeated eigenvalues, rotated or diagonal, and value lists
+with ties and both signed zeros.  The vector forms
 of ``FiniteOML`` and ``FiniteOML.relabeled`` are checked against the scalar
 reads they gather and against this file's own ``relabel``.
 """
@@ -2288,3 +2292,146 @@ def test_relabeled_matches_relabel(name):
 def test_relabeled_matches_relabel_on_relabeled(L, data):
     perm = np.array(data.draw(st.permutations(range(L.n))))
     assert_same_lattice(L.relabeled(perm), relabel(L, perm))
+
+
+# ---------------------------------------------------------------------------
+# observable tables and the Boolean families of the bridge against their loops
+
+
+def loop_observable(E):
+    """f(H_p), per element: the first threshold whose value dominates p."""
+    L = E.lattice
+    out = np.full(L.n, np.nan)
+    for p in L.nonzero().tolist():
+        out[p] = next(lam for lam, v in E.jumps() if L.le(p, v))
+    return out
+
+
+def loop_mirrored(E):
+    """g(H_p), per element: the first threshold whose complemented value no
+    longer dominates p."""
+    L = E.lattice
+    out = np.full(L.n, np.nan)
+    for p in L.nonzero().tolist():
+        out[p] = next(lam for lam, v in E.jumps() if not L.le(p, L.complement(v)))
+    return out
+
+
+def assert_tables_match_loops(E):
+    assert_same_bits(observable_fn(E).values, loop_observable(E))
+    assert_same_bits(mirrored_fn(E).values, loop_mirrored(E))
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_tables_match_element_loops(name):
+    """The counted indices of observable_fn and mirrored_fn, bottom's NaN
+    included, on random families and on the one-jump family."""
+    L = BASES[name]
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        assert_tables_match_loops(random_spectral_family(L, rng))
+    assert_tables_match_loops(make_spectral_family(L, [(-0.0, L.top)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled(), st.integers(0, 2**32 - 1))
+def test_tables_match_element_loops_on_relabeled(L, seed):
+    assert_tables_match_loops(random_spectral_family(L, np.random.default_rng(seed)))
+
+
+def loop_eigenvalue_jumps(values):
+    """spectral_family_of's jumps as it built them: of ascending distinct
+    values, atom i entering at the i-th."""
+    return [(float(values[i]), (1 << (i + 1)) - 1) for i in range(len(values))]
+
+
+def loop_diagonal_jumps(reals):
+    """diagonal_spectral_family's jumps as it built them: at each distinct
+    entry, the mask of the indices at or below it."""
+    jumps = []
+    for lam in np.unique(reals):
+        mask = 0
+        for i in range(len(reals)):
+            if reals[i] <= lam:
+                mask |= 1 << i
+        jumps.append((float(lam), mask))
+    return jumps
+
+
+def loop_step_jumps(star):
+    """step_approx's jumps as it built them: at each distinct midpoint, the
+    mask grown by the atoms that take it."""
+    jumps = []
+    mask = 0
+    for u in np.unique(star):
+        for i in range(len(star)):
+            if star[i] == u:
+                mask |= 1 << i
+        jumps.append((float(u), mask))
+    return jumps
+
+
+def assert_same_jumps(E, jumps):
+    assert E.values.tolist() == [v for _, v in jumps]
+    assert_same_bits(E.thresholds, [lam for lam, _ in jumps])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-0.0, 0.0, -1.5, 2.0]) | st.floats(-1e3, 1e3),
+                min_size=1, max_size=10))
+def test_boolean_family_matches_hand_loops(values):
+    """The one builder gives the jumps of the three hand loops it replaced,
+    on unsorted values with ties and both signed zeros, and its atom filters
+    take the values."""
+    values = np.array(values)
+    E = matrix._boolean_family(values)
+    assert E.lattice.n == 1 << len(values)
+    assert_same_jumps(E, loop_diagonal_jumps(values))
+    assert_same_jumps(E, loop_step_jumps(values))
+    assert (observable_fn(E).values[E.lattice.atom_index()] == values).all()
+    distinct = np.unique(values)
+    assert_same_jumps(matrix._boolean_family(distinct), loop_eigenvalue_jumps(distinct))
+
+
+def loop_step_approx(d, eps):
+    """step_approx's step operator and closed-form verdict as it computed
+    them: a projector per eigenvalue, and per atom the table value and the
+    first jump holding it."""
+    bottom, top = float(d.values.min()), float(d.values.max())
+    diam = top - bottom
+    margin = (eps - diam) / 4 if eps > diam else eps / 2
+    lo, hi = bottom - margin, top + margin
+    m = int(np.floor((hi - lo) / eps)) + 1
+    grid = lo + (hi - lo) * np.arange(m + 1) / m
+    mids = grid[:-1] / 2 + grid[1:] / 2
+    a_eps = np.zeros_like(d.matrix)
+    star = np.empty(d.m)
+    for i, lam in enumerate(d.values):
+        k = min(max(int(np.searchsorted(grid, lam, side="left")) - 1, 0), m - 1)
+        star[i] = mids[k]
+        a_eps = a_eps + mids[k] * d.projection(i)
+    jumps = loop_step_jumps(star)
+    f_step = observable_fn(make_spectral_family(boolean_lattice(d.m), jumps))
+    stars = np.unique(star)
+    closed_ok = True
+    for i in range(d.m):
+        if float(f_step.values[1 << i]) != float(star[i]):
+            closed_ok = False
+        hits = [k for k, (_, mask) in enumerate(jumps) if mask >> i & 1]
+        if float(stars[hits[0]]) != float(star[i]):
+            closed_ok = False
+    return a_eps, float(np.abs(d.values - star).max()), closed_ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitians(max_n=12), st.sampled_from([0.01, 0.3, 1.0, 5.0, 100.0]))
+def test_step_approx_matches_projector_loop(a, eps):
+    """A_eps as one product equals the sum of midpoint projectors within
+    MAT_TOL max(1, ||A||), and the closed-form verdict, read at the atoms,
+    equals the two-condition loop."""
+    d = matrix.eig(a)
+    a_eps, rep = matrix.step_approx(d, eps)
+    want, f_dist, closed_ok = loop_step_approx(d, eps)
+    assert np.abs(a_eps - want).max() <= matrix.MAT_TOL * max(1.0, d.norm())
+    assert rep.f_distance == f_dist
+    assert rep.closed_form_ok == closed_ok

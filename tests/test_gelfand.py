@@ -111,7 +111,7 @@ class TestPastSixteen:
         def refuse(*args):
             raise AssertionError("the transform reads no lattice")
 
-        monkeypatch.setattr(G, "boolean_lattice", refuse)
+        monkeypatch.setattr(M, "boolean_lattice", refuse)  # where the family builder reads it
         entries = np.arange(17.0) - 8.0
         alg = G.DiagonalAlgebra.of_dimension(17)
         assert alg.n == 17

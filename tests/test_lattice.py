@@ -209,16 +209,19 @@ class TestAtoms:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_is_atom_and_nonzero_match_their_definitions(self, name):
         """is_atom reads the down-set sizes: the same answer as membership in
-        atoms(), False out of range; nonzero() is every index but bottom, and
-        the shared array cannot be written."""
+        atoms(), False out of range; atom_index() is atoms() as an array and
+        nonzero() every index but bottom, and neither shared array can be
+        written."""
         L = CORPUS[name]
         atoms = set(L.atoms())
         assert [L.is_atom(a) for a in range(-2, L.n + 2)] == [
             a in atoms for a in range(-2, L.n + 2)]
         assert (L.downset_sizes() == L.leq.sum(axis=0)).all()
         assert L.nonzero().tolist() == [i for i in range(L.n) if i != L.bottom]
-        with pytest.raises(ValueError):
-            L.nonzero()[0] = L.bottom
+        assert L.atom_index().tolist() == list(L.atoms())
+        for index in (L.nonzero(), L.atom_index()):
+            with pytest.raises(ValueError):
+                index[0] = L.bottom
 
 
 class TestSublattices:
