@@ -56,14 +56,15 @@ transpose) walks square tiles of at most ``_SCAN_BYTES`` instead
 so only the tiles on or right of it are read, each gathered by rows.  This
 decides antisymmetry and order reversal.
 
-Distributivity is decided on every lattice from its join-primes
-(:func:`_distributive`): one row-blocked pass over the cached down-set
-sizes finds them, and one O(n) fold per prime checks that every element is
-the join of those below it.  Atomism is decided by counts
-(:func:`_unjoined`): x is the join of the atoms below it exactly when no
-y < x has as many atoms below it, one O(n^2) row-blocked pass and no fold
-per atom (on a distributive lattice ``lattice.verify_structure`` needs
-none: it is atomistic iff n = 2^|atoms|).  The
+Distributivity and atomism are one question, whether every element is the
+join of the elements of a set S below it, and one count test decides both
+(:func:`_unjoined`): x is that join exactly when no y < x has as many
+elements of S below it, one O(n^2) row-blocked pass.  For distributivity
+(:func:`_distributive`) S is the join-primes, which one row-blocked pass
+over the cached down-set sizes finds; a lattice with more than 2^|S|
+elements is not distributive (Birkhoff), and no count runs.  For atomism S
+is the atoms (on a distributive lattice ``lattice.verify_structure`` needs
+no pass: it is atomistic iff n = 2^|atoms|).  The
 O(n^3) triple scan (:func:`distributivity_witness`) runs only to name the
 witness of a lattice that fails, and skips the rows of the elements
 comparable to every element, which cannot fail.  Orthomodularity is decided
@@ -418,16 +419,6 @@ def distributivity_witness(meet, join):
     return -1, -1, -1
 
 
-def _joins_below(leq: np.ndarray, join: np.ndarray, elements, bottom: int) -> np.ndarray:
-    """[x] -> the join of the given elements below x (bottom if none), folded
-    in their order for every x at once."""
-    acc = np.full(leq.shape[0], bottom)
-    for t in elements:
-        above = leq[t]
-        acc[above] = join[acc[above], t]
-    return acc
-
-
 def _unjoined(leq: np.ndarray, elements) -> np.ndarray:
     """[x] -> whether x is not the join of the given elements below it.
 
@@ -450,14 +441,17 @@ def _unjoined(leq: np.ndarray, elements) -> np.ndarray:
     return bad
 
 
-def _distributive(leq: np.ndarray, join: np.ndarray, down: np.ndarray) -> bool:
+def _distributive(leq: np.ndarray, down: np.ndarray) -> bool:
     """Whether the lattice is distributive: exactly when every element is the
     join of the join-primes below it (Birkhoff; Davey & Priestley,
-    *Introduction to Lattices and Order*, 2002).  p != 0 is join-prime iff
-    {x : p </= x} is a principal ideal, that is, iff the member of that set
-    with the largest down-set has a down-set as large as the set.  ``down``
-    holds the down-set sizes (``FiniteOML.downset_sizes``), all positive, so
-    the product below is 0 off the set; counts stay in down's type."""
+    *Introduction to Lattices and Order*, 2002), which the count test of
+    :func:`_unjoined` decides.  A distributive lattice is the lattice of
+    down-sets of its join-primes, so one with more than 2^|primes| elements
+    is not, and no count runs.  p != 0 is join-prime iff {x : p </= x} is a
+    principal ideal, that is, iff the member of that set with the largest
+    down-set has a down-set as large as the set.  ``down`` holds the
+    down-set sizes (``FiniteOML.downset_sizes``), all positive, so the
+    product below is 0 off the set; counts stay in down's type."""
     n = leq.shape[0]
     primes = []
     for rows in row_blocks(n, down.itemsize * n):
@@ -465,8 +459,8 @@ def _distributive(leq: np.ndarray, join: np.ndarray, down: np.ndarray) -> bool:
         top = (outside * down).argmax(axis=1)
         size = outside.sum(axis=1, dtype=down.dtype)
         primes.append(rows.start + np.flatnonzero(down[top] == size))
-    acc = _joins_below(leq, join, np.concatenate(primes), int(np.argmin(down)))
-    return bool((acc == np.arange(n)).all())
+    primes = np.concatenate(primes)
+    return n <= 1 << primes.size and not _unjoined(leq, primes).any()
 
 
 def _orthomodular(leq: np.ndarray, meet: np.ndarray, ortho: np.ndarray, bottom: int) -> bool:

@@ -22,16 +22,14 @@ def boolean_lattice(m: int, atom_names: list[str] | None = None) -> FiniteOML:
         atom_names = [f"e{i + 1}" for i in range(m)]
     if len(atom_names) != m:
         raise ValueError("need one name per atom")
+    # by doubling: the masks below 2^(i+1) are those below 2^i, then each of
+    # them with atom i added, so every name lists its atoms in index order
+    names = [""]
+    for a in atom_names:
+        names += [a] + [f"{s}+{a}" for s in names[1:]]
+    names[0], names[-1] = "0", "1"
     n = 1 << m
     masks = np.arange(n, dtype=index_dtype(n))
-    names = []
-    for s in masks:
-        if s == 0:
-            names.append("0")
-        elif s == n - 1:
-            names.append("1")
-        else:
-            names.append("+".join(atom_names[i] for i in range(m) if s >> i & 1))
     leq = (masks[:, None] & ~masks[None, :]) == 0  # subset inclusion
     ortho = (n - 1) ^ masks
     meet = masks[:, None] & masks[None, :]

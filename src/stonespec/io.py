@@ -344,7 +344,7 @@ def load_quasipoint_data(path, L: FiniteOML) -> dict[int, float]:
         if a not in atoms:
             raise SchemaError(f"{path}: index {a} is not an atom")
         out[a] = float(f)
-    if set(out) != atoms:
+    if len(out) != len(values) or set(out) != atoms:
         raise SchemaError(f"{path}: need exactly one value per atom")
     return out
 

@@ -402,15 +402,16 @@ def verify_structure(L: FiniteOML) -> StructureReport:
 
     Order reversal is the verdict the lattice decided at construction
     (:meth:`FiniteOML.reverses_order`).  Distributivity is decided on every
-    lattice by its join-primes in O(n^2), over the cached down-set sizes,
-    plus one fold per prime; the O(n^3) triple scan runs only to find the
-    witness of a failure.  Orthomodularity is decided on an ortholattice by
-    one O(n^2) row test (``_kernels._orthomodular``); the gather of every
-    a v (b ^ a') runs only when the orthocomplement test or that decision
-    fails, to name the witness (and to decide, off the ortholattice axioms).
-    Atomism is read off distributivity when the lattice is distributive
-    (n = 2^|atoms|), else decided, with its witness, by the O(n^2) count
-    test of ``_kernels._unjoined``: no fold per atom.
+    lattice by its join-primes in O(n^2), over the cached down-set sizes:
+    a lattice with more than 2^|primes| elements is not distributive, and
+    the count test of ``_kernels._unjoined`` decides the others; the O(n^3)
+    triple scan runs only to find the witness of a failure.
+    Orthomodularity is decided on an ortholattice by one O(n^2) row test
+    (``_kernels._orthomodular``); the gather of every a v (b ^ a') runs
+    only when the orthocomplement test or that decision fails, to name the
+    witness (and to decide, off the ortholattice axioms).  Atomism is read
+    off distributivity when the lattice is distributive (n = 2^|atoms|),
+    else decided, with its witness, by the same count test over the atoms.
     """
     rep = StructureReport(is_lattice=True)
     ok, wit = _ortho_complement_verdict(L)
@@ -424,7 +425,7 @@ def verify_structure(L: FiniteOML) -> StructureReport:
         rep.is_orthomodular = a < 0
         if a >= 0:
             rep.witnesses["is_orthomodular"] = (a, b)
-    rep.is_distributive = _kernels._distributive(L.leq, L.join_table, L.downset_sizes())
+    rep.is_distributive = _kernels._distributive(L.leq, L.downset_sizes())
     if not rep.is_distributive:
         rep.witnesses["is_distributive"] = _kernels.distributivity_witness(
             L.meet_table, L.join_table)

@@ -646,7 +646,7 @@ def criterion_distributivity_dichotomy(seed: int = 7) -> Check:
             realized += 1
         if realized != 3 ** len(atoms):
             problems.append(f"only {realized} functions realized on {name}")
-        verdict = recon.mirror_symmetry_test(L, distributive=True)
+        verdict = recon.mirror_symmetry_test(L)
         if not verdict.symmetric:
             problems.append(f"mirror symmetry fails on {name}")
     for name in ("MO2", "MO3"):
@@ -667,7 +667,7 @@ def criterion_distributivity_dichotomy(seed: int = 7) -> Check:
         f, g = observable_fn(E), mirrored_fn(E)
         if not any(float(f.values[t]) != float(g.values[t]) for t in atoms):
             problems.append(f"no mirrored split found on {name}")
-        verdict = recon.mirror_symmetry_test(L, distributive=False)
+        verdict = recon.mirror_symmetry_test(L)
         if verdict.symmetric:
             problems.append(f"mirror asymmetry not detected on {name}")
     return _verdict("distributivity-dichotomy", problems, "all {0, 1/2, 1}-valued quasipoint "

@@ -1005,12 +1005,12 @@ def test_join_prime_test_matches_triple_scan(rows, L):
     bytes: int16 down-set sizes), against the triple loop on lattices of sets
     with no orthocomplement, distributive or not; verify_structure's verdict
     and witness too.  Caught: primes taken
-    without their block offset, a fold that skips the last block's primes,
-    and up-set sizes read as down-set sizes."""
+    without their block offset, the last block's primes skipped, and up-set
+    sizes read as down-set sizes."""
     witness = triple_scan(L.meet_table, L.join_table)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_SCAN_BYTES", rows * 2 * L.n)
-        distributive = _kernels._distributive(L.leq, L.join_table, L.downset_sizes())
+        distributive = _kernels._distributive(L.leq, L.downset_sizes())
         assert distributive == (witness is None)
         rep = verify_structure(L)
     assert rep.is_distributive == (witness is None)
@@ -1370,7 +1370,7 @@ def check_blocked_scans(L, t):
     assert _kernels.orthomodularity_witness(
         L.leq, L.meet_table, L.join_table, o
     ) == one_shot_orthomodularity(L.leq, L.meet_table, L.join_table, o)
-    assert _kernels._distributive(L.leq, L.join_table, L.downset_sizes()) == (
+    assert _kernels._distributive(L.leq, L.downset_sizes()) == (
         triple_scan(L.meet_table, L.join_table) is None)
     assert (_kernels._ortho_witness(L.leq, o) is None) == bool(
         (L.leq[np.ix_(o, o)] == L.leq.T).all())
@@ -1509,7 +1509,7 @@ def test_distributivity_scan_builds_no_square_temporary():
     assert verify_structure(L).witnesses["is_distributive"] == triple_scan(
         L.meet_table, L.join_table)
     assert traced_peak(_kernels.distributivity_witness, L.meet_table, L.join_table) < 1 << 20
-    assert traced_peak(_kernels._distributive, L.leq, L.join_table, L.downset_sizes()) < 1 << 20
+    assert traced_peak(_kernels._distributive, L.leq, L.downset_sizes()) < 1 << 20
 
 
 def test_signature_path_holds_its_table_and_row_blocks():
@@ -2138,20 +2138,64 @@ def test_count_test_matches_fold_on_any_elements(rows, L, data):
     assert (rep.is_atomistic, rep.witnesses.get("is_atomistic")) == fold_atomistic(L)
 
 
-def test_atomism_runs_no_fold_over_atoms(monkeypatch):
-    """On MO127 (254 atoms, no join-prime) the only fold left, distributivity's
-    over the join-primes, folds nothing."""
-    folded = []
-    real = _kernels._joins_below
+@pytest.mark.parametrize("name", ["MO127", "2^4xMO2", "2^5xMO2", "2^4xO6", "2^5xO6",
+                                  "2^6", "2^6 direct"])
+def test_structure_runs_one_count_test(monkeypatch, name):
+    """verify_structure runs the count test once: for atomism on MO127 and
+    the products, where n > 2^|join-primes| decides distributivity with no
+    pass, and for distributivity on 2^6, whose join-primes are its atoms and
+    whose atomism is read off n = 2^|atoms|."""
+    L = FACTS[name]
+    real = _kernels._unjoined
+    calls = []
 
-    def counted(leq, join, elements, bottom):
-        folded.append(len(elements))
-        return real(leq, join, elements, bottom)
+    def counted(leq, elements):
+        calls.append(sorted(int(e) for e in elements))
+        return real(leq, elements)
 
-    monkeypatch.setattr(_kernels, "_joins_below", counted)
-    rep = verify_structure(FACTS["MO127"])
-    assert rep.is_atomistic and not rep.is_distributive
-    assert folded == [0]
+    monkeypatch.setattr(_kernels, "_unjoined", counted)
+    rep = verify_structure(L)
+    assert calls == [sorted(L.atoms())]
+    assert rep.is_distributive == name.startswith("2^6")
+
+
+def brute_join_primes(L):
+    """The p != 0 with p <= a v b only if p <= a or p <= b, by definition."""
+    n, j = L.n, L.join_table
+    return [p for p in range(n) if p != L.bottom and all(
+        L.leq[p, a] or L.leq[p, b] for a in range(n) for b in range(n) if L.leq[p, j[a, b]])]
+
+
+@st.composite
+def birkhoff_sides(draw):
+    """Relabeled lattices on both sides of n <= 2^|join-primes|: chains and
+    O6 x chain4 or chain5 within it (24 elements and 5 join-primes, not
+    distributive), corpus lattices and products (2^m at it; sets8, MOk and
+    the products with MO2 or O6 past it)."""
+    kind = draw(st.sampled_from(["sets8", "chain", "O6xchain", "base"]))
+    if kind == "sets8":
+        L = FACTS["sets8"]
+    elif kind == "chain":
+        L = chain(draw(st.integers(2, 12)))
+    elif kind == "O6xchain":
+        L = product(benzene(), chain(draw(st.integers(4, 5))))
+    else:
+        L = BASES[draw(st.sampled_from(sorted(BASES)))]
+    return relabel(L, draw(st.permutations(range(L.n))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(L=birkhoff_sides())
+def test_distributive_matches_triple_scan_at_and_past_the_bound(L):
+    """_distributive against the triple loop, and every lattice past the
+    bound fails the loop.  Caught: the bound taken strictly (2^m fails) and
+    the bound alone (O6 x chain passes).  The bound is a shortcut, so the
+    verdicts hold without it; test_structure_runs_one_count_test shows it
+    is taken."""
+    distributive = triple_scan(L.meet_table, L.join_table) is None
+    assert _kernels._distributive(L.leq, L.downset_sizes()) == distributive
+    if L.n > 1 << len(brute_join_primes(L)):
+        assert not distributive
 
 
 def test_order_reversal_decided_once(monkeypatch, tmp_path):
@@ -2369,6 +2413,38 @@ def loop_step_jumps(star):
                 mask |= 1 << i
         jumps.append((float(u), mask))
     return jumps
+
+
+def loop_boolean_names(m, atom_names=None):
+    """boolean_lattice's element names as it built them: one bit test per
+    atom and mask."""
+    if atom_names is None:
+        atom_names = [f"e{i + 1}" for i in range(m)]
+    n = 1 << m
+    names = []
+    for s in np.arange(n, dtype=np.int16):
+        if s == 0:
+            names.append("0")
+        elif s == n - 1:
+            names.append("1")
+        else:
+            names.append("+".join(atom_names[i] for i in range(m) if s >> i & 1))
+    return names
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 10), st.booleans(), st.data())
+def test_boolean_names_match_bit_loop(m, custom, data):
+    """boolean_lattice's names, built by doubling, equal the per-bit loop's,
+    with the default atom names and with drawn ones (empty and '+' among
+    them, where the loop's names stay unique)."""
+    atom_names = None
+    if custom:
+        atom_names = data.draw(st.lists(st.text("ab+", max_size=3), min_size=m, max_size=m,
+                                        unique=True))
+        want = loop_boolean_names(m, atom_names)
+        assume(len(set(want)) == len(want))
+    assert list(boolean_lattice(m, atom_names).names) == loop_boolean_names(m, atom_names)
 
 
 def assert_same_jumps(E, jumps):

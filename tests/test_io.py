@@ -214,6 +214,16 @@ class TestFamilyAndTableFiles:
         with pytest.raises(SchemaError, match="atom"):
             sio.load_quasipoint_data(path, B2)
 
+    def test_quasipoint_data_rejects_repeated_atoms(self, tmp_path):
+        """A repeated atom is refused, as load_table refuses a repeated
+        element, even when every atom has a value."""
+        B2 = CORPUS["B2"]
+        a, b = B2.atoms()
+        path = write(tmp_path, "qp.json", {"values": [
+            {"atom": a, "f": 0}, {"atom": a, "f": 5}, {"atom": b, "f": 1}]})
+        with pytest.raises(SchemaError, match="exactly one value per atom"):
+            sio.load_quasipoint_data(path, B2)
+
 
 class TestMatrixFiles:
     def test_round_trip(self, tmp_path):

@@ -248,13 +248,13 @@ class TestSublevelIdeals:
 class TestMirrorSymmetry:
     @pytest.mark.parametrize("name", ["chain-2", "B2", "2^3", "2^4"])
     def test_distributive_side(self, name):
-        verdict = recon.mirror_symmetry_test(CORPUS[name], distributive=True)
+        verdict = recon.mirror_symmetry_test(CORPUS[name])
         assert verdict.symmetric
 
     @pytest.mark.parametrize("name", ["MO2", "MO3"])
     def test_non_distributive_side(self, name):
         L = CORPUS[name]
-        verdict = recon.mirror_symmetry_test(L, distributive=False)
+        verdict = recon.mirror_symmetry_test(L)
         assert not verdict.symmetric
         assert verdict.witness_family is not None
         # the witness family's mirrored restriction is realized by no family
@@ -268,7 +268,7 @@ class TestMirrorSymmetry:
             rep = verify_structure(L)
             if not rep.is_orthomodular:
                 continue
-            verdict = recon.mirror_symmetry_test(L, rep.is_distributive)
+            verdict = recon.mirror_symmetry_test(L)
             assert verdict.symmetric == rep.is_distributive
 
 
