@@ -2,7 +2,10 @@
 
 The lattice layer runs one n x n product, the common-upper-bound counts of
 the join search below, in float32, which numpy hands to BLAS.  Every count
-is at most n, so it is exact while n < 2**24.
+is at most n, so it is exact while n < 2**24, and the search keeps the
+counts in the index type of n + 1 (:func:`index_dtype`), cast once the
+float32 copy of the order is freed: the product's two float32 arrays, 8
+bytes a pair, are the peak of the search on all but small n.
 
 The join table comes first from meet-irreducible signatures (Birkhoff's
 representation; Ganter and Wille, *Formal Concept Analysis*, 1999): every
@@ -44,7 +47,8 @@ The tables hold element indices in the narrowest integer type that holds
 n - 1 (:func:`index_dtype`): int16, two bytes a pair, while n <= 2^15.
 Permutation gathers of n x n bool and index arrays take rows, then columns
 (two ``take`` calls), which numpy runs several times faster than the 2-D
-``np.ix_`` gather.
+``np.ix_`` gather; the join search relabels its table so, one row block at a
+time, into its output.
 
 The n^2 law scans run in row blocks of at most ``_SCAN_BYTES`` per
 temporary, so no scan allocates an n x n array; blocks that small are
@@ -163,40 +167,50 @@ def unpacked_rows(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
 
 
-def _first_common(rows: np.ndarray, cols: np.ndarray, w0: int) -> np.ndarray:
-    """[i, j] -> lowest bit set in both word rows rows[i] and cols[j], else -1;
-    words before w0 must be empty in one of the two.
+def _first_common(rows: np.ndarray, cols: np.ndarray, w0: int, dtype) -> np.ndarray:
+    """[i, j] -> lowest bit set in both word rows rows[i] and cols[j], else -1,
+    of the given integer type; words before w0 must be empty in one of the two.
 
     Scans one word at a time and stops once every pair has found its bit;
-    the lowest set bit of v is the number of ones in (v & -v) - 1.
+    the lowest set bit of v is the number of ones in (v & -v) - 1, taken in
+    place on the words of the new hits, so a word of the block holds at most
+    two 8-byte temporaries per pair.
     """
-    out = np.full((len(rows), len(cols)), -1, np.int64)
+    out = np.full((len(rows), len(cols)), -1, dtype)
     flat = out.reshape(-1)
     todo = np.ones(flat.size, bool)
     left = flat.size
     for w in range(w0, rows.shape[1]):
         v = (rows[:, w, None] & cols[None, :, w]).reshape(-1)
-        hit = np.flatnonzero(todo & (v != 0))
-        if hit.size:
+        hit = v != 0
+        hit &= todo
+        found = np.count_nonzero(hit)
+        if found:
             v = v[hit]
-            flat[hit] = np.bitwise_count((v & -v) - np.uint64(1)) + np.int64(64 * w)
-            left -= hit.size
+            low = np.negative(v)
+            low &= v
+            low -= np.uint64(1)
+            flat[hit] = np.bitwise_count(low) + out.dtype.type(64 * w)
+            left -= found
             if not left:
                 break
-            todo[hit] = False
+            todo &= ~hit
     return out
 
 
 def _upper_counts(leq: np.ndarray):
     """(by_up, pos, up, words, common, gap) of a reflexive relation: its
     elements by up-set size, largest first, the position of each, and by
-    position the up-set sizes, packed rows and common-upper-bound counts;
+    position the up-set sizes, packed rows and common-upper-bound counts,
+    sizes and counts of type ``index_dtype(n + 1)``, the counts cast from
+    the float32 product after its float32 operand is freed;
     gap is the first pair of leq.leq & ~leq in row-major order, or None.  Row
     i has a gap iff some j >= i has fewer than |up(j)| common upper bounds
     with i; the least such i is its row, its column the first j in the rows
     of up(i) but not in row i."""
     n = leq.shape[0]
-    up = leq.sum(axis=1)  # |{c : i <= c}| per row i
+    count = index_dtype(n + 1)  # every count is at most n
+    up = leq.sum(axis=1, dtype=count)  # |{c : i <= c}| per row i
     by_up = np.argsort(-up, kind="stable")
     pos = np.empty(n, np.int64)
     pos[by_up] = np.arange(n)
@@ -206,7 +220,8 @@ def _upper_counts(leq: np.ndarray):
     del rel
     common = f @ f.T  # [i, j] -> number of common upper bounds
     del f
-    up = up[by_up].astype(np.float32)  # exact, and compared with counts of the same type
+    common = common.astype(count)  # exact: the counts are integers of at most n
+    up = up[by_up]
     failed = np.concatenate([(unpacked_rows(words[rows], n) & (common[rows] != up)).any(axis=1)
                              for rows in row_blocks(n, n)])
     if not failed.any():
@@ -233,22 +248,27 @@ def _joins(leq: np.ndarray):
     if gap is not None:
         return gap
     n = leq.shape[0]
+    dtype = index_dtype(n)
     # positions, not labels, in the search order
-    at = np.empty((n, n), index_dtype(n))
+    at = np.empty((n, n), dtype)
     ok = np.empty((n, n), bool)
     for w in range(words.shape[1]):
         cols = slice(64 * w, min(n, 64 * w + 64))
         step = max(1, _BLOCK_WORDS // (cols.stop - cols.start))
         for start in range(0, cols.stop, step):
             rows = slice(start, min(cols.stop, start + step))
-            k = _first_common(words[rows], words[cols], w)
+            k = _first_common(words[rows], words[cols], w, dtype)
             good = (k >= 0) & (up[k] == common[rows, cols])
             at[rows, cols] = k
             at[cols, rows] = k.T
             ok[rows, cols] = good
             ok[cols, rows] = good.T
     del common
-    return by_up.astype(at.dtype)[at.take(pos, axis=0).take(pos, axis=1)], ok, pos
+    labels = by_up.astype(dtype)
+    join = np.empty_like(at)
+    for rows in row_blocks(n, at.itemsize * n):
+        labels.take(at.take(pos[rows], axis=0).take(pos, axis=1), out=join[rows])
+    return join, ok, pos
 
 
 def _signature_joins(leq: np.ndarray, dual: bool = False) -> np.ndarray | None:

@@ -32,13 +32,16 @@ from .spectral import ObservableTable, SpectralFamily, make_spectral_family, tab
 # 2^11, 6.55 with the meets from the reversed order's signatures, 7.24 on
 # 2^10.  The join search, which runs where the signatures decline, holds the
 # join table and its ok mask (2 + 1).  When the meets are searched as the
-# joins of the reversed order, that search's float32 cast and counts (4 + 4)
-# at its product: 13 in all.  De Morgan meets skip the search, and the join
-# search holds 10 at its product.  On top come the packed rows (1/8) and the
-# search's word blocks and the closure's pair index arrays, which do not grow
-# with n^2.  16 bounds the search (13.98 bytes per pair traced on 2^11 with
-# a direct search, 15.74 on 2^10, where the fixed blocks weigh more), so the
-# cap admits n <= 8192.
+# joins of the reversed order, that search's product holds a float32 copy of
+# the order and the float32 counts (4 + 4): 13 in all.  The copy is freed
+# before the counts are cast to the index type (2), which the search keeps.
+# De Morgan meets skip that search, and the join search holds 10 at its
+# product.  On top come the packed rows (1/8) and the search's word blocks
+# and the closure's pair index arrays, which do not grow with n^2.  16
+# bounds the search (13.63 bytes per pair traced on 2^11 with a direct
+# search, 14.02 on 2^10, where the fixed blocks weigh more; 13.98 and 15.74
+# while the search kept float32 counts and int64 blocks), so the cap admits
+# n <= 8192.
 LATTICE_PAIR_BYTES = 16
 # A lattice file whose n^2 tables would pass this many bytes is refused before
 # anything of size n^2 is allocated: 1 GiB admits n <= 8192 elements.
@@ -83,9 +86,13 @@ def _is_number(x) -> bool:
     return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
-def _all_numbers(x) -> bool:
-    """Every leaf of the nested lists x is an int (not a bool) or a float."""
-    return isinstance(x, list) and all(map(_all_numbers, x)) or _is_int(x) or isinstance(x, float)
+def _all_numbers(x, ndim: int) -> bool:
+    """Every entry of x, nested lists that numpy read as an array of ``ndim``
+    dimensions, is an int or a float; bool is a type of its own."""
+    entries = [x]
+    for _ in range(ndim):
+        entries = itertools.chain.from_iterable(entries)
+    return set(map(type, entries)) <= {int, float}
 
 
 def _number_blocks(re, im, path, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +102,8 @@ def _number_blocks(re, im, path, what: str) -> tuple[np.ndarray, np.ndarray]:
         im_arr = np.zeros_like(re_arr) if im is None else np.asarray(im, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: {what} entries must be numbers") from exc
-    # numpy accepted the nesting, so the recursion is shallow; it parses strings and null
-    if not (_all_numbers(re) and (im is None or _all_numbers(im))):
+    # numpy accepted the nesting, so it is rectangular; it parses strings and null
+    if not (_all_numbers(re, re_arr.ndim) and (im is None or _all_numbers(im, im_arr.ndim))):
         raise SchemaError(f"{path}: {what} entries must be numbers")
     if not (np.isfinite(re_arr).all() and np.isfinite(im_arr).all()):
         raise SchemaError(f"{path}: {what} entries must be finite")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import boolean_lattice
-from .spectral import SpectralFamily, make_spectral_family, observable_fn
+from .spectral import SpectralFamily, make_spectral_family, observable_fn, sorted_unique
 
 HERM_TOL = 1e-12
 SNAP_TOL = 1e-12  # gelfand layer: entry merging and the Hermitian test (relative), isometry
@@ -182,7 +182,7 @@ def _boolean_family(values, atom_names: list[str] | None = None) -> SpectralFami
     i-th atom filter, in ``FiniteOML.atom_index`` order."""
     values = np.asarray(values, dtype=np.float64)
     L = boolean_lattice(len(values), atom_names)
-    levels = np.unique(values)
+    levels = sorted_unique(values)
     masks = (values <= levels[:, None]) @ (1 << np.arange(len(values)))
     return make_spectral_family(L, zip(levels.tolist(), masks.tolist()))
 
@@ -594,7 +594,7 @@ def reconstruct_from_rays(oracle, probes) -> ProjectorFamily:
     probes = [normalize_ray(p) for p in probes]
     n = len(probes[0])
     vals = np.array([float(oracle(p)) for p in probes])
-    observed = np.unique(vals)
+    observed = sorted_unique(vals)
     thresholds = []
     bases = []
     prev_rank = 0

@@ -22,6 +22,7 @@ from .spectral import (
     make_spectral_family,
     mirrored_fn,
     observable_fn,
+    sorted_unique,
 )
 
 
@@ -44,7 +45,7 @@ def _sublevel_family(L: FiniteOML, values) -> SpectralFamily | None:
         return None
     # the levels as np.unique picks them (its sort decides whether a zero level
     # reads -0.0 or 0.0); searchsorted finds either zero's level
-    levels = np.unique(v)
+    levels = sorted_unique(v)
     level = np.searchsorted(levels, v)
     down = L.downset_sizes()
     order = np.lexsort((down[nz], level))  # by level, then by down-set size
@@ -239,7 +240,7 @@ def verify_reconstruction_steps(L: FiniteOML, f: ObservableTable) -> StepReport:
     vals = E.values
     increasing = bool((L.le_each(vals[:-1], vals[1:]) & (vals[:-1] != vals[1:])).all())
     monotone = _monotone_continuous(L, f.values)
-    levels = np.unique(f.values[L.nonzero()])
+    levels = sorted_unique(f.values[L.nonzero()])
     image_finite = bool(np.isfinite(levels).all())
     try:
         family_valid = observable_fn(make_spectral_family(L, E.jumps())) == f
@@ -313,7 +314,7 @@ def verify_sublevel_ideals(L: FiniteOML, r: ObservableTable) -> SublevelReport:
     nz = [int(p) for p in L.nonzero()]
     rep = SublevelReport(passed=True)
     rtop = float(r.values[L.top])
-    for lam in np.unique(r.values[nz]):
+    for lam in sorted_unique(r.values[nz]):
         lam = float(lam)
         if lam >= rtop:
             rep.improper_levels.append(lam)

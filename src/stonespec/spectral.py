@@ -23,6 +23,20 @@ from .lattice import FiniteOML, principal_ideal
 from .stone import DualIdeal, Quasipoint, quasipoints_containing
 
 
+def sorted_unique(x) -> np.ndarray:
+    """np.unique(x) of real or integer x, bit for bit, by its sort path: the
+    sorted values, the first of each run of equal ones (so the sort decides
+    whether a zero reads -0.0 or 0.0), and one NaN for all of them (NaNs sort
+    last).  np.unique itself imports numpy.ma on its first call in a process."""
+    a = np.sort(x, axis=None)
+    keep = np.empty(a.shape, bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    if a.dtype.kind == "f" and a.size and np.isnan(a[-1]):
+        keep[np.searchsorted(a, a[-1]) + 1:] = False
+    return a[keep]
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralFamily:
     """Jump representation of a bounded right-continuous spectral family."""
@@ -204,7 +218,7 @@ class ObservableTable:
             keys = self.lattice.nonzero()
         else:
             raise ValueError("over must be 'quasipoints' or 'dual_ideals'")
-        return np.unique(self.values[keys])
+        return sorted_unique(self.values[keys])
 
     def __eq__(self, other):
         if not isinstance(other, ObservableTable):
@@ -499,6 +513,6 @@ def random_spectral_family(L: FiniteOML, rng: np.random.Generator) -> SpectralFa
         chain.append(cur)
     chain.reverse()
     thr = np.sort(rng.normal(0.0, 3.0, size=len(chain)))
-    while len(np.unique(thr)) != len(thr):  # pragma: no cover - measure zero
+    while len(sorted_unique(thr)) != len(thr):  # pragma: no cover - measure zero
         thr = np.sort(rng.normal(0.0, 3.0, size=len(chain)))
     return make_spectral_family(L, zip(thr.tolist(), chain))

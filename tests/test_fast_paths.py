@@ -61,6 +61,7 @@ from stonespec.spectral import (
     mirrored_fn,
     observable_fn,
     random_spectral_family,
+    sorted_unique,
 )
 
 # ---------------------------------------------------------------------------
@@ -1524,16 +1525,38 @@ def test_signature_path_holds_its_table_and_row_blocks():
 
 
 def test_bound_tables_hold_one_bit_block_and_one_count_table():
-    """Beyond its two int64 output tables, the join search of bound_tables
-    (the signature path declined) at n = 512 holds at most one block of
-    ANDed bit rows and one float32 count table (3 MiB); with both count
-    tables and their casts it took 4.8 MB."""
+    """The join search of bound_tables (the signature path declined) at
+    n = 512 holds at most one block of ANDed bit rows and one count table
+    in the index type, next to its table of positions and ok mask (2 + 2 +
+    1 bytes a pair): 8.44 bytes a pair traced, so at most the float32
+    product's 8 and a margin of 1/2.  With a float32 count table and int64
+    blocks it took 12.66."""
     L = relabel(boolean_lattice(9), np.random.default_rng(2).permutation(512))
     n = L.n
     with pytest.MonkeyPatch.context() as mp:
         decline_signatures(mp)
         peak = traced_peak(_kernels.bound_tables, L.leq, L.ortho)
-    assert peak - 2 * 8 * n * n < 8 * _kernels._BLOCK_WORDS + 4 * n * n
+    assert peak < 8.5 * n * n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=reflexive_relations())
+@example(case=(np.random.default_rng(3).random((700, 700)) < 0.7, None))
+def test_upper_counts_match_float32_product(case):
+    """The up-set sizes and common-upper-bound counts of _upper_counts, of
+    the index type of n + 1, equal the float32 product of the order
+    relabeled by up-set size with its transpose, on reflexive relations
+    transitive or not (cyclic ones among them), and on a random 700 x 700
+    relation, whose counts pass 2^8."""
+    leq, _ = case
+    leq = leq | np.eye(leq.shape[0], dtype=bool)
+    n = leq.shape[0]
+    by_up, pos, up, words, common, gap = _kernels._upper_counts(leq)
+    rel = leq.take(by_up, axis=0).take(by_up, axis=1).astype(np.float32)
+    assert up.dtype == common.dtype == _kernels.index_dtype(n + 1)
+    assert np.array_equal(common, rel @ rel.T)
+    assert np.array_equal(up, rel.sum(axis=1))
+    assert np.array_equal(pos[by_up], np.arange(n))
 
 
 # ---------------------------------------------------------------------------
@@ -2445,6 +2468,23 @@ def test_boolean_names_match_bit_loop(m, custom, data):
         want = loop_boolean_names(m, atom_names)
         assume(len(set(want)) == len(want))
     assert list(boolean_lattice(m, atom_names).names) == loop_boolean_names(m, atom_names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0])
+             | st.floats(), max_size=12).map(lambda xs: np.array(xs, np.float64)),
+    st.lists(st.integers(-3, 3) | st.integers(-2**63, 2**63 - 1), max_size=12)
+    .map(lambda xs: np.array(xs, np.int64)),
+    st.lists(st.integers(-2**15, 2**15 - 1), max_size=12).map(lambda xs: np.array(xs, np.int16)),
+))
+def test_sorted_unique_matches_np_unique(x):
+    """sorted_unique equals np.unique bit for bit, in type and in every bit
+    of every value: on floats with both signed zeros, both infinities and
+    NaNs (one NaN kept), and on ints."""
+    got, want = sorted_unique(x), np.unique(x)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def assert_same_jumps(E, jumps):

@@ -106,6 +106,19 @@ def test_fresh_process_imports_only_its_layers(files, command):
     assert imported_modules(run.stderr) == layers
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "matrix approx"])
+def test_fresh_process_leaves_numpy_ma_out(files, command):
+    """np.unique imports numpy.ma on its first call in a process; the levels
+    these commands sort come from spectral.sorted_unique, which does not."""
+    template, _ = COMMANDS[command]
+    args = [arg.format(**files) for arg in template]
+    code = ("import atexit, sys; atexit.register(lambda: print('numpy.ma' in sys.modules, "
+            "file=sys.stderr)); from stonespec.cli import main; main()")
+    run = fresh("-c", code, *args)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == "False", run.stderr
+
+
 def test_public_names_resolve_to_their_submodules():
     for module, names in PUBLIC.items():
         submodule = importlib.import_module(f"stonespec.{module}")
