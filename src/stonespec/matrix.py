@@ -1,8 +1,11 @@
 """Numerical layer: Hermitian matrices, eigenprojections, ray values and the
 bridge into finite Boolean lattices.
 
-All tolerances live here, as fixed constants; the lattice layer stays exact.
-The verification helpers compare ray and eigenvalues within ``MAT_TOL``.
+All tolerances of this layer and the Gelfand layer live here, as constants; the
+lattice layer stays exact.  Entries, eigenvalues and ray values are compared
+within a constant times ||A|| (``EigenDecomposition.norm()``, or max |A_ij|
+before a decomposition), with no absolute floor, so f_{cA} = c f_A holds for c
+a power of two.  ``RAY_TOL`` and ``WARN_BAND`` bound unit-ray norms, unscaled.
 
 Every Boolean family of the bridge and of the Gelfand layer comes from one
 builder, ``_boolean_family``; only it, ``corpus.boolean_lattice`` and
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -22,11 +26,12 @@ import numpy as np
 from .corpus import boolean_lattice
 from .spectral import SpectralFamily, make_spectral_family, observable_fn, sorted_unique
 
-HERM_TOL = 1e-12
-SNAP_TOL = 1e-12  # gelfand layer: entry merging and the Hermitian test (relative), isometry
-RAY_TOL = 1e-9
+HERM_TOL = 1e-12  # |A - A^H|: as_hermitian and gelfand.diagonalize
+SNAP_TOL = 1e-12  # gelfand layer: entry merging and the isometry
+NORMAL_TOL = 1e-9  # gelfand.diagonalize: commutator (times ||A||^2), off-diagonal residual
+RAY_TOL = 1e-9  # unit rays: support components, Gram error, ranks of ray spans
 MAT_TOL = 1e-9  # comparison tolerance of the verification helpers
-CLUSTER_SCALE = 1e-8
+CLUSTER_SCALE = 1e-8  # cluster width and eig's residual bound
 WARN_BAND = (1e-12, 1e-6)
 RAY_BLOCK_BYTES = 1 << 18  # one block of rays, as complex rows
 MAX_STEP_INTERVALS = 10**7  # grid intervals of step_approx (two float arrays of this length)
@@ -44,33 +49,33 @@ class CostCapError(ValueError):
     """The input needs more work or memory than a documented cap allows."""
 
 
-def hermitian_gap(half: np.ndarray) -> tuple[float, float]:
-    """Deviation max |h - h^H| and scale max |h| of h = a/2.
-
-    Both are half of a's own, exactly in the normal range, and the scale is
-    finite for every finite a, so a tolerance test ``deviation <= tol *
-    scale`` on them is a's own test; a deviation past the float limit reads
-    inf and fails it.
-    """
-    scale = float(np.abs(half).max(initial=0.0))
-    with np.errstate(over="ignore"):
-        deviation = float(np.abs(half - half.conj().T).max(initial=0.0))
-    return deviation, scale
-
-
-def as_hermitian(a) -> np.ndarray:
-    """Validate near-Hermitian input and return its symmetrized copy."""
+def hermitian_part(a) -> np.ndarray | None:
+    """(a + a^H) / 2 of a square matrix a with |a - a^H| <= HERM_TOL |a|, else None:
+    the one Hermitian test.  Both sides are read off a/2, half of a's own and
+    finite for every finite a, so a deviation past the float limit reads inf and
+    fails.  Below |a| of about 2e-296, HERM_TOL |a| is subnormal and the test
+    tightens toward exact symmetry."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    # halves first: a - a^H, |a| and (a + a^H) / 2 overflow on entries near
-    # the float limit, and halving is exact in the normal range
-    half = a / 2
-    deviation, scale = hermitian_gap(half)
-    if not (deviation <= HERM_TOL * max(0.5, scale)):
-        raise ValueError("matrix is not Hermitian within tolerance")
+    half = a / 2  # a - a^H, |a| and (a + a^H) / 2 overflow near the float limit
+    scale = float(np.abs(half).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        deviation = float(np.abs(half - half.conj().T).max(initial=0.0))
+    if not (deviation <= HERM_TOL * scale):
+        return None
     half += half.conj().T
     return half
+
+
+def as_hermitian(a) -> np.ndarray:
+    """Validate near-Hermitian input, |a - a^H| <= HERM_TOL |a| with no floor, and
+    return hermitian_part's symmetrized copy; below |a| of about 2e-296 the test
+    tightens toward exact symmetry."""
+    h = hermitian_part(a)
+    if h is None:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return h
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -138,27 +143,31 @@ def _cluster_starts(w: np.ndarray, ctol: float) -> np.ndarray:
 
 def eig(a) -> EigenDecomposition:
     """Eigendecomposition with clusters of nearly equal eigenvalues, each narrower
-    than 1e-8 max(1, ||A||), checked by ||V^H V - I||_F <= 1e-9 (it bounds sum P_c - I
-    and each P_i P_j) and the residual of V diag(lambda_c of each column) V^H, which is
-    sum lambda_c P_c without any P_c.  With the cluster mean as representative the
-    residual is below the cluster width, so only rounding can fail it.  Raises
-    ValueError where finite_eigh does."""
+    than ctol = CLUSTER_SCALE ||A||, checked by ||V^H V - I||_F <= RAY_TOL (it bounds
+    sum P_c - I and each P_i P_j) and, within ctol, the residual of V diag(lambda_c
+    of each column) V^H = sum lambda_c P_c.  With the cluster mean as representative
+    only rounding can fail it.  The zero matrix is one cluster.  Raises ValueError
+    where finite_eigh does, and where ||A|| > 0 but ctol is not a normal float
+    (||A|| < about 2.2e-300): a subnormal ctol has lost its precision, and a zero
+    one would merge every cluster."""
     A = as_hermitian(a)
     n = A.shape[0]
     w, V = finite_eigh(A)
     V = _fix_phases(V)
     norm = float(np.abs(w).max(initial=0.0))
-    ctol = CLUSTER_SCALE * max(1.0, norm)
-    starts = _cluster_starts(w, ctol)
+    ctol = CLUSTER_SCALE * norm
+    if norm and ctol < sys.float_info.min:  # the smallest normal float
+        raise ValueError(f"matrix norm {norm:g} is too small: the relative tolerances underflow")
+    starts = _cluster_starts(w, ctol or math.inf)
     clusters = np.split(np.arange(n), starts[1:])
     # k * mean(w / k), k a power of two above the cluster size: the cluster sum may
     # overflow where its mean does not, and such scaling is exact in the normal range
     values = np.array([k * float(np.mean(w[c] / k)) for c in clusters
                        for k in [2 ** len(c).bit_length()]])
-    if not (np.linalg.norm(V.conj().T @ V - np.eye(n)) <= 1e-9):
+    if not (np.linalg.norm(V.conj().T @ V - np.eye(n)) <= RAY_TOL):
         raise EigenError("eigenbasis is not orthonormal")
     recon = (V * np.repeat(values, [len(c) for c in clusters])) @ V.conj().T
-    if not (np.abs(recon - A).max() <= 1e-8 * max(1.0, norm)):
+    if not (np.abs(recon - A).max() <= ctol):
         raise EigenError("spectral resolution does not reproduce the matrix")
     return EigenDecomposition(A, values, V, starts)
 
@@ -219,10 +228,8 @@ def verify_spectrum_identity(a) -> SpectrumReport:
     sp = d.values
     err = float("inf")
     if len(img_q) == len(sp) and len(img_d) == len(sp):
-        err = max(
-            float(np.abs(img_q - sp).max()), float(np.abs(img_d - sp).max())
-        )
-    return SpectrumReport(err <= MAT_TOL, sp.copy(), img_q, img_d, err)
+        err = max(float(np.abs(img_q - sp).max()), float(np.abs(img_d - sp).max()))
+    return SpectrumReport(err <= MAT_TOL * d.norm(), sp.copy(), img_q, img_d, err)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +445,7 @@ class RayAxiomReport:
 
 
 def _span_law(d: EigenDecomposition, rng: np.random.Generator, k: int) -> tuple[int, int]:
-    """Span-law violations f(z) > max(f(x), f(y)) + MAT_TOL, z = alpha x + beta y,
+    """Span-law violations f(z) > max(f(x), f(y)) + MAT_TOL ||A||, z = alpha x + beta y,
     and band hits over k random triples drawn as one block: per triple, x and y
     (real, then imaginary parts), then the real and imaginary parts of alpha and
     of beta, the order of two random_ray calls and four scalar draws.  A triple
@@ -449,11 +456,11 @@ def _span_law(d: EigenDecomposition, rng: np.random.Generator, k: int) -> tuple[
     y = normalize_rays(g[:, 2 * n:3 * n] + 1j * g[:, 3 * n:4 * n])
     c = g[:, 4 * n:]
     z = (c[:, :1] + 1j * c[:, 1:2]) * x + (c[:, 2:3] + 1j * c[:, 3:]) * y
-    keep = np.linalg.norm(z, axis=1) >= 1e-9
+    keep = np.linalg.norm(z, axis=1) >= RAY_TOL
     fx, _, bx = _ray_values(d, _component_norms(d, x[keep]))
     fy, _, by = _ray_values(d, _component_norms(d, y[keep]))
     fz, _, bz = _ray_values(d, _component_norms(d, normalize_rays(z[keep])))
-    bad = np.count_nonzero(fz > np.maximum(fx, fy) + MAT_TOL)
+    bad = np.count_nonzero(fz > np.maximum(fx, fy) + MAT_TOL * d.norm())
     return int(bad), int(np.count_nonzero(bx | by | bz))
 
 
@@ -488,15 +495,10 @@ def verify_ray_axioms(a, rng: np.random.Generator, samples: int = 1000) -> RayAx
     sub_bad = 0
     for i, (lo, hi) in enumerate(zip(d.starts, [*d.starts[1:], n])):
         ex += coef[:, lo:hi] @ d.basis[:, lo:hi].T
-        fixes = np.linalg.norm(ex - probes, axis=1) <= 1e-9
+        fixes = np.linalg.norm(ex - probes, axis=1) <= RAY_TOL
         sub_bad += int(np.count_nonzero(f_below[:, i] != fixes))
-    return RayAxiomReport(
-        span_bad == 0 and sub_bad == 0,
-        samples,
-        span_bad,
-        len(probes) * d.m,
-        sub_bad,
-    )
+    return RayAxiomReport(span_bad == 0 and sub_bad == 0, samples, span_bad,
+                          len(probes) * d.m, sub_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +527,13 @@ def projector_family_of(a) -> ProjectorFamily:
 
 
 def projector_distance(f1: ProjectorFamily, f2: ProjectorFamily) -> float:
-    """Max Frobenius distance between aligned steps; inf on shape mismatch.  The
-    two projectors of one step are built at a time."""
+    """Max Frobenius distance between aligned steps; inf on shape mismatch or on
+    thresholds apart by more than MAT_TOL times the largest.  The two projectors
+    of one step are built at a time."""
     if f1.k != f2.k:
         return float("inf")
-    if np.abs(f1.thresholds - f2.thresholds).max() > MAT_TOL:
+    scale = max(np.abs(f1.thresholds).max(), np.abs(f2.thresholds).max())
+    if np.abs(f1.thresholds - f2.thresholds).max() > MAT_TOL * scale:
         return float("inf")
     return max(
         float(np.linalg.norm(p @ p.conj().T - q @ q.conj().T))
@@ -577,9 +581,7 @@ def default_probes(n: int, rng: np.random.Generator) -> list[np.ndarray]:
 def resolving_probes(d: EigenDecomposition, rng: np.random.Generator) -> list[np.ndarray]:
     """A probe set that spans every cumulative spectral subspace: the
     eigenbasis columns plus the default structured set."""
-    probes = [d.basis[:, j].copy() for j in range(d.n)]
-    probes += default_probes(d.n, rng)
-    return probes
+    return [d.basis[:, j].copy() for j in range(d.n)] + default_probes(d.n, rng)
 
 
 def reconstruct_from_rays(oracle, probes) -> ProjectorFamily:
@@ -602,18 +604,14 @@ def reconstruct_from_rays(oracle, probes) -> ProjectorFamily:
         sel = [p for p, v in zip(probes, vals) if v <= lam]
         mat = np.stack(sel, axis=1)
         u, s, _ = np.linalg.svd(mat, full_matrices=False)
-        rank = int((s > 1e-9 * s[0]).sum())
+        rank = int((s > RAY_TOL * s[0]).sum())
         if rank <= prev_rank:
-            raise ProbeResolutionError(
-                f"no new direction resolved at value {lam!r}"
-            )
+            raise ProbeResolutionError(f"no new direction resolved at value {lam!r}")
         prev_rank = rank
         thresholds.append(float(lam))
         bases.append(u[:, :rank])
     if prev_rank != n:
-        raise ProbeResolutionError(
-            f"probes resolve only {prev_rank} of {n} dimensions"
-        )
+        raise ProbeResolutionError(f"probes resolve only {prev_rank} of {n} dimensions")
     return ProjectorFamily(np.array(thresholds), tuple(bases))
 
 
@@ -634,6 +632,7 @@ def verify_infsup_extension(a, rng: np.random.Generator, rays: int = 50) -> InfS
     n = d.n
     rep = InfSupReport(passed=True, checked=0)
     eye = np.eye(n, dtype=np.complex128)
+    tol = MAT_TOL * d.norm()
     for _ in range(rays):
         y = random_ray(n, rng)
         # chain: the ray projector, growing coordinate spans around y, identity
@@ -642,12 +641,12 @@ def verify_infsup_extension(a, rng: np.random.Generator, rays: int = 50) -> InfS
         block = []
         for mat in spans:
             u, s, _ = np.linalg.svd(mat, full_matrices=False)
-            basis = u[:, s > 1e-9]
+            basis = u[:, s > RAY_TOL]
             block += [basis @ random_rays(basis.shape[1], 8, rng).T, y[:, None]]
         f = _block_f(d, np.hstack(block)).reshape(n + 1, 9)
         sups, fy = f.max(axis=1), float(f[0, -1])
         rep.checked += 1
-        if abs(sups.min() - fy) > MAT_TOL or abs(sups[0] - fy) > MAT_TOL:
+        if abs(sups.min() - fy) > tol or abs(sups[0] - fy) > tol:
             rep.failures.append(fy)
     rep.passed = not rep.failures
     return rep
@@ -745,7 +744,7 @@ def rank_one_extension(
     u, s, _ = np.linalg.svd(Q)
     basis = u[:, s > 0.5]
     rays = np.column_stack([basis @ random_rays(basis.shape[1], samples, rng).T, basis])
-    sup_ok = abs(float(_block_f(d, rays).max()) - value) <= MAT_TOL
+    sup_ok = abs(float(_block_f(d, rays).max()) - value) <= MAT_TOL * d.norm()
     violations, hits = _span_law(d, rng, 16)
     warn_band(hits, 16)
     span_ok = violations == 0
@@ -764,16 +763,16 @@ def verify_eigenvalue_plateaus(a) -> PlateauReport:
     """Finite-dimensional plateau facts: eigenvector rays take their
     eigenvalue, the basis set of each jump projector sits inside the level
     set, and every quasipoint value is an eigenvalue.  Each is compared with
-    the matrix's own eigenvalues from eigh, within the cluster width; the
-    eigenvector rays are read as one block."""
+    the matrix's own eigenvalues from eigh, within the cluster width
+    CLUSTER_SCALE ||A||; the eigenvector rays are read as one block."""
     d = _as_decomp(a)
     E = spectral_family_of(d)
     f = observable_fn(E)
     w, V = np.linalg.eigh(d.matrix)
-    width = max(MAT_TOL, CLUSTER_SCALE * max(1.0, d.norm()))
+    width = CLUSTER_SCALE * d.norm()
     got = _block_f(d, V)
     eigen_ok = bool(
-        (np.abs(got[:, None] - d.values).min(axis=1) <= MAT_TOL).all()
+        (np.abs(got[:, None] - d.values).min(axis=1) <= MAT_TOL * d.norm()).all()
         and (np.abs(got - w) <= width).all()
     )
     # the jump projector of the i-th cluster is the i-th atom; its basis set
@@ -781,6 +780,4 @@ def verify_eigenvalue_plateaus(a) -> PlateauReport:
     at_atoms = f.values[E.lattice.atom_index()]
     plateau_ok = bool((np.abs(w - np.repeat(at_atoms, np.diff([*d.starts, d.n]))) <= width).all())
     vals_ok = bool((np.abs(w[:, None] - at_atoms).min(axis=0) <= width).all())
-    return PlateauReport(
-        eigen_ok and plateau_ok and vals_ok, eigen_ok, plateau_ok, vals_ok
-    )
+    return PlateauReport(eigen_ok and plateau_ok and vals_ok, eigen_ok, plateau_ok, vals_ok)

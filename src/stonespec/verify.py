@@ -825,6 +825,15 @@ def suite_matrix(seed: int = 7) -> list[Check]:
         d = matrix.eig(np.zeros((3, 3)))
         return d.values.tolist() == [0.0] and matrix.spectral_family_of(d).jumps() == [(0.0, 1)]
 
+    def scaled_spectrum():  # far below norm 1, where an absolute floor would merge
+        s = 2.0**-40
+        d = matrix.eig(np.diag([1.0, 2.0, 3.0]) * s)
+        t = matrix.ray_table(d, np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        return (d.m == 3
+                and [lam for lam, _ in matrix.spectral_family_of(d).jumps()] == [s, 2 * s, 3 * s]
+                and bool(((t.g <= t.expectation) & (t.expectation <= t.f)).all())
+                and matrix.step_approx(d, 0.3 * s)[1].passed)
+
     def ray_values():
         A = np.diag([1.0, 2.0, 3.0])
         return (matrix.ray_obs(A, [1, 0, 0]) == 1.0 and matrix.ray_obs(A, [1, 1, 0]) == 2.0
@@ -895,6 +904,7 @@ def suite_matrix(seed: int = 7) -> list[Check]:
         ("matrix/clustering", clustering),
         ("matrix/pauli-x", pauli_x_projector),
         ("matrix/zero-operator", zero_operator),
+        ("matrix/scaled-spectrum", scaled_spectrum),
         # ray examples
         ("matrix/ray-values", ray_values),
         ("matrix/sandwich-example", sandwich_example),

@@ -309,6 +309,42 @@ class TestMatrixCommands:
         assert isinstance(result.exception, SystemExit)
         assert "schema error" in result.output
 
+    def test_nano_spectrum_keeps_three_jumps(self, runner, tmp_path):
+        """diag(1e-9, 2e-9, 3e-9): clusters are relative to ||A||, so the spectrum
+        has three jumps, and every ray row has g <= <Ax,x> <= f."""
+        path = tmp_path / "nano.json"
+        sio.save_matrix(np.diag([1e-9, 2e-9, 3e-9]), path)
+        result = runner.invoke(main, ["matrix", "spectral", "--matrix", str(path)])
+        assert result.exit_code == 0
+        assert result.output.splitlines() == ["E(1e-09) = p1", "E(2e-09) = p1+p2", "E(3e-09) = 1"]
+        result = runner.invoke(main, ["matrix", "rays", "--matrix", str(path)])
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.output.splitlines()[1:]]
+        assert len(rows) == 9 + 6
+        for _, f, g, e in rows:
+            assert float(g) <= float(e) <= float(f)
+        assert rows[0][1:3] == ["1e-09", "1e-09"] and rows[2][1:3] == ["3e-09", "3e-09"]
+
+    @pytest.mark.parametrize("command", ["spectral", "gelfand"])
+    def test_tiny_nilpotent_is_not_hermitian_for_either_command(self, runner, tmp_path, command):
+        """One Hermitian test, relative to max |A_ij|: [[0, 1e-13], [0, 0]] fails
+        it for the matrix layer as for the Gelfand layer, and both exit 1."""
+        path = tmp_path / "nilpotent.json"
+        sio.save_matrix(np.array([[0.0, 1e-13], [0.0, 0.0]]), path)
+        result = runner.invoke(main, ["matrix", command, "--matrix", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+
+    def test_subnormal_tolerance_exits_2(self, runner, tmp_path):
+        """Below ||A|| of about 2.2e-300 the cluster width is not a normal float:
+        the matrix is refused, not decomposed into one merged cluster."""
+        path = tmp_path / "subnormal.json"
+        sio.save_matrix(np.diag([1.0, 2.0, 3.0]) * 2.0**-1060, path)
+        result = runner.invoke(main, ["matrix", "spectral", "--matrix", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "too small" in result.output
+
     def test_gelfand_past_sixteen(self, runner, tmp_path):
         path = tmp_path / "d17.json"
         sio.save_matrix(np.diag(np.arange(17.0)), path)

@@ -29,7 +29,8 @@ families on them, tables with NaN and +-inf injected, and Hermitian
 matrices with repeated eigenvalues, rotated or diagonal, and value lists
 with ties and both signed zeros.  The vector forms
 of ``FiniteOML`` and ``FiniteOML.relabeled`` are checked against the scalar
-reads they gather and against this file's own ``relabel``.
+reads they gather and against this file's own ``relabel``.  One law has no
+oracle: A scaled by 2^k keeps every cluster and verdict of the matrix layer.
 """
 
 import itertools
@@ -433,13 +434,13 @@ def loop_infsup(d, rng, rays, tol):
 
 
 def loop_eigen_rays(d, tol):
-    """The eigenvector-ray verdict of verify_eigenvalue_plateaus, one ray at a time."""
+    """The eigenvector-ray verdict of verify_eigenvalue_plateaus, one ray at a time:
+    within tol ||A|| of a cluster value and the cluster width of eigh's own."""
     w, V = np.linalg.eigh(d.matrix)
     for j in range(d.n):
         got = matrix.ray_obs(d, V[:, j])
-        if min(abs(got - lam) for lam in d.values) > tol or abs(got - w[j]) > max(
-            tol, matrix.CLUSTER_SCALE * max(1.0, d.norm())
-        ):
+        if (min(abs(got - lam) for lam in d.values) > tol * d.norm()
+                or abs(got - w[j]) > matrix.CLUSTER_SCALE * d.norm()):
             return False
     return True
 
@@ -1596,7 +1597,7 @@ def test_cluster_starts_match_gap_loop(steps, rotate, seed):
         a = u @ a @ u.conj().T
     d = matrix.eig(a)
     w = np.linalg.eigh(d.matrix)[0]
-    ctol = matrix.CLUSTER_SCALE * max(1.0, float(np.abs(w).max()))
+    ctol = matrix.CLUSTER_SCALE * float(np.abs(w).max())
     assert d.starts.tolist() == [c[0] for c in gap_loop_clusters(w, ctol)]
     assert len(d.starts) == d.m
 
@@ -1608,7 +1609,7 @@ def test_projection_matches_stacked_clusters(a):
     from the gap-loop clusters."""
     d = matrix.eig(a)
     w = np.linalg.eigh(d.matrix)[0]
-    ctol = matrix.CLUSTER_SCALE * max(1.0, float(np.abs(w).max()))
+    ctol = matrix.CLUSTER_SCALE * float(np.abs(w).max())
     V = d.basis
     stacked = np.stack([V[:, c] @ V[:, c].conj().T for c in gap_loop_clusters(w, ctol)])
     assert len(stacked) == d.m
@@ -1822,7 +1823,7 @@ def test_probe_sweep_matches_dense_table(a):
     labels in the pair loop's order, the same f, g and band hits, and <Ax,x>
     within 4 ulp of ||A|| (the closed form is not the dense dot product)."""
     d = matrix.eig(a)
-    tol = 4 * np.finfo(float).eps * max(1.0, d.norm())
+    tol = 4 * np.finfo(float).eps * d.norm()
     for size in (1, 3, d.n * d.n):
         labels = []
         for block_labels, probes in matrix.unit_probes(d.n, size):
@@ -1861,7 +1862,7 @@ def test_ray_axioms_match_ray_loop(a, seed, samples, tol, broken):
         warnings.simplefilter("ignore")
         mp.setattr(matrix, "MAT_TOL", tol)
         rep = matrix.verify_ray_axioms(d, r1, samples=samples)
-        span_bad, checked, sub_bad = loop_ray_axioms(d, r2, samples, tol)
+        span_bad, checked, sub_bad = loop_ray_axioms(d, r2, samples, tol * d.norm())
     assert (rep.span_violations, rep.sublevel_checked, rep.sublevel_violations) == (
         span_bad, checked, sub_bad)
     assert rep.span_checked == samples
@@ -1917,7 +1918,7 @@ def test_rank_one_extension_matches_ray_loop(a, seed, tol, broken):
             warnings.simplefilter("ignore")
             mp.setattr(matrix, "MAT_TOL", tol)
             rep = matrix.rank_one_extension(d, Q, r1, samples=16)
-            value, sup_ok, span_ok = loop_rank_one(d, Q, r2, 16, tol)
+            value, sup_ok, span_ok = loop_rank_one(d, Q, r2, 16, tol * d.norm())
         assert (rep.value, rep.sup_matches, rep.span_law_ok) == (value, sup_ok, span_ok)
         assert rep.passed == (sup_ok and span_ok)
         assert r1.random() == r2.random()
@@ -1937,7 +1938,7 @@ def test_infsup_extension_matches_ray_loop(a, seed, tol, broken):
         warnings.simplefilter("ignore")
         mp.setattr(matrix, "MAT_TOL", tol)
         rep = matrix.verify_infsup_extension(d, r1, rays=4)
-        checked, failures = loop_infsup(d, r2, 4, tol)
+        checked, failures = loop_infsup(d, r2, 4, tol * d.norm())
     assert (rep.checked, rep.failures, rep.passed) == (checked, failures, not failures)
     assert r1.random() == r2.random()
     if tol < 0:
@@ -2044,7 +2045,7 @@ def test_chained_near_ties_pass_the_residual_test(steps, rotate, seed):
         a = u @ a @ u.conj().T
     d = matrix.eig(a)
     w = np.linalg.eigh(d.matrix)[0]
-    ctol = matrix.CLUSTER_SCALE * max(1.0, float(np.abs(w).max()))
+    ctol = matrix.CLUSTER_SCALE * float(np.abs(w).max())
     bounds = [*d.starts.tolist(), len(w)]
     for lo, hi in itertools.pairwise(bounds):
         assert w[hi - 1] - w[lo] < ctol
@@ -2544,11 +2545,65 @@ def loop_step_approx(d, eps):
 @given(hermitians(max_n=12), st.sampled_from([0.01, 0.3, 1.0, 5.0, 100.0]))
 def test_step_approx_matches_projector_loop(a, eps):
     """A_eps as one product equals the sum of midpoint projectors within
-    MAT_TOL max(1, ||A||), and the closed-form verdict, read at the atoms,
+    MAT_TOL ||A||, and the closed-form verdict, read at the atoms,
     equals the two-condition loop."""
     d = matrix.eig(a)
     a_eps, rep = matrix.step_approx(d, eps)
     want, f_dist, closed_ok = loop_step_approx(d, eps)
-    assert np.abs(a_eps - want).max() <= matrix.MAT_TOL * max(1.0, d.norm())
+    assert np.abs(a_eps - want).max() <= matrix.MAT_TOL * d.norm()
     assert rep.f_distance == f_dist
     assert rep.closed_form_ok == closed_ok
+
+
+def scaled_reports(a, k):
+    """eig, ray_table on the eigenbasis and two random rays, step_approx at
+    0.3 ||A||, the verify_* helpers and projector_distance of a * 2^k, their
+    values divided by 2^k (exact in the normal range), with the same seeded
+    draws for each k."""
+    s = 2.0**k
+    d = matrix.eig(a * s)
+    rng = np.random.default_rng(5)
+    rays = np.hstack([d.basis, matrix.random_rays(d.n, 2, rng).T])
+    t = matrix.ray_table(d, rays)
+    _, step = matrix.step_approx(d, 0.3 * d.norm())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        axioms = matrix.verify_ray_axioms(d, rng, samples=20)
+        infsup = matrix.verify_infsup_extension(d, rng, rays=2)
+        rank_one = matrix.rank_one_extension(d, np.diag(np.arange(d.n) < 1.0), rng, samples=8)
+        plateaus = matrix.verify_eigenvalue_plateaus(d)
+    spectrum = matrix.verify_spectrum_identity(d)
+    fam = matrix.projector_family_of(d)  # against its thresholds moved by 1e-12 of them
+    moved = matrix.projector_distance(fam, matrix.ProjectorFamily(fam.thresholds * (1 + 1e-12),
+                                                                  fam.bases))
+    return (d.starts.tolist(), (d.values / s).tolist(), (t.f / s).tolist(),
+            (t.g / s).tolist(), (t.expectation / s).tolist(), t.band.tolist(),
+            step.passed, step.closed_form_ok, step.f_distance / s, step.op_distance / s,
+            axioms, infsup.passed, [x / s for x in infsup.failures],
+            rank_one.value / s, rank_one.passed, plateaus, spectrum.passed,
+            spectrum.max_error / s, moved)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(hermitians(max_n=8), spectra(max_n=8)), st.integers(-100, 100))
+@example(np.diag(np.repeat([-1.5, 0.25, 1.0, 2.0], 3)), -100)
+def test_scaling_by_a_power_of_two_scales_every_value(a, k):
+    """f_{cA} = c f_A for c = 2^k, k in [-100, 100]: eig keeps A's cluster starts
+    and scales its values bit for bit; f, g and <Ax,x> of ray_table and both
+    step_approx distances scale by 2^k; every verdict of step_approx and the
+    verify_* helpers is A's.  Every tolerance is a constant times ||A||, so none
+    of this depends on where ||A|| sits against 1."""
+    assert scaled_reports(a, k) == scaled_reports(a, 0)
+
+
+@pytest.mark.parametrize("k", range(-1074, -990))
+def test_subnormal_tolerances_are_refused_not_merged(k):
+    """diag(1, 2, 3) 2^k at the bottom of the float range.  While CLUSTER_SCALE
+    ||A|| is a normal float, eig keeps the three clusters and their values bit
+    for bit; below that it raises ValueError, never a merged spectrum."""
+    a = np.diag([1.0, 2.0, 3.0]) * 2.0**k
+    if matrix.CLUSTER_SCALE * 3 * 2.0**k >= np.finfo(np.float64).tiny:
+        assert matrix.eig(a).values.tolist() == [2.0**k, 2 * 2.0**k, 3 * 2.0**k]
+    else:
+        with pytest.raises(ValueError, match="too small"):
+            matrix.eig(a)

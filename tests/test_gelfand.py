@@ -190,6 +190,25 @@ class TestDiagonalization:
         with pytest.raises(LatticeError, match="normal"):
             G.diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("a", [np.diag([1e-9, 2e-9, 3e-9]), np.diag([1j, 2.0, -1j]),
+                                   np.array([[0.0, 1e-13], [0.0, 0.0]])])
+    def test_one_hermitian_decision_per_call(self, monkeypatch, a):
+        """diagonalize decides Hermiticity once, by the matrix layer's test."""
+        calls = []
+        test = M.hermitian_part
+
+        def counted(x):
+            calls.append(x)
+            return test(x)
+
+        monkeypatch.setattr(M, "hermitian_part", counted)
+        monkeypatch.setattr(G, "hermitian_part", counted)
+        try:
+            G.diagonalize(a)
+        except LatticeError:
+            pass
+        assert len(calls) == 1
+
 
 class TestExactPairs:
     def test_sum_of_two_diagonals(self):
