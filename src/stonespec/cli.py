@@ -167,15 +167,13 @@ def matrix():
 
 
 def _eig_of(A):
-    """Exit 1 unless the matrix is Hermitian and its eigendecomposition checks out,
-    2 if the decomposition overflows."""
+    """Exit 1 unless eig finds the matrix Hermitian and its decomposition checks
+    out, 2 if the decomposition overflows or its tolerances underflow."""
     from . import matrix as matrix_mod
     try:
-        H = matrix_mod.as_hermitian(A)
-    except ValueError:
+        return matrix_mod.eig(A)
+    except matrix_mod.NotHermitianError:
         _fail(EXIT_MATH, "matrix is not Hermitian")
-    try:
-        return matrix_mod.eig(H)
     except matrix_mod.EigenError as exc:
         _fail(EXIT_MATH, f"eigendecomposition error: {exc}")
     except ValueError as exc:

@@ -5,7 +5,7 @@ All tolerances of this layer and the Gelfand layer live here, as constants; the
 lattice layer stays exact.  Entries, eigenvalues and ray values are compared
 within a constant times ||A|| (``EigenDecomposition.norm()``, or max |A_ij|
 before a decomposition), with no absolute floor, so f_{cA} = c f_A holds for c
-a power of two.  ``RAY_TOL`` and ``WARN_BAND`` bound unit-ray norms, unscaled.
+a power of two.  Norms of unit rays and distances of projectors are unscaled.
 
 Every Boolean family of the bridge and of the Gelfand layer comes from one
 builder, ``_boolean_family``; only it, ``corpus.boolean_lattice`` and
@@ -30,11 +30,17 @@ HERM_TOL = 1e-12  # |A - A^H|: as_hermitian and gelfand.diagonalize
 SNAP_TOL = 1e-12  # gelfand layer: entry merging and the isometry
 NORMAL_TOL = 1e-9  # gelfand.diagonalize: commutator (times ||A||^2), off-diagonal residual
 RAY_TOL = 1e-9  # unit rays: support components, Gram error, ranks of ray spans
-MAT_TOL = 1e-9  # comparison tolerance of the verification helpers
+REBUILD_TOL = 1e-8  # Frobenius distance of a family rebuilt from rays: verify_ray_rebuild
+PROJECTOR_TOL = 1e-12  # entries of a spectral projection against a known projector
+MAT_TOL = 1e-9  # verification: eigenvalues, ray values and <Ax,x> compared, times ||A||
 CLUSTER_SCALE = 1e-8  # cluster width and eig's residual bound
 WARN_BAND = (1e-12, 1e-6)
 RAY_BLOCK_BYTES = 1 << 18  # one block of rays, as complex rows
 MAX_STEP_INTERVALS = 10**7  # grid intervals of step_approx (two float arrays of this length)
+
+
+class NotHermitianError(ValueError):
+    """The matrix is not Hermitian within HERM_TOL |A|."""
 
 
 class EigenError(RuntimeError):
@@ -69,12 +75,10 @@ def hermitian_part(a) -> np.ndarray | None:
 
 
 def as_hermitian(a) -> np.ndarray:
-    """Validate near-Hermitian input, |a - a^H| <= HERM_TOL |a| with no floor, and
-    return hermitian_part's symmetrized copy; below |a| of about 2e-296 the test
-    tightens toward exact symmetry."""
+    """hermitian_part's symmetrized copy; a matrix it refuses raises NotHermitianError."""
     h = hermitian_part(a)
     if h is None:
-        raise ValueError("matrix is not Hermitian within tolerance")
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
     return h
 
 
@@ -147,9 +151,9 @@ def eig(a) -> EigenDecomposition:
     sum P_c - I and each P_i P_j) and, within ctol, the residual of V diag(lambda_c
     of each column) V^H = sum lambda_c P_c.  With the cluster mean as representative
     only rounding can fail it.  The zero matrix is one cluster.  Raises ValueError
-    where finite_eigh does, and where ||A|| > 0 but ctol is not a normal float
-    (||A|| < about 2.2e-300): a subnormal ctol has lost its precision, and a zero
-    one would merge every cluster."""
+    where as_hermitian (NotHermitianError) and finite_eigh do, and where ||A|| > 0
+    but ctol is not a normal float (||A|| < about 2.2e-300): a subnormal ctol has
+    lost its precision, and a zero one would merge every cluster."""
     A = as_hermitian(a)
     n = A.shape[0]
     w, V = finite_eigh(A)
@@ -399,11 +403,10 @@ def _probe_table(d: EigenDecomposition, p: _UnitProbes) -> RayTable:
 
 
 def complex_observable(m, x) -> complex:
-    """Ray value of an arbitrary matrix via its Hermitian parts."""
-    m = np.asarray(m, dtype=np.complex128)
-    h1 = (m + m.conj().T) / 2
-    h2 = (m - m.conj().T) / 2j
-    return complex(ray_obs(h1, x), ray_obs(h2, x))
+    """Ray value of an arbitrary matrix via its Hermitian parts, formed from m / 2
+    as hermitian_part forms them, so that no sum overflows."""
+    half = np.asarray(m, dtype=np.complex128) / 2
+    return complex(ray_obs(half + half.conj().T, x), ray_obs((half - half.conj().T) / 1j, x))
 
 
 def random_ray(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -613,6 +616,16 @@ def reconstruct_from_rays(oracle, probes) -> ProjectorFamily:
     if prev_rank != n:
         raise ProbeResolutionError(f"probes resolve only {prev_rank} of {n} dimensions")
     return ProjectorFamily(np.array(thresholds), tuple(bases))
+
+
+def verify_ray_rebuild(a, probes) -> tuple[bool, float]:
+    """The family reconstruct_from_rays rebuilds from ray_obs on the probes, against
+    projector_family_of(a): (distance within REBUILD_TOL, distance).  Raises
+    ProbeResolutionError where reconstruct_from_rays does."""
+    d = _as_decomp(a)
+    rebuilt = reconstruct_from_rays(lambda x: ray_obs(d, x), probes)
+    dist = projector_distance(rebuilt, projector_family_of(d))
+    return dist <= REBUILD_TOL, dist
 
 
 @dataclass

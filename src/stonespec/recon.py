@@ -287,11 +287,10 @@ def observable_from_quasipoint_data(
     """
     if sorted(atom_values) != sorted(L.atoms()):
         raise LatticeError("need exactly one value per atom")
-    r = ObservableTable(L, _atom_sup(L, atom_values))
-    ok, witness = is_completely_increasing(L, r)
-    if not ok:
-        return None, witness
-    return reconstruct(L, r), None
+    values = _atom_sup(L, atom_values)
+    if (family := _sublevel_family(L, values)) is None:  # one pass decides the max law
+        return None, _max_law_witness(L, values)
+    return make_spectral_family(L, family.jumps()), None
 
 
 @dataclass

@@ -233,6 +233,17 @@ class TestMatrixCommands:
         result = runner.invoke(main, ["matrix", "spectral", "--matrix", str(path)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("args", [["spectral"], ["rays"], ["approx", "--eps", "0.1"]])
+    def test_one_hermitian_pass_per_command(self, runner, matrix_file, monkeypatch, args):
+        """The matrix commands leave the Hermitian test, and its symmetrized
+        copy, to eig: one hermitian_part call each."""
+        calls = []
+        test = matrix_mod.hermitian_part
+        monkeypatch.setattr(matrix_mod, "hermitian_part", lambda a: calls.append(a) or test(a))
+        result = runner.invoke(main, ["matrix", args[0], "--matrix", str(matrix_file), *args[1:]])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
     def test_non_hermitian_file_is_read_once(self, runner, tmp_path, monkeypatch):
         path = tmp_path / "normal.json"
         sio.save_matrix(np.diag([1j, 2.0]), path)

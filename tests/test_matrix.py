@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ class TestEig:
         assert np.abs(d.projection(0) - np.eye(4)).max() == 0.0
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            M.eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for refuse in (M.as_hermitian, M.eig):
+            with pytest.raises(M.NotHermitianError, match="Hermitian"):
+                refuse(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert issubclass(M.NotHermitianError, ValueError)
 
     def test_consistency_identities(self):
         rng = np.random.default_rng(31)
@@ -223,15 +226,19 @@ class TestRays:
         val = M.complex_observable(np.diag([1.0 + 1j, 2.0 - 3j]), [1, 1])
         assert val == complex(2.0, 1.0)
 
+    def test_complex_observable_near_the_float_limit(self):
+        """The Hermitian parts are formed from m / 2, as hermitian_part forms
+        them: m + m^H of diag(1.2e308 + i, 1) overflows, its parts do not."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = M.complex_observable(np.diag([1.2e308 + 1j, 1.0]), [1, 1])
+        assert val == complex(1.2e308, 1.0)
+
 
 class TestRayReconstruction:
     def test_hidden_diagonal_with_default_probes(self):
         rng = np.random.default_rng(38)
-        hidden = M.eig(np.diag([1.0, 2.0, 2.0]))
-        fam = M.reconstruct_from_rays(
-            lambda x: M.ray_obs(hidden, x), M.default_probes(3, rng)
-        )
-        assert M.projector_distance(fam, M.projector_family_of(hidden)) <= 1e-8
+        assert M.verify_ray_rebuild(np.diag([1.0, 2.0, 2.0]), M.default_probes(3, rng))[0]
 
     def test_hidden_scalar(self):
         rng = np.random.default_rng(39)
@@ -243,31 +250,38 @@ class TestRayReconstruction:
 
     def test_hidden_pauli_x_needs_a_difference_probe(self):
         rng = np.random.default_rng(40)
-        hidden = M.eig(PAULI_X)
         probes = M.default_probes(2, rng) + [np.array([1.0, -1.0])]
-        fam = M.reconstruct_from_rays(lambda x: M.ray_obs(hidden, x), probes)
-        assert M.projector_distance(fam, M.projector_family_of(hidden)) <= 1e-8
+        assert M.verify_ray_rebuild(PAULI_X, probes)[0]
 
     def test_random_matrices_with_resolving_probes(self):
         rng = np.random.default_rng(41)
         for _ in range(10):
             n = int(rng.integers(2, 9))
             d = M.eig(M.random_hermitian(n, rng))
-            fam = M.reconstruct_from_rays(
-                lambda x: M.ray_obs(d, x), M.resolving_probes(d, rng)
-            )
-            assert M.projector_distance(fam, M.projector_family_of(d)) <= 1e-8
+            assert M.verify_ray_rebuild(d, M.resolving_probes(d, rng))[0]
 
     def test_generic_spectrum_unresolved_is_loud(self):
         rng = np.random.default_rng(42)
         d = M.eig(M.random_hermitian(4, rng))
         try:
-            fam = M.reconstruct_from_rays(
-                lambda x: M.ray_obs(d, x), M.default_probes(4, rng)
-            )
-            assert M.projector_distance(fam, M.projector_family_of(d)) == float("inf")
+            assert M.verify_ray_rebuild(d, M.default_probes(4, rng))[1] == float("inf")
         except M.ProbeResolutionError:
             pass
+
+    def test_rebuild_oracle(self):
+        """verify_ray_rebuild rebuilds from ray_obs and compares with
+        projector_family_of, within REBUILD_TOL."""
+        rng = np.random.default_rng(44)
+        d = M.eig(M.random_hermitian(5, rng))
+        probes = M.resolving_probes(d, rng)
+        fam = M.reconstruct_from_rays(lambda x: M.ray_obs(d, x), probes)
+        dist = M.projector_distance(fam, M.projector_family_of(d))
+        assert M.verify_ray_rebuild(d, probes) == (True, dist)
+        assert dist <= M.REBUILD_TOL
+        # e1 and e2 both reach the top eigenvalue of Pauli X: one step, not two
+        assert M.verify_ray_rebuild(PAULI_X, list(np.eye(2))) == (False, float("inf"))
+        with pytest.raises(M.ProbeResolutionError):
+            M.verify_ray_rebuild(np.diag([1.0, 2.0, 3.0]), [np.eye(3)[0]] * 3)
 
     def test_infsup_extension(self):
         rng = np.random.default_rng(43)

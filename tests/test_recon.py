@@ -210,6 +210,33 @@ class TestQuasipointData:
             )
             assert family.jumps() == [(1.5, L.top)]
 
+    def test_decides_once(self, monkeypatch):
+        """One sublevel pass a call, and a witness search only where it finds no
+        family; families and witnesses are those of is_completely_increasing
+        followed by reconstruct."""
+        cases = []
+        for L in CORPUS.values():
+            atoms = list(L.atoms())
+            for combo in itertools.product((0.0, 1.0, -0.0), repeat=min(len(atoms), 4)):
+                data = dict(zip(atoms, itertools.cycle(combo)))
+                r = ObservableTable(L, recon._atom_sup(L, data))
+                ok, witness = recon.is_completely_increasing(L, r)
+                cases.append((L, data, recon.reconstruct(L, r) if ok else None, witness))
+        calls = []
+        for name in ("_sublevel_family", "_max_law_witness"):
+            fn = getattr(recon, name)
+            monkeypatch.setattr(recon, name,
+                                lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+        for L, data, want, want_witness in cases:
+            calls.clear()
+            family, witness = recon.observable_from_quasipoint_data(L, data)
+            assert calls == ["_sublevel_family"] + ["_max_law_witness"] * (want is None)
+            assert witness == want_witness
+            assert (family is None) == (want is None)
+            if family is not None:
+                assert family.jumps() == want.jumps()
+                assert [str(x) for x in family.thresholds] == [str(x) for x in want.thresholds]
+
     def test_requires_total_data(self):
         B2 = CORPUS["B2"]
         with pytest.raises(Exception):
