@@ -97,12 +97,17 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 class EigenDecomposition:
     """Distinct (clustered) eigenvalues over a phase-fixed eigenbasis V, where cluster c
     owns the columns V_c from starts[c] up to the next start.  No projection is stored:
-    ``projection(c)`` builds P_c = V_c V_c^H when asked."""
+    ``projection(c)`` builds P_c = V_c V_c^H when asked.  The two numbers eig checked
+    V by are kept: the Gram error bounds ||V||^2 <= 1 + gram_error, and the residual
+    bounds ||A - V diag(values) V^H|| in the spectral norm, so a distance to another
+    function of the same V needs no second eigensolve (see step_approx)."""
 
     matrix: np.ndarray
     values: np.ndarray        # (m,) ascending cluster representatives
     basis: np.ndarray         # (n, n) phase-fixed eigenvector columns
     starts: np.ndarray        # (m,) first basis column of each cluster
+    gram_error: float         # ||V^H V - I||_F
+    residual: float           # ||V diag(values of each column) V^H - A||_F
 
     @property
     def n(self) -> int:
@@ -147,13 +152,16 @@ def _cluster_starts(w: np.ndarray, ctol: float) -> np.ndarray:
 
 def eig(a) -> EigenDecomposition:
     """Eigendecomposition with clusters of nearly equal eigenvalues, each narrower
-    than ctol = CLUSTER_SCALE ||A||, checked by ||V^H V - I||_F <= RAY_TOL (it bounds
-    sum P_c - I and each P_i P_j) and, within ctol, the residual of V diag(lambda_c
-    of each column) V^H = sum lambda_c P_c.  With the cluster mean as representative
-    only rounding can fail it.  The zero matrix is one cluster.  Raises ValueError
-    where as_hermitian (NotHermitianError) and finite_eigh do, and where ||A|| > 0
-    but ctol is not a normal float (||A|| < about 2.2e-300): a subnormal ctol has
-    lost its precision, and a zero one would merge every cluster."""
+    than ctol = CLUSTER_SCALE ||A||, checked by the Gram error ||V^H V - I||_F <=
+    RAY_TOL (it bounds sum P_c - I and each P_i P_j) and, within ctol entrywise, the
+    residual R = V diag(lambda_c of each column) V^H - A, V diag(..) V^H = sum
+    lambda_c P_c.  With the cluster mean as representative only rounding can fail it.
+    Both numbers are kept: the Gram error, and ||R||_F read off R / 2^e with 2^e at
+    or above max |R_ij|, so no square overflows and A 2^k has the residual 2^k
+    ||R||_F bit for bit.  The zero matrix is one cluster.  Raises ValueError where
+    as_hermitian (NotHermitianError) and finite_eigh do, and where ||A|| > 0 but ctol
+    is not a normal float (||A|| < about 2.2e-300): a subnormal ctol has lost its
+    precision, and a zero one would merge every cluster."""
     A = as_hermitian(a)
     n = A.shape[0]
     w, V = finite_eigh(A)
@@ -168,12 +176,17 @@ def eig(a) -> EigenDecomposition:
     # overflow where its mean does not, and such scaling is exact in the normal range
     values = np.array([k * float(np.mean(w[c] / k)) for c in clusters
                        for k in [2 ** len(c).bit_length()]])
-    if not (np.linalg.norm(V.conj().T @ V - np.eye(n)) <= RAY_TOL):
+    gram_error = float(np.linalg.norm(V.conj().T @ V - np.eye(n)))
+    if not (gram_error <= RAY_TOL):
         raise EigenError("eigenbasis is not orthonormal")
-    recon = (V * np.repeat(values, [len(c) for c in clusters])) @ V.conj().T
-    if not (np.abs(recon - A).max() <= ctol):
+    r = (V * np.repeat(values, [len(c) for c in clusters])) @ V.conj().T
+    r -= A
+    r_max = float(np.abs(r).max())
+    if not (r_max <= ctol):
         raise EigenError("spectral resolution does not reproduce the matrix")
-    return EigenDecomposition(A, values, V, starts)
+    scale = math.ldexp(1.0, math.frexp(r_max)[1])
+    r /= scale
+    return EigenDecomposition(A, values, V, starts, gram_error, scale * float(np.linalg.norm(r)))
 
 
 def _as_decomp(a) -> EigenDecomposition:
@@ -682,10 +695,21 @@ def step_approx(a, eps: float) -> tuple[np.ndarray, StepApproxReport]:
     """Replace the observable by a step operator on a mesh finer than eps.
 
     The grid straddles the spectrum by eps/2 on each side; the step operator
-    takes each interval's midpoint on the spectral increment of that
-    interval.  The report checks the two eps bounds and the closed-form
-    evaluation of the step observable through the quasipoints of the
-    generated lattice.
+    A_eps = sum s_c P_c takes each interval's midpoint s_c on the spectral
+    increment of that interval.  The report checks the two eps bounds and the
+    closed-form evaluation of the step observable through the quasipoints of
+    the generated lattice.
+
+    The observable distance is max_c |lambda_c - s_c|.  The operator distance
+    is the certified bound (1 + gram_error) f_distance + residual on ||A -
+    A_eps|| in the spectral norm, read off eig's own checks: A_eps has A's
+    eigenbasis V, so
+
+        ||A - A_eps|| <= ||A - V diag(lambda) V^H|| + ||V diag(lambda - s) V^H||
+                      <= residual + ||V||^2 max_c |lambda_c - s_c|,
+
+    and ||V||^2 = ||V^H V|| <= 1 + ||V^H V - I||_F.  So the operator check is
+    never looser than the exact distance, and no second eigensolve runs.
     """
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
@@ -708,15 +732,10 @@ def step_approx(a, eps: float) -> tuple[np.ndarray, StepApproxReport]:
     mids = grid[:-1] / 2 + grid[1:] / 2  # halves: no overflow near the float limit
     star = mids[np.clip(np.searchsorted(grid, d.values, side="left") - 1, 0, m - 1)]
     # sum mids_c P_c as one product V diag(mid of each column) V^H, as eig forms
-    # its residual, taken as the conjugate of conj(V) diag(..) V^T: V^T is read
-    # in place and w is reused for A - A_eps, as a third n x n array raised the
-    # peak resident memory
-    w = d.basis.conj()
-    w *= np.repeat(star, np.diff([*d.starts, d.n]))
-    a_eps = w @ d.basis.T
-    np.conjugate(a_eps, out=a_eps)
+    # its residual
+    a_eps = (d.basis * np.repeat(star, np.diff([*d.starts, d.n]))) @ d.basis.conj().T
     f_dist = float(np.abs(d.values - star).max())
-    op_dist = float(np.abs(np.linalg.eigvalsh(np.subtract(d.matrix, a_eps, out=w))).max())
+    op_dist = (1 + d.gram_error) * f_dist + d.residual
     # the step observable over the lattice generated by the original
     # projections, one jump per distinct midpoint; closed form: each atom
     # filter sits in exactly one basis-set difference and takes that

@@ -244,6 +244,19 @@ class TestMatrixCommands:
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
 
+    def test_approx_runs_one_eigensolve(self, runner, matrix_file, monkeypatch):
+        """matrix approx bounds ||A - A_eps|| from eig's own checks: one eigh call
+        and no eigvalsh of A - A_eps."""
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, *args, name=name, fn=fn: calls.append(name) or fn(a, *args))
+        result = runner.invoke(main, ["matrix", "approx", "--matrix", str(matrix_file),
+                                      "--eps", "0.1"])
+        assert result.exit_code == 0, result.output
+        assert calls == ["eigh"]
+
     def test_non_hermitian_file_is_read_once(self, runner, tmp_path, monkeypatch):
         path = tmp_path / "normal.json"
         sio.save_matrix(np.diag([1j, 2.0]), path)

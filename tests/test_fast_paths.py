@@ -18,7 +18,8 @@ and verify_eigenvalue_plateaus, the projector distance over dense cumulative
 stacks, and the unscaled joint diagonalization; the per-element loops of
 the observable and mirrored tables, and the three hand loops the Boolean
 family builder of the bridge replaced, with step_approx's sum of midpoint
-projectors and its two-condition closed form; np.unique for the sort path
+projectors, its two-condition closed form and the second eigensolve its
+operator distance once ran; np.unique for the sort path
 that replaced it, and the float32 product for the join search's counts in
 the index type.  Hypothesis draws random
 posets (with and without an added bottom and top), orthoposets Q x Q^op
@@ -33,6 +34,7 @@ reads they gather and against this file's own ``relabel``.  One law has no
 oracle: A scaled by 2^k keeps every cluster and verdict of the matrix layer.
 """
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -1856,7 +1858,7 @@ def test_ray_axioms_match_ray_loop(a, seed, samples, tol, broken):
     if broken:
         V = d.basis.copy()
         V[:, 0] *= 0.9
-        d = matrix.EigenDecomposition(d.matrix, d.values, V, d.starts)
+        d = dataclasses.replace(d, basis=V)
     r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
     with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
         warnings.simplefilter("ignore")
@@ -1894,7 +1896,7 @@ def test_default_probes_match_pairwise_loop(n):
 def with_values(d, values):
     """d with its cluster values replaced: ray values and the value of a
     projector no longer follow the spectrum, so the checks can fail."""
-    return matrix.EigenDecomposition(d.matrix, values, d.basis, d.starts)
+    return dataclasses.replace(d, values=values)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1974,7 +1976,7 @@ def test_projector_distance_matches_stacked_formula(a, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d.n, d.n)) + 1j * rng.standard_normal((d.n, d.n))
     turn, _ = np.linalg.qr(np.eye(d.n) + 1e-3 * g)
-    turned = matrix.EigenDecomposition(d.matrix, d.values, d.basis @ turn, d.starts)
+    turned = dataclasses.replace(d, basis=d.basis @ turn)
     fam = matrix.reconstruct_from_rays(
         lambda x: matrix.ray_obs(d, x), matrix.resolving_probes(d, rng))
     assert [b.shape[1] for b in fam.bases] == [*d.starts[1:], d.n]
@@ -2553,6 +2555,35 @@ def test_step_approx_matches_projector_loop(a, eps):
     assert np.abs(a_eps - want).max() <= matrix.MAT_TOL * d.norm()
     assert rep.f_distance == f_dist
     assert rep.closed_form_ok == closed_ok
+
+
+def eigvalsh_op_distance(d, a_eps):
+    """||A - A_eps|| as step_approx once computed it: a second eigensolve."""
+    return float(np.abs(np.linalg.eigvalsh(d.matrix - a_eps)).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(hermitians(max_n=12), spectra(max_n=12)),
+       st.sampled_from([0.01, 0.3, 1.0, 5.0, 100.0]), st.integers(-100, 100))
+@example(np.diag([1.0, 1.0 + 3e-9, 1.0 + 6e-9, 2.0]), 0.3, 0)  # a cluster 3e-9 off its mean
+def test_step_approx_bound_matches_eigvalsh(a, eps, k):
+    """The certified operator distance against the eigvalsh figure, at A 2^k and
+    eps 2^k.  It is not below it by more than rounding: the two n-term products
+    A_eps and eig's V diag(lambda) V^H are each within about n u ||A|| of their
+    exact values, u the unit roundoff.  It is not above it by more than n
+    CLUSTER_SCALE ||A||: it adds eig's residual, at most the cluster width per
+    column, and the Gram error.  Away from the eps boundary the verdict is the
+    eigvalsh formula's."""
+    s = 2.0**k
+    d = matrix.eig(a * s)
+    eps *= s
+    a_eps, rep = matrix.step_approx(d, eps)
+    exact = eigvalsh_op_distance(d, a_eps)
+    rounding = 2 * d.n * np.finfo(np.float64).eps * d.norm()
+    spread = d.n * matrix.CLUSTER_SCALE * d.norm()
+    assert exact - rounding <= rep.op_distance <= exact + spread
+    if abs(exact - eps) > spread + rounding:
+        assert rep.passed == (rep.f_distance <= eps and exact <= eps and rep.closed_form_ok)
 
 
 def scaled_reports(a, k):

@@ -4,7 +4,8 @@ Each row of the mutation table names a mutation: a monkeypatch of the function
 that a check claims to test.  Under it the check must read FAIL or ERROR.  The
 rows cover every comparison of ``verify.py`` that reads a matrix-layer
 tolerance, the rebuild oracle ``matrix.verify_ray_rebuild`` that three checks
-share, and the relative cluster width.  A numeric mutation moves a value by k
+share, the residual that ``step_approx``'s operator distance reads from ``eig``,
+and the relative cluster width.  A numeric mutation moves a value by k
 times the tolerance it is compared within: at k = 2 its check fails, so the
 relative tolerances have teeth, and at k = 1/2 it passes, so they are no
 tighter than their constants.  Each row runs its suite or criterion once, at
@@ -122,6 +123,21 @@ def projection_off(k):
     return apply
 
 
+def residual_raised(k):
+    """step_approx on eig's decomposition with its residual k eps higher, where eps
+    bounds the operator distance that the residual enters."""
+
+    def apply(monkeypatch):
+        fn = matrix.step_approx
+
+        def mutant(a, eps):
+            d = matrix._as_decomp(a)
+            return fn(dataclasses.replace(d, residual=d.residual + k * eps), eps)
+
+        monkeypatch.setattr(matrix, "step_approx", mutant)
+    return apply
+
+
 def entries_off(k):
     """gelfand.diagonalize with every entry k NORMAL_TOL |A| higher, |A| = max |A_ij|."""
 
@@ -159,6 +175,8 @@ SCALED = [
                  "matrix spectrum does not translate", id="translation:spectrum"),
     pytest.param(translation, "translation-and-step-approximation", moved("ray_obs", 2),
                  "ray value does not translate", id="translation:ray_obs"),
+    pytest.param(translation, "translation-and-step-approximation", residual_raised,
+                 "step approx fails at eps=", id="translation:residual"),
     pytest.param(ray_layer, "ray-layer", expectation_outside(1),
                  "sandwich violations", id="ray-layer:expectation-above-f"),
     pytest.param(ray_layer, "ray-layer", expectation_outside(-1),
