@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import index_dtype
-from .lattice import FiniteOML
+from .lattice import FiniteOML, _check_table_budget
 
 
 def boolean_lattice(m: int, atom_names: list[str] | None = None) -> FiniteOML:
     """Subset lattice 2^m; the element index *is* its atom bitmask."""
-    if not 1 <= m <= 16:
-        raise ValueError(f"boolean_lattice supports 1..16 atoms, got {m}")
+    n = 1 << m
+    _check_table_budget(n, ValueError)  # refused where a file of 2^m elements is, unbuilt
     if atom_names is None:
         atom_names = [f"e{i + 1}" for i in range(m)]
     if len(atom_names) != m:
@@ -28,7 +28,6 @@ def boolean_lattice(m: int, atom_names: list[str] | None = None) -> FiniteOML:
     for a in atom_names:
         names += [a] + [f"{s}+{a}" for s in names[1:]]
     names[0], names[-1] = "0", "1"
-    n = 1 << m
     masks = np.arange(n, dtype=index_dtype(n))
     leq = (masks[:, None] & ~masks[None, :]) == 0  # subset inclusion
     ortho = (n - 1) ^ masks

@@ -20,32 +20,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import LatticeError, SchemaError
-from .lattice import FiniteOML
+from .lattice import FiniteOML, _check_table_budget
 from .spectral import ObservableTable, SpectralFamily, make_spectral_family, table_from_pairs
 
 
-# Bytes per ordered pair of elements that loading and checking a lattice holds
-# at once, at most.  Two order matrices: the closure and the lattice's copy
-# (1 + 1); the file's relation is freed when the closure returns.  A lattice
-# with few irreducibles takes its tables from signatures (two int16 tables,
-# 2 + 2, while n <= 2^15, and row blocks): 6.59 bytes per pair traced on
-# 2^11, 6.55 with the meets from the reversed order's signatures, 7.24 on
-# 2^10.  The join search, which runs where the signatures decline, holds the
-# join table and its ok mask (2 + 1).  When the meets are searched as the
-# joins of the reversed order, that search's product holds a float32 copy of
-# the order and the float32 counts (4 + 4): 13 in all.  The copy is freed
-# before the counts are cast to the index type (2), which the search keeps.
-# De Morgan meets skip that search, and the join search holds 10 at its
-# product.  On top come the packed rows (1/8) and the search's word blocks
-# and the closure's pair index arrays, which do not grow with n^2.  16
-# bounds the search (13.63 bytes per pair traced on 2^11 with a direct
-# search, 14.02 on 2^10, where the fixed blocks weigh more; 13.98 and 15.74
-# while the search kept float32 counts and int64 blocks), so the cap admits
-# n <= 8192.
-LATTICE_PAIR_BYTES = 16
-# A lattice file whose n^2 tables would pass this many bytes is refused before
-# anything of size n^2 is allocated: 1 GiB admits n <= 8192 elements.
-LATTICE_BYTES_CAP = 1 << 30
 # Matrix and ray files are refused past this many bytes, before they are read.
 # Parsing the JSON holds the text, a Python float per entry and the arrays at
 # once: `matrix spectral` peaks at 168 MB RSS on an n = 1024 complex file of
@@ -236,7 +214,7 @@ def _order_pairs(pairs, n: int, path) -> tuple[np.ndarray, np.ndarray]:
 def load_lattice(path) -> FiniteOML:
     """Read {"elements", "leq" (pairs i <= j), "ortho"}; the reflexive and
     transitive closure is applied, bottom and top are inferred.  A file whose
-    tables would pass ``LATTICE_BYTES_CAP`` is refused with SchemaError."""
+    tables would pass ``lattice.LATTICE_BYTES_CAP`` is refused with SchemaError."""
     data = _read_json(path)
     names = _require(data, "elements", path)
     pairs = _require(data, "leq", path)
@@ -244,12 +222,7 @@ def load_lattice(path) -> FiniteOML:
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise SchemaError(f"{path}: 'elements' must be a list of names")
     n = len(names)
-    need = LATTICE_PAIR_BYTES * n * n
-    if need > LATTICE_BYTES_CAP:
-        raise SchemaError(
-            f"{path}: {n} elements need about {need / 2**30:.2f} GiB for the n^2 "
-            f"tables, past the cap of {LATTICE_BYTES_CAP / 2**30:g} GiB"
-        )
+    _check_table_budget(n, SchemaError, f"{path}: ")
     leq = np.eye(n, dtype=bool)
     i, j = _order_pairs(pairs, n, path)
     leq[i, j] = True

@@ -47,6 +47,37 @@ from .errors import LatticeError
 
 MAX_SUBLATTICE = 4096
 
+# Bytes per ordered pair of elements that loading and checking a lattice holds
+# at once, at most.  Two order matrices: the closure and the lattice's copy
+# (1 + 1); the file's relation is freed when the closure returns.  A lattice
+# with few irreducibles takes its tables from signatures (two int16 tables,
+# 2 + 2, while n <= 2^15, and row blocks): 6.59 bytes per pair traced on
+# 2^11, 6.55 with the meets from the reversed order's signatures, 7.24 on
+# 2^10.  The join search, which runs where the signatures decline, holds the
+# join table and its ok mask (2 + 1).  When the meets are searched as the
+# joins of the reversed order, that search's product holds a float32 copy of
+# the order and the float32 counts (4 + 4): 13 in all.  The copy is freed
+# before the counts are cast to the index type (2), which the search keeps.
+# De Morgan meets skip that search, and the join search holds 10 at its
+# product.  On top come the packed rows (1/8) and the search's word blocks
+# and the closure's pair index arrays, which do not grow with n^2.  16
+# bounds the search (13.63 bytes per pair traced on 2^11 with a direct
+# search, 14.02 on 2^10, where the fixed blocks weigh more).
+LATTICE_PAIR_BYTES = 16
+# A lattice, read from a file or generated (2^m), whose n^2 tables would pass
+# this many bytes is refused before they are allocated: n <= 8192 fit.
+LATTICE_BYTES_CAP = 1 << 30
+
+
+def _check_table_budget(n: int, error: type[ValueError] = LatticeError, where: str = "") -> None:
+    """Raise error(where + why) if the tables of n elements pass the cap.  In
+    integers, so finite for any n; the GiB round as need / 2^30 formats."""
+    need = LATTICE_PAIR_BYTES * n * n
+    if need > LATTICE_BYTES_CAP:
+        cents = (100 * need + (1 << 29)) >> 30  # 1600 n^2 is no odd multiple of 2^29: no tie
+        raise error(f"{where}{n} elements need about {cents // 100}.{cents % 100:02d} GiB "
+                    f"for the n^2 tables, past the cap of {LATTICE_BYTES_CAP / 2**30:g} GiB")
+
 
 def _as_bool_matrix(leq) -> np.ndarray:
     m = np.array(leq, dtype=bool)
@@ -99,7 +130,7 @@ class FiniteOML:
     Parameters
     ----------
     names:
-        One display label per element; must be unique.
+        One display label per element, unique; their number must fit ``LATTICE_BYTES_CAP``.
     leq:
         Boolean order matrix, ``leq[i, j]`` iff element i <= element j.
         Must already be reflexively and transitively closed.
@@ -125,9 +156,10 @@ class FiniteOML:
         *,
         tables: tuple[np.ndarray, np.ndarray] | None = None,
     ):
+        names = [str(s) for s in names]
+        _check_table_budget(len(names))
         leq = _as_bool_matrix(leq)
         n = leq.shape[0]
-        names = [str(s) for s in names]
         if len(names) != n:
             raise LatticeError(f"{n} elements but {len(names)} names")
         if len(set(names)) != n:

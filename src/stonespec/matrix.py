@@ -8,8 +8,8 @@ before a decomposition), with no absolute floor, so f_{cA} = c f_A holds for c
 a power of two.  Norms of unit rays and distances of projectors are unscaled.
 
 Every Boolean family of the bridge and of the Gelfand layer comes from one
-builder, ``_boolean_family``; only it, ``corpus.boolean_lattice`` and
-``element_projector`` know that an element of 2^m is its atom bitmask.
+builder, ``_boolean_family``; only it and ``corpus.boolean_lattice`` know
+that an element of 2^m is its atom bitmask.
 """
 
 from __future__ import annotations
@@ -218,12 +218,6 @@ def spectral_family_of(a) -> SpectralFamily:
     the i-th atom p{i+1} the projection of the i-th distinct eigenvalue."""
     d = _as_decomp(a)
     return _boolean_family(d.values, [f"p{i + 1}" for i in range(d.m)])
-
-
-def element_projector(d: EigenDecomposition, mask: int) -> np.ndarray:
-    """Matrix projector for a Boolean-lattice element (a bitmask of atoms)."""
-    atoms = (d.projection(i) for i in range(d.m) if mask >> i & 1)
-    return sum(atoms, np.zeros((d.n, d.n), dtype=np.complex128))
 
 
 @dataclass

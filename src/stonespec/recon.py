@@ -37,7 +37,7 @@ def _sublevel_family(L: FiniteOML, values) -> SpectralFamily | None:
     has as many members as the candidate's down-set, which it then is (at the
     last level the whole lattice, so the chain ends at top).  O(n log n) from
     the down-set sizes.  A NaN on a nonzero element rejects; infinite levels
-    are kept, and :func:`make_spectral_family` refuses them.
+    are kept, and the callers that return the family refuse them.
     """
     nz = L.nonzero()
     v = np.asarray(values, dtype=np.float64)[nz]
@@ -188,7 +188,9 @@ def reconstruct(L: FiniteOML, f: ObservableTable) -> SpectralFamily:
     if family is None:
         witness = _observable_witness(L, f)
         raise NotObservableError(f"table is not an observable function: {witness}", witness)
-    return make_spectral_family(L, family.jumps())
+    if not np.isfinite(family.thresholds).all():  # as make_spectral_family refuses them
+        raise LatticeError("thresholds must be finite")
+    return family
 
 
 @dataclass
@@ -242,10 +244,7 @@ def verify_reconstruction_steps(L: FiniteOML, f: ObservableTable) -> StepReport:
     monotone = _monotone_continuous(L, f.values)
     levels = sorted_unique(f.values[L.nonzero()])
     image_finite = bool(np.isfinite(levels).all())
-    try:
-        family_valid = observable_fn(make_spectral_family(L, E.jumps())) == f
-    except LatticeError:  # pragma: no cover
-        family_valid = False
+    family_valid = observable_fn(E) == f
     no_interior = True
     img = set(float(x) for x in levels)
     for (a, _), (b, _) in itertools.pairwise(E.jumps()):
@@ -290,7 +289,9 @@ def observable_from_quasipoint_data(
     values = _atom_sup(L, atom_values)
     if (family := _sublevel_family(L, values)) is None:  # one pass decides the max law
         return None, _max_law_witness(L, values)
-    return make_spectral_family(L, family.jumps()), None
+    if not np.isfinite(family.thresholds).all():
+        raise LatticeError("thresholds must be finite")
+    return family, None
 
 
 @dataclass

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from stonespec import io as sio
+from stonespec import lattice
 from stonespec import matrix as matrix_mod
 from stonespec import stone
 from stonespec.cli import SWEEP_CAP, _sweep, main
@@ -293,15 +294,19 @@ class TestMatrixCommands:
 
     @pytest.mark.parametrize("command", ["spectral", "approx"])
     def test_too_many_eigenvalues_exit_2(self, runner, tmp_path, command):
-        path = tmp_path / "d17.json"
-        sio.save_matrix(np.diag(np.arange(17.0)), path)
+        """2^m is refused where a lattice file of 2^m elements is: from m = 14,
+        before its tables are built."""
         extra = ["--eps", "0.1"] if command == "approx" else []
-        result = runner.invoke(main, ["matrix", command, "--matrix", str(path), *extra])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert result.output == (
-            "input error: 17 distinct eigenvalues; boolean_lattice supports 1..16 atoms, got 17\n"
-        )
+        for m, gib in [(14, "4.00"), (17, "256.00")]:
+            path = tmp_path / f"d{m}.json"
+            sio.save_matrix(np.diag(np.arange(float(m))), path)
+            result = runner.invoke(main, ["matrix", command, "--matrix", str(path), *extra])
+            assert result.exit_code == 2
+            assert isinstance(result.exception, SystemExit)
+            assert result.output == (
+                f"input error: {m} distinct eigenvalues; {1 << m} elements need about {gib} "
+                "GiB for the n^2 tables, past the cap of 1 GiB\n"
+            )
 
     @pytest.mark.parametrize("command", ["spectral", "rays", "approx"])
     def test_eigen_error_exits_1(self, runner, tmp_path, command, monkeypatch):
@@ -647,7 +652,7 @@ class TestMemory:
     def test_lattice_past_the_cap_exits_2(self, runner, tmp_path):
         """One element past the cap is refused before its n^2 order matrix
         (67 MB) is allocated."""
-        n = math.isqrt(sio.LATTICE_BYTES_CAP // sio.LATTICE_PAIR_BYTES) + 1
+        n = math.isqrt(lattice.LATTICE_BYTES_CAP // lattice.LATTICE_PAIR_BYTES) + 1
         path = tmp_path / "big.json"
         path.write_text(json.dumps(
             {"elements": [f"e{i}" for i in range(n)], "leq": [], "ortho": list(range(n))}

@@ -9,7 +9,8 @@ filter-minimum loops, Warshall's closure, the transitivity loop and the
 order of the construction checks, the per-row loop of the sub-tables of a
 sublattice, the literal minimal-ideal
 reconstruction, the pair loop for monotone continuity and the p x atoms
-loop that extended quasipoint data; on the matrix side, the per-column
+loop that extended quasipoint data, and make_spectral_family's second
+validation of the family that reconstruct proved; on the matrix side, the per-column
 phase loop, the per-cluster gap loop with the projector stack eig once
 built from it, one projector product per cluster for ray components, the
 one-ray formula and loops (with the cumulative projector stack) that the block ray kernel
@@ -1302,6 +1303,61 @@ def test_observable_tables_skip_the_witness_scans():
                 want = vals.copy()
                 want[L.bottom] = np.nan
                 np.testing.assert_array_equal(recon.f_from_r(L, g).values, want)
+
+
+def family_bits(build):
+    """build()'s lattice and the dtypes, shapes and bytes of its thresholds and
+    values, or the type and message of the LatticeError it raised."""
+    try:
+        E = build()
+    except LatticeError as exc:
+        return type(exc), str(exc)
+    return E.lattice, [(a.dtype, a.shape, a.tobytes()) for a in (E.thresholds, E.values)]
+
+
+def assert_proved_family_returned(L, table, data):
+    """reconstruct(L, table) and the realization of the quasipoint data return
+    the family that _sublevel_family proves: bit for bit that family passed
+    through make_spectral_family again, or the same error.  Returns how many
+    of the two were proved."""
+    proved = 0
+    for values, build in (
+        (table.values, lambda: recon.reconstruct(L, table)),
+        (recon._atom_sup(L, data), lambda: recon.observable_from_quasipoint_data(L, data)[0]),
+    ):
+        if (family := recon._sublevel_family(L, values)) is not None:
+            proved += 1
+            assert family_bits(build) == family_bits(
+                lambda: make_spectral_family(L, family.jumps()))
+    return proved
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_proved_family_needs_no_revalidation_on_the_corpus(name):
+    """Random families, then their levels moved to -inf, +inf and -0.0, and
+    quasipoint data with ties, signed zeros and +-inf."""
+    L = BASES[name]
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        E = random_spectral_family(L, rng)
+        f = observable_fn(E)
+        assert assert_proved_family_returned(L, f, atom_data(L, rng)) >= 1
+        zeros, infinite = f.values - E.thresholds[len(E.thresholds) // 2], f.values.copy()
+        zeros[zeros == 0] = -0.0
+        infinite[infinite == E.thresholds[0]] = -np.inf
+        infinite[infinite == E.thresholds[-1]] = np.inf
+        for vals in (zeros, infinite):
+            assert assert_proved_family_returned(L, ObservableTable(L, vals), atom_data(L, rng)) >= 1
+        with pytest.raises(LatticeError, match="^thresholds must be finite$"):
+            recon.reconstruct(L, ObservableTable(L, infinite))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sublevel_tables(), st.integers(0, 2**32 - 1))
+def test_proved_family_needs_no_revalidation(case, seed):
+    """Relabeled corpus tables with NaN, +-inf and signed zeros."""
+    L, t = case
+    assert_proved_family_returned(L, t, atom_data(L, np.random.default_rng(seed)))
 
 
 def assert_same_bounds(got, want):

@@ -6,6 +6,7 @@ import pytest
 
 from stonespec import _kernels
 from stonespec import io as sio
+from stonespec import lattice
 from stonespec.corpus import boolean_lattice, corpus
 from stonespec.errors import LatticeError, SchemaError
 from stonespec.lattice import FiniteOML
@@ -83,7 +84,7 @@ class TestLatticeFiles:
 
     def test_element_cap(self, tmp_path, monkeypatch):
         """With the cap cut to the tables of 4 elements, 4 load and 5 are refused."""
-        monkeypatch.setattr(sio, "LATTICE_BYTES_CAP", 16 * sio.LATTICE_PAIR_BYTES)
+        monkeypatch.setattr(lattice, "LATTICE_BYTES_CAP", 16 * lattice.LATTICE_PAIR_BYTES)
         path = tmp_path / "b2.json"
         sio.save_lattice(CORPUS["B2"], path)
         assert sio.load_lattice(path).n == 4

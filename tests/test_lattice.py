@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stonespec
-from stonespec import _kernels
+from stonespec import _kernels, lattice
 from stonespec.corpus import benzene, boolean_lattice, chain2, corpus, mo
 from stonespec.errors import LatticeError
 from stonespec.lattice import (
@@ -68,6 +69,28 @@ class TestConstruction:
     def test_trivial_lattice_rejected(self):
         with pytest.raises(LatticeError, match="distinct bottom and top"):
             FiniteOML(["x"], np.ones((1, 1), dtype=bool), [0])
+
+    def test_element_cap(self, monkeypatch):
+        """With the cap cut to the tables of 4 elements, B2 builds and 5 names
+        are refused before the order is read (None is not a matrix)."""
+        monkeypatch.setattr(lattice, "LATTICE_BYTES_CAP", 16 * lattice.LATTICE_PAIR_BYTES)
+        L = CORPUS["B2"]
+        assert FiniteOML(L.names, L.leq, L.ortho).n == 4
+        with pytest.raises(LatticeError, match="^5 elements need about .* GiB .* past the cap"):
+            FiniteOML(list("0abc1"), None, [4, 3, 2, 1, 0])
+
+    def test_cap_message_rounds_as_float_formatting(self):
+        """The exact GiB figure reads as formatting the float quotient does,
+        wherever that quotient is exact (16 n^2 < 2^53)."""
+        sizes = [*range(8193, 8400), *np.random.default_rng(0).integers(8193, 2**24, 2000)]
+        for n in map(int, sizes):
+            with pytest.raises(LatticeError) as info:
+                lattice._check_table_budget(n)
+            assert str(info.value) == (
+                f"{n} elements need about {16 * n * n / 2**30:.2f} GiB for the n^2 tables, "
+                "past the cap of 1 GiB"
+            )
+        lattice._check_table_budget(8192)
 
 
 class TestBounds:
@@ -319,6 +342,21 @@ class TestCorpusBuilders:
             assert status == _kernels.STATUS_OK
             assert (meet == L.meet_table).all()
             assert (join == L.join_table).all()
+
+    @pytest.mark.parametrize("m", [14, 16, 17, 64, 2000])
+    def test_boolean_past_the_cap_is_refused_unbuilt(self, m):
+        """2^m is refused from m = 14, where a file of 2^m elements is, with a
+        finite message and nothing of size 2^m built."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="past the cap of 1 GiB$") as info:
+                boolean_lattice(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value).startswith(f"{1 << m} elements need about ")
+        assert "inf" not in str(info.value)
+        assert peak < 1 << 20
 
     def test_mo_sizes(self):
         assert mo(2).n == 6 and mo(3).n == 8

@@ -117,12 +117,6 @@ class TestBridge:
         E = M.spectral_family_of(np.zeros((2, 2)))
         assert E.jumps() == [(0.0, 1)]
 
-    def test_element_projector(self):
-        d = M.eig(np.diag([1.0, 2.0, 3.0]))
-        full = M.element_projector(d, 0b111)
-        assert np.abs(full - np.eye(3)).max() < 1e-12
-        assert np.abs(M.element_projector(d, 0b001) - np.diag([1.0, 0, 0])).max() < 1e-12
-
     def test_spectrum_identity(self):
         rng = np.random.default_rng(32)
         assert M.verify_spectrum_identity(np.diag([1.0, 2.0, 2.0])).passed
