@@ -9,9 +9,10 @@ elements, named by its pairs as the ``lattice-sweep`` benchmark names it)
 it prints, as JSON, the median and the quartiles in ms of each layer on one
 random spectral family: ``make_spectral_family`` on its jumps,
 ``observable_fn`` and ``mirrored_fn`` on the family, and ``reconstruct``,
-``f_from_r`` and ``is_completely_increasing`` on its observable table
-(lattice construction and the first call, which fills the lattice's
-caches, are not timed); on MO256 also ``stone.quasipoints``.  Last, it
+``f_from_r`` and ``is_completely_increasing`` on its observable table,
+and ``stone.verify_basis_identities`` on the lattice (lattice construction
+and the first call, which fills the lattice's caches, are not timed); on
+MO256 also ``stone.quasipoints``.  Last, it
 times ``matrix.rank_one_extension`` with Q = I on a random 128 x 128
 Hermitian (128 distinct eigenvalues, decomposed once, outside the timing).
 """
@@ -74,6 +75,8 @@ def main() -> None:
             "f_from_r": timed(lambda: recon.f_from_r(L, f), args.repeats),
             "is_completely_increasing": timed(
                 lambda: recon.is_completely_increasing(L, f), args.repeats),
+            "verify_basis_identities": timed(
+                lambda: stone.verify_basis_identities(L), args.repeats),
         }
     M = lattices["MO256"]
     out["MO256"]["quasipoints"] = timed(lambda: stone.quasipoints(M), args.repeats)

@@ -92,15 +92,6 @@ class PreSpectralFamily:
     values: np.ndarray
     closed: np.ndarray  # bool per jump
 
-    def value_at(self, lam: float) -> int:
-        best = self.lattice.bottom
-        for l, v, c in zip(self.thresholds, self.values, self.closed):
-            if l < lam or (l == lam and c):
-                best = int(v)
-            else:
-                break
-        return best
-
 
 def make_spectral_family(L: FiniteOML, jumps: Iterable[tuple[float, int]]) -> SpectralFamily:
     """Validate and freeze jump data.
@@ -364,10 +355,8 @@ def value_at_quasipoint(f, point: Quasipoint) -> float:
     t = point.generator
     if not L.le(t, P):
         raise LatticeError("quasipoint does not contain the restriction top")
-    inside = L.le_each(t, values)
-    if not inside.any():
-        raise LatticeError("top not attained")  # pragma: no cover
-    return float(thresholds[np.argmax(inside)])
+    # the last value is P, and t <= P: some value contains the quasipoint
+    return float(thresholds[np.argmax(L.le_each(t, values))])
 
 
 # ---------------------------------------------------------------------------

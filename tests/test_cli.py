@@ -425,6 +425,38 @@ class TestMatrixCommands:
             assert isinstance(result.exception, SystemExit)
             assert "entries must be numbers" in result.output
 
+    @pytest.mark.parametrize("name", ["herm3.json", "rot6.json"])
+    def test_spectral_csv_matches_family_csv(self, runner, name):
+        """Compared with io.family_csv of spectral_family_of in this process,
+        not with golden digits, which depend on the BLAS kernel.  The k-th
+        jump is the join of the first k atoms of 2^m: rank 2^k."""
+        path = GOLDEN / name
+        result = runner.invoke(
+            main, ["matrix", "spectral", "--matrix", str(path), "--format", "csv"])
+        assert result.exit_code == 0
+        E = matrix_mod.spectral_family_of(matrix_mod.eig(sio.load_matrix(path)))
+        assert result.stdout == sio.family_csv(E)
+        ranks = [int(row["element_rank"]) for row in csv.DictReader(io.StringIO(result.stdout))]
+        assert ranks == [2**k for k in range(1, E.k + 1)]
+
+    @pytest.mark.parametrize("name", ["herm3.json", "rot6.json"])
+    def test_rays_text_matches_ray_table(self, runner, name):
+        """Each line formats, with :g, the row of ray_table in this process for
+        the probe of its label."""
+        path = GOLDEN / name
+        result = runner.invoke(
+            main, ["matrix", "rays", "--matrix", str(path), "--format", "text", "--seed", "3"])
+        assert result.exit_code == 0
+        A = sio.load_matrix(path)
+        d = matrix_mod.eig(A)
+        want = []
+        for labels, block in _sweep(A.shape[0], 3):
+            t = matrix_mod.ray_table(d, block)
+            want += [f"{label}: f={fv:g} g={gv:g} <Ax,x>={ev:g}" for label, fv, gv, ev
+                     in zip(labels, t.f.tolist(), t.g.tolist(), t.expectation.tolist())]
+        assert len(want) == A.shape[0] ** 2 + 2 * A.shape[0]
+        assert result.stdout.splitlines() == want
+
     def test_fixtures_match_golden_text(self, runner):
         assert matrix_cli_text(runner).encode() == (GOLDEN / "matrix-cli.txt").read_bytes()
 

@@ -8,8 +8,9 @@ triple scan, the per-element atom join, the pairwise max-law loop, the
 filter-minimum loops, Warshall's closure, the transitivity loop and the
 order of the construction checks, the per-row loop of the sub-tables of a
 sublattice, the literal minimal-ideal
-reconstruction, the pair loop for monotone continuity and the p x atoms
-loop that extended quasipoint data, and make_spectral_family's second
+reconstruction, the pair loop for monotone continuity, the per-pair
+frozenset loop of the basis identities and the p x atoms loop that
+extended quasipoint data, and make_spectral_family's second
 validation of the family that reconstruct proved; on the matrix side, the per-column
 phase loop, the per-cluster gap loop with the projector stack eig once
 built from it, one projector product per cluster for ray components, the
@@ -47,7 +48,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stonespec import _kernels, gelfand, matrix, recon
+from stonespec import _kernels, gelfand, matrix, recon, stone
 from stonespec.corpus import benzene, boolean_lattice, corpus, mo
 from stonespec.errors import LatticeError, NotObservableError
 from stonespec.io import load_lattice, load_matrix, save_lattice, transitive_closure
@@ -239,6 +240,34 @@ def loop_monotone_continuous(L, values):
                 if float(values[q]) != min(float(values[p]), float(values[q])):
                     return False
     return True
+
+
+def loop_basis_identities(L):
+    """The per-pair frozenset loop verify_basis_identities ran, with its
+    bottom and top verdicts: (passed, failures, strict pairs)."""
+    failures, strict = [], []
+    every = np.arange(L.n)
+    cache = {a: frozenset(L.downset(a).tolist()) - {L.bottom} for a in range(L.n)}
+    if cache[L.bottom] != frozenset():
+        failures.append(("bottom-empty", L.bottom, L.bottom))
+    if cache[L.top] != frozenset(L.nonzero().tolist()):
+        failures.append(("top-full", L.top, L.top))
+    for a in range(L.n):
+        above = L.upset_rows(a).tolist()
+        meets = L.meet_each(a, every).tolist()
+        joins = L.join_rows(a).tolist()
+        for b in range(L.n):
+            if above[b] and not cache[a] <= cache[b]:
+                failures.append(("monotone", a, b))
+            if cache[meets[b]] != cache[a] & cache[b]:
+                failures.append(("meet-intersection", a, b))
+            union = cache[a] | cache[b]
+            joined = cache[joins[b]]
+            if not union <= joined:
+                failures.append(("join-inclusion", a, b))
+            elif union < joined:
+                strict.append((a, b))
+    return not failures, failures, strict
 
 
 def loop_atom_sup(L, atom_values):
@@ -1173,6 +1202,81 @@ def test_monotone_continuity_matches_pair_loop(case):
     """Tables with NaN and +-inf, observable or not."""
     L, t = case
     assert recon._monotone_continuous(L, t.values) == loop_monotone_continuous(L, t.values)
+
+
+def assert_basis_report_matches_loop(L, rows):
+    """The report, in row blocks of ``rows`` elements, equals the loop's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_SCAN_BYTES", rows * 8 * L.n * -(-L.n // 64))
+        rep = stone.verify_basis_identities(L)
+    passed, failures, strict = loop_basis_identities(L)
+    assert rep.passed == passed
+    assert sorted(rep.failures) == sorted(failures)
+    assert rep.strict_union_pairs.dtype == _kernels.index_dtype(L.n)
+    assert rep.strict_union_pairs.shape == (len(strict), 2)
+    assert rep.strict_union_pairs.tolist() == [list(p) for p in strict]
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_basis_identities_match_pair_loop_on_the_corpus(name):
+    assert assert_basis_report_matches_loop(BASES[name], BASES[name].n).passed
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@settings(max_examples=100, deadline=None)
+@given(L=st.one_of(relabeled(), set_lattices()))
+def test_basis_identities_match_pair_loop(rows, L):
+    """Row blocks of 1 and 3 elements.  Caught: a pair without its block
+    offset."""
+    assert_basis_report_matches_loop(L, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("base", [boolean_lattice(7), product(boolean_lattice(2), mo(8))],
+                         ids=["2^7", "2^2xMO8"])
+def test_basis_identities_match_pair_loop_past_one_word(rows, base):
+    """128 and 72 elements, two words a row, relabeled."""
+    L = relabel(base, np.random.default_rng(2).permutation(base.n))
+    assert assert_basis_report_matches_loop(L, rows).passed
+
+
+def corrupted_tables(law):
+    """A lattice built through FiniteOML(..., tables=...) from trusted input
+    that breaks the given basis law:
+    - meet-intersection: on 0 < m < a, b < 1, a ^ b read as 0 in one entry,
+      where the size |D_{a^b}| would call the strict inclusion of D_a | D_b
+      in D_1 an equality (2 + 2 - 0 = 4 = |D_1|; the union has 3);
+    - join-inclusion: on 2^3, e1 v e2 read as e2 + e3 in one entry, whose
+      D has 3 elements, more than the union's 2, yet lacks e1;
+    - monotone: x <= y <= z without x <= z, and the tables of the chain
+      0 < x < y < z < 1 that vouch for it."""
+    if law == "meet-intersection":
+        leq = np.eye(5, dtype=bool)
+        leq[0, :] = leq[1, 1:] = leq[:, 4] = True
+        L = FiniteOML(["0", "m", "a", "b", "1"], leq, np.arange(5))
+        meet = L.meet_table.copy()
+        meet[2, 3] = 0
+        return FiniteOML(L.names, L.leq, L.ortho, tables=(meet, L.join_table))
+    if law == "join-inclusion":
+        L = corpus()["2^3"]
+        join = L.join_table.copy()
+        join[L.index("e1"), L.index("e2")] = L.index("e2+e3")
+        return FiniteOML(L.names, L.leq, L.ortho, tables=(L.meet_table, join))
+    chain = np.arange(5)
+    leq = chain[:, None] <= chain
+    leq[1, 3] = False  # x <= y and y <= z, but not x <= z
+    return FiniteOML(["0", "x", "y", "z", "1"], leq, chain,
+                     tables=(np.minimum.outer(chain, chain), np.maximum.outer(chain, chain)))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("law", ["meet-intersection", "join-inclusion", "monotone"])
+def test_basis_identities_match_pair_loop_on_corrupted_tables(law, rows):
+    """Caught: a failure without its block offset; the strict inclusions
+    read from |D_{a^b}| where the meet law fails."""
+    rep = assert_basis_report_matches_loop(corrupted_tables(law), rows)
+    assert not rep.passed and law in {kind for kind, _, _ in rep.failures}
 
 
 def assert_same_bits(got, want):

@@ -127,7 +127,7 @@ class TestBasisSets:
         rep = stone.verify_basis_identities(CORPUS["MO2"])
         MO2 = CORPUS["MO2"]
         a, b = MO2.index("a"), MO2.index("b")
-        assert (a, b) in rep.strict_union_pairs
+        assert [a, b] in rep.strict_union_pairs.tolist()
 
 
 class TestFilterIntersection:
