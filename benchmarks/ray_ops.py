@@ -27,7 +27,13 @@ random complex Hermitian with 8 distinct eigenvalues half a unit or more
 apart, at n = 128, 256 and 512, decomposed once outside the timing; and
 ``gelfand.diagonal_spectral_family`` and ``gelfand.verify_gelfand_identity``
 on n distinct random diagonal entries, at n = 4, 6, 8 and 9.  They print
-the median and the quartiles in ms.  The figures are printed as JSON.
+the median and the quartiles in ms.
+
+Last, ``eig_ms`` times ``matrix.eig`` itself: on a random complex Hermitian
+(m = n distinct eigenvalues) at n = 4, 32, 64, 96 and 128, and on the
+bridge columns' matrix with 8 distinct eigenvalues at n = 128, 256 and 512;
+each row gives m as eig counts it, and the median and the quartiles in ms.
+The figures are printed as JSON.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ CALLS = ("ray_obs", "mirrored_ray", "expectation")
 BRIDGE_N = (128, 256, 512)
 BRIDGE_LEVELS = 8
 GELFAND_N = (4, 6, 8, 9)
+EIG_DISTINCT_N = (4, 32, 64, 96, 128)
+EIG_LEVELS_N = (128, 256, 512)
 STEP_EPS = 0.25  # below half the smallest gap of the levels
 
 
@@ -69,12 +77,17 @@ def ray_calls(n: int, rng: np.random.Generator, repeats: int) -> dict:
     return out
 
 
-def bridge_calls(n: int, rng: np.random.Generator, repeats: int) -> dict:
-    """spectral_family_of and step_approx on U diag(w) U^H, w taking
-    BRIDGE_LEVELS distinct values, each n / BRIDGE_LEVELS times."""
+def leveled_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
+    """U diag(w) U^H, U a random unitary and w taking BRIDGE_LEVELS distinct
+    values half a unit or more apart, each n / BRIDGE_LEVELS times."""
     levels = np.sort(rng.choice(np.arange(-32, 32), BRIDGE_LEVELS, replace=False) / 2.0)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    d = matrix.eig((u * np.repeat(levels, n // BRIDGE_LEVELS)) @ u.conj().T)
+    return (u * np.repeat(levels, n // BRIDGE_LEVELS)) @ u.conj().T
+
+
+def bridge_calls(n: int, rng: np.random.Generator, repeats: int) -> dict:
+    """spectral_family_of and step_approx on leveled_hermitian(n)."""
+    d = matrix.eig(leveled_hermitian(n, rng))
     return {"spectral_family_of": timed(lambda: matrix.spectral_family_of(d), repeats),
             "step_approx": timed(lambda: matrix.step_approx(d, STEP_EPS), repeats)}
 
@@ -84,6 +97,10 @@ def gelfand_calls(n: int, rng: np.random.Generator, repeats: int) -> dict:
     entries = rng.permutation(np.arange(n) + rng.uniform(-0.25, 0.25, n))
     return {name: timed(lambda fn=getattr(gelfand, name): fn(alg, entries), repeats)
             for name in ("diagonal_spectral_family", "verify_gelfand_identity")}
+
+
+def eig_call(a: np.ndarray, repeats: int) -> dict:
+    return {"m": matrix.eig(a).m, **timed(lambda: matrix.eig(a), repeats)}
 
 
 def counted_sweep(path: Path) -> int:
@@ -138,6 +155,10 @@ def main() -> None:
     out["bridge_ms"] = {f"n{n}m{BRIDGE_LEVELS}": bridge_calls(n, rng, args.repeats)
                         for n in BRIDGE_N}
     out["gelfand_ms"] = {f"n{n}": gelfand_calls(n, rng, args.repeats) for n in GELFAND_N}
+    out["eig_ms"] = {f"n{n}": eig_call(matrix.random_hermitian(n, rng), args.repeats)
+                     for n in EIG_DISTINCT_N}
+    out["eig_ms"].update({f"n{n}m{BRIDGE_LEVELS}": eig_call(leveled_hermitian(n, rng), args.repeats)
+                          for n in EIG_LEVELS_N})
     print(json.dumps(out, indent=1))
 
 

@@ -65,12 +65,13 @@ def hermitian_part(a) -> np.ndarray | None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     half = a / 2  # a - a^H, |a| and (a + a^H) / 2 overflow near the float limit
+    half_h = half.conj().T
     scale = float(np.abs(half).max(initial=0.0))
     with np.errstate(over="ignore"):
-        deviation = float(np.abs(half - half.conj().T).max(initial=0.0))
+        deviation = float(np.abs(half - half_h).max(initial=0.0))
     if not (deviation <= HERM_TOL * scale):
         return None
-    half += half.conj().T
+    half += half_h
     return half
 
 
@@ -83,13 +84,21 @@ def as_hermitian(a) -> np.ndarray:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant component is real positive."""
+    """Rotate each column so its first significant component (its pivot, the first
+    above RAY_TOL) is real positive.  A unit column always has one, so eigh's
+    output is rotated by one broadcast multiply; a column without a pivot, which
+    only other input can have, is left as it is."""
     significant = np.abs(vectors) > RAY_TOL
-    cols = np.flatnonzero(significant.any(axis=0))
-    pivot = vectors[significant.argmax(axis=0)[cols], cols]
-    out = vectors.copy()
+    cols = np.arange(vectors.shape[1])
+    rows = significant.argmax(axis=0)  # the pivot's row, where the column has one
+    has = significant[rows, cols]
+    pivot = vectors[rows[has], cols[has]]
     # hypot, as abs() of a complex scalar: np.abs of an array may round differently
-    out[:, cols] *= np.hypot(pivot.real, pivot.imag) / pivot
+    phase = np.hypot(pivot.real, pivot.imag) / pivot
+    if has.all():
+        return vectors * phase
+    out = vectors.copy()
+    out[:, has] *= phase
     return out
 
 
@@ -150,18 +159,41 @@ def _cluster_starts(w: np.ndarray, ctol: float) -> np.ndarray:
     return np.array(starts)
 
 
+def _cluster_values(w: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """k mean(w_c / k) of each cluster c of w, given by its start and size, with
+    k = 2^bit_length(size) a power of two above the size: the cluster sum may
+    overflow where its mean does not, and such scaling is exact in the normal
+    range.  The clusters of one or two eigenvalues (k = 2 size) come from one
+    reduceat, bit for bit np.mean's sum, which adds its terms to +0.0 (so a
+    cluster of -0.0 has mean +0.0); past two terms reduceat adds in another
+    order, so each larger cluster keeps its own np.mean."""
+    k = 2 * sizes
+    values = np.add.reduceat(w / np.repeat(k, sizes), starts)
+    values += 0.0
+    values /= sizes
+    values *= k
+    for c in np.flatnonzero(sizes > 2):
+        lo, size = starts[c], int(sizes[c])
+        scale = 2 ** size.bit_length()
+        values[c] = scale * float(np.mean(w[lo:lo + size] / scale))
+    return values
+
+
 def eig(a) -> EigenDecomposition:
     """Eigendecomposition with clusters of nearly equal eigenvalues, each narrower
     than ctol = CLUSTER_SCALE ||A||, checked by the Gram error ||V^H V - I||_F <=
     RAY_TOL (it bounds sum P_c - I and each P_i P_j) and, within ctol entrywise, the
     residual R = V diag(lambda_c of each column) V^H - A, V diag(..) V^H = sum
-    lambda_c P_c.  With the cluster mean as representative only rounding can fail it.
-    Both numbers are kept: the Gram error, and ||R||_F read off R / 2^e with 2^e at
-    or above max |R_ij|, so no square overflows and A 2^k has the residual 2^k
-    ||R||_F bit for bit.  The zero matrix is one cluster.  Raises ValueError where
-    as_hermitian (NotHermitianError) and finite_eigh do, and where ||A|| > 0 but ctol
-    is not a normal float (||A|| < about 2.2e-300): a subnormal ctol has lost its
-    precision, and a zero one would merge every cluster."""
+    lambda_c P_c.  With the cluster mean as representative (_cluster_values) only
+    rounding can fail it.  Both numbers are kept: the Gram error, and ||R||_F read
+    off R / 2^e with 2^e at or above max |R_ij|, so no square overflows and A 2^k
+    has the residual 2^k ||R||_F bit for bit.  Where no cluster holds more than two
+    eigenvalues, as on a generic spectrum, eig makes a fixed number of numpy calls
+    whatever m is; each larger cluster adds one np.mean.  The zero matrix is one
+    cluster.  Raises ValueError where as_hermitian (NotHermitianError) and
+    finite_eigh do, and where ||A|| > 0 but ctol is not a normal float (||A|| <
+    about 2.2e-300): a subnormal ctol has lost its precision, and a zero one would
+    merge every cluster."""
     A = as_hermitian(a)
     n = A.shape[0]
     w, V = finite_eigh(A)
@@ -171,15 +203,16 @@ def eig(a) -> EigenDecomposition:
     if norm and ctol < sys.float_info.min:  # the smallest normal float
         raise ValueError(f"matrix norm {norm:g} is too small: the relative tolerances underflow")
     starts = _cluster_starts(w, ctol or math.inf)
-    clusters = np.split(np.arange(n), starts[1:])
-    # k * mean(w / k), k a power of two above the cluster size: the cluster sum may
-    # overflow where its mean does not, and such scaling is exact in the normal range
-    values = np.array([k * float(np.mean(w[c] / k)) for c in clusters
-                       for k in [2 ** len(c).bit_length()]])
-    gram_error = float(np.linalg.norm(V.conj().T @ V - np.eye(n)))
+    sizes = np.diff(starts, append=n)
+    values = _cluster_values(w, starts, sizes)
+    vh = V.conj().T  # one conjugate copy for both checks
+    gram = vh @ V
+    gram.reshape(-1)[::n + 1] -= 1  # V^H V - I, in place
+    gram_error = float(np.linalg.norm(gram))
+    del gram  # not held through the residual's n x n arrays
     if not (gram_error <= RAY_TOL):
         raise EigenError("eigenbasis is not orthonormal")
-    r = (V * np.repeat(values, [len(c) for c in clusters])) @ V.conj().T
+    r = (V * np.repeat(values, sizes)) @ vh
     r -= A
     r_max = float(np.abs(r).max())
     if not (r_max <= ctol):
@@ -282,12 +315,15 @@ def ray_block_size(n: int) -> int:
 
 def _cluster_norms(d: EigenDecomposition, xv: np.ndarray) -> np.ndarray:
     """||P_c x|| for each cluster c from xv = x^H V, of one ray or one row per ray:
-    the square roots of the cluster sums of |xv|^2, squared and rooted in place,
-    with no sum where every cluster is one column."""
+    the square roots of the cluster sums of |xv|^2, squared and rooted in place.
+    Where every cluster is one column (m = n) it is |xv| as is, with no square and
+    no root: sqrt(|z|^2) rounds back to |z| wherever |z|^2 does not underflow, and
+    below that both sit far under RAY_TOL and the band."""
     comps = np.abs(xv)
+    if d.m == d.n:
+        return comps
     comps *= comps
-    if d.m < d.n:
-        comps = np.add.reduceat(comps, d.starts, axis=-1)
+    comps = np.add.reduceat(comps, d.starts, axis=-1)
     return np.sqrt(comps, out=comps)
 
 
@@ -312,14 +348,15 @@ def _ray(a, x, end: int | None) -> float:
     x = normalize_ray(x)
     if end is None:
         return float(np.vdot(x, d.matrix @ x).real)
-    support, band = _supports(_component_norms(d, x))
-    if band:
+    comps = _component_norms(d, x)
+    lo, hi = WARN_BAND
+    if np.count_nonzero((comps >= lo) & (comps <= hi)):
         warnings.warn(
             "ray component within the tolerance band; the support decision is "
             "ill-conditioned",
             stacklevel=3,
         )
-    return float(d.values[support.nonzero()[0][end]])
+    return float(d.values[(comps > RAY_TOL).nonzero()[0][end]])
 
 
 def warn_band(hits: int, total: int) -> None:
@@ -725,17 +762,18 @@ def step_approx(a, eps: float) -> tuple[np.ndarray, StepApproxReport]:
     grid = lo + (hi - lo) * np.arange(m + 1) / m
     mids = grid[:-1] / 2 + grid[1:] / 2  # halves: no overflow near the float limit
     star = mids[np.clip(np.searchsorted(grid, d.values, side="left") - 1, 0, m - 1)]
+    # the step observable over the lattice generated by the original
+    # projections, one jump per distinct midpoint; closed form: each atom
+    # filter sits in exactly one basis-set difference and takes that
+    # interval's midpoint there.  It comes first, so that a lattice past the
+    # budget is refused before anything of size n^2 is allocated
+    f_step = observable_fn(_boolean_family(star))
+    closed_ok = bool((f_step.values[f_step.lattice.atom_index()] == star).all())
     # sum mids_c P_c as one product V diag(mid of each column) V^H, as eig forms
     # its residual
     a_eps = (d.basis * np.repeat(star, np.diff([*d.starts, d.n]))) @ d.basis.conj().T
     f_dist = float(np.abs(d.values - star).max())
     op_dist = (1 + d.gram_error) * f_dist + d.residual
-    # the step observable over the lattice generated by the original
-    # projections, one jump per distinct midpoint; closed form: each atom
-    # filter sits in exactly one basis-set difference and takes that
-    # interval's midpoint there
-    f_step = observable_fn(_boolean_family(star))
-    closed_ok = bool((f_step.values[f_step.lattice.atom_index()] == star).all())
     passed = f_dist <= eps and op_dist <= eps and closed_ok
     return a_eps, StepApproxReport(eps, f_dist, op_dist, closed_ok, passed)
 

@@ -489,6 +489,13 @@ def loop_fix_phases(vectors):
     return out
 
 
+def loop_cluster_values(w, starts):
+    """One np.mean per cluster, k mean(w_c / k) with k = 2^bit_length(|c|): the
+    representatives as eig computed them cluster by cluster."""
+    return np.array([k * float(np.mean(c / k)) for c in np.split(w, starts[1:])
+                     for k in [2 ** len(c).bit_length()]])
+
+
 def projector_norms(d, x):
     return np.array([float(np.linalg.norm(d.projection(i) @ x)) for i in range(d.m)])
 
@@ -1796,6 +1803,86 @@ def test_fix_phases_matches_column_loop(a, seed):
             shrunk[k - 1, j] = matrix.RAY_TOL
     for vectors in (V, shrunk):
         assert np.array_equal(matrix._fix_phases(vectors), loop_fix_phases(vectors))
+
+
+@st.composite
+def clustered_spectra(draw):
+    """Ascending levels 0.1 or more apart (sometimes +-0.0), each repeated as a
+    cluster of 1, 2, 3, 8 or 9 to 12 eigenvalues spread over a few 1e-12 of |w|
+    (a cluster at zero mixes +0.0 and -0.0), and the cluster sizes."""
+    sizes = draw(st.lists(st.one_of(st.sampled_from([1, 2, 3, 8]), st.integers(9, 12)),
+                          min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = np.sort(rng.choice(np.arange(-50, 51), len(sizes), replace=False) / 10.0)
+    w = []
+    for level, size in zip(levels, sizes):
+        if level == 0:
+            w.append(rng.choice([0.0, -0.0], size))
+        else:
+            w.append(np.sort(level * (1 + 1e-12 * rng.uniform(0, 1, size))))
+    return np.concatenate(w), np.array(sizes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(clustered_spectra(), st.integers(-100, 100))
+@example((np.array([-0.0, -0.0, -0.0, 1.0]), np.array([1, 2, 1])), 0)
+@example((np.array([-0.0, 0.0, 5e-324, 1.0, 1.0]), np.array([1, 1, 1, 2])), -1)
+# subnormals 6 and 12 ulp, where w / k rounds: a wrong k changes the value
+@example((np.array([6.0, 12.0, 12.0]) * 2.0**-1074, np.array([1, 2])), 0)
+def test_cluster_values_match_mean_loop(spectrum, k):
+    """The representatives from one reduceat over the clusters of one or two
+    eigenvalues and one np.mean per larger cluster, bit for bit the per-cluster
+    np.mean loop, on the spectrum and on the spectrum times 2^k; signed zeros
+    and subnormals included."""
+    w, sizes = spectrum
+    w = w * 2.0**k
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    assert matrix._cluster_values(w, starts, sizes).tobytes() == loop_cluster_values(w, starts).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(clustered_spectra(), st.booleans(), st.integers(-100, 100), st.integers(0, 2**32 - 1))
+def test_eig_values_match_mean_loop(spectrum, rotate, k, seed):
+    """eig's cluster representatives bit for bit the per-cluster np.mean loop over
+    eigh's own eigenvalues, on diagonal and rotated spectra with clusters of 1, 2,
+    3, 8 and 9 to 12 eigenvalues, scaled by 2^k."""
+    w, sizes = spectrum
+    a = np.diag(w)
+    if rotate:
+        n = len(w)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a = u @ a @ u.conj().T
+    d = matrix.eig(a * 2.0**k)
+    assert d.starts.tolist() == np.concatenate([[0], np.cumsum(sizes)[:-1]]).tolist()
+    eigenvalues = np.linalg.eigh(d.matrix)[0]
+    assert d.values.tobytes() == loop_cluster_values(eigenvalues, d.starts).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 48), st.booleans(), st.integers(0, 2**32 - 1))
+def test_cluster_norms_of_single_columns_are_the_product(n, diagonal, seed):
+    """At m = n the cluster norms are |x^H V| exactly, with no square and no root.
+    Their support and band verdicts are those of the squared and rooted form:
+    the two agree wherever |z|^2 does not underflow, and the entries below that
+    (components of 1e-160 here, exact zeros of diagonal eigenbases) are under
+    RAY_TOL and the band either way."""
+    rng = np.random.default_rng(seed)
+    a = np.diag(rng.permutation(n) + 1.0) if diagonal else matrix.random_hermitian(n, rng)
+    d = matrix.eig(a)
+    assume(d.m == d.n)
+    x = np.concatenate([matrix.random_rays(n, 4, rng), d.basis.T,
+                        matrix.normalize_rays(d.basis.T + 1e-160 * d.basis[:, ::-1].T)])
+    for rays in (x, x[0]):
+        xv = rays.conj() @ d.basis
+        got = matrix._cluster_norms(d, xv)
+        assert np.array_equal(got, np.abs(xv))
+        rooted = np.sqrt(np.abs(xv) ** 2)
+        squarable = np.abs(xv) >= 2.0**-500
+        assert np.array_equal(got[squarable], rooted[squarable])
+        lo, hi = matrix.WARN_BAND
+        assert np.array_equal(got > matrix.RAY_TOL, rooted > matrix.RAY_TOL)
+        assert np.array_equal((got >= lo) & (got <= hi), (rooted >= lo) & (rooted <= hi))
 
 
 @settings(max_examples=60, deadline=None)

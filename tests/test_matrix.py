@@ -315,6 +315,61 @@ class TestStepApprox:
             with pytest.raises(ValueError, match="eps must be positive and finite"):
                 M.step_approx(np.eye(2), eps)
 
+    def test_refuses_past_the_budget_before_the_step_operator(self):
+        """16 distinct midpoints at n = 512: 2^16 elements are past the lattice
+        budget, and the refusal comes before A_eps, so the call allocates less
+        than one n x n complex array (4 MB)."""
+        n = 512
+        d = M.eig(np.diag(np.repeat(np.arange(16.0), n // 16)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="65536 elements .* past the cap of 1 GiB"):
+                M.step_approx(d, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16
+
+
+class TestRefusals:
+    """The refusals no other test reaches."""
+
+    def test_hermitian_part_refuses_non_square(self):
+        for a in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                M.hermitian_part(a)
+
+    def test_warn_band_warns_once_with_the_count(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            M.warn_band(0, 10)
+            assert not caught
+            M.warn_band(3, 10)
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith("3 of 10 rays have a component within the tolerance band")
+        assert caught[0].filename == __file__
+
+    def test_ray_table_refuses_a_block_of_the_wrong_shape(self):
+        d = M.eig(np.diag([1.0, 2.0, 3.0]))
+        for X in (np.ones((2, 4)), np.ones(3), np.ones((3, 2, 1))):
+            with pytest.raises(ValueError, match="expected a block of 3-dimensional rays"):
+                M.ray_table(d, X)
+
+    def test_projector_distance_of_unaligned_families_is_inf(self):
+        three = M.projector_family_of(np.diag([1.0, 2.0, 3.0]))
+        two = M.projector_family_of(np.diag([1.0, 1.0, 3.0]))
+        assert M.projector_distance(three, two) == float("inf")
+        assert M.projector_distance(two, three) == float("inf")
+        shifted = M.ProjectorFamily(three.thresholds + 1e-3, three.bases)
+        assert M.projector_distance(three, shifted) == float("inf")
+        assert M.projector_distance(three, three) == 0.0
+
+    def test_rank_one_extension_refuses_trivial_range(self):
+        rng = np.random.default_rng(0)
+        for Q in (np.zeros((2, 2)), np.zeros((2, 1)), 1e-10 * np.eye(2)):
+            with pytest.raises(ValueError, match="Q has trivial range"):
+                M.rank_one_extension(np.diag([1.0, 2.0]), Q, rng)
+
 
 class TestRankOne:
     def test_full_space(self):
