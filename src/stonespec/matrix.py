@@ -85,21 +85,17 @@ def as_hermitian(a) -> np.ndarray:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component (its pivot, the first
-    above RAY_TOL) is real positive.  A unit column always has one, so eigh's
-    output is rotated by one broadcast multiply; a column without a pivot, which
-    only other input can have, is left as it is."""
+    above RAY_TOL) is real positive, by one broadcast multiply; a column without a
+    pivot, which no unit column is, keeps the phase 1."""
     significant = np.abs(vectors) > RAY_TOL
     cols = np.arange(vectors.shape[1])
     rows = significant.argmax(axis=0)  # the pivot's row, where the column has one
     has = significant[rows, cols]
     pivot = vectors[rows[has], cols[has]]
+    phase = np.ones(vectors.shape[1], dtype=np.complex128)
     # hypot, as abs() of a complex scalar: np.abs of an array may round differently
-    phase = np.hypot(pivot.real, pivot.imag) / pivot
-    if has.all():
-        return vectors * phase
-    out = vectors.copy()
-    out[:, has] *= phase
-    return out
+    phase[has] = np.hypot(pivot.real, pivot.imag) / pivot
+    return vectors * phase
 
 
 @dataclass(frozen=True, eq=False)
